@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import NumericalError
 from .green import BlockChannelMatrix
 
 __all__ = [
@@ -116,13 +117,13 @@ class EigenchannelSet:
     ``gains`` holds sqrt(a_r * a_t) * sigma_p for the full spectrum in
     descending order; ``tx_patterns``/``rx_patterns`` hold the first
     ``p_used`` right/left singular vectors scaled by 1/sqrt(a_t) and
-    1/sqrt(a_r).
+    1/sqrt(a_r), or None when the decomposition ran without patterns.
     """
 
     gains: np.ndarray
     p_used: int
-    tx_patterns: np.ndarray
-    rx_patterns: np.ndarray
+    tx_patterns: np.ndarray | None
+    rx_patterns: np.ndarray | None
 
 
 def channel_from_green(green: BlockChannelMatrix, cfg: PhysicalConfig) -> BlockChannelMatrix:
@@ -130,12 +131,15 @@ def channel_from_green(green: BlockChannelMatrix, cfg: PhysicalConfig) -> BlockC
     if green.scale_applied:
         raise ValueError("channel scale already applied to this matrix")
     scale = cfg.eta / (2.0 * cfg.wavelength) * cfg.a_r * cfg.a_t
-    return replace(green, matrix=scale * green.matrix, scale_applied=True)
+    block = None if green.kron_block is None else scale * green.kron_block
+    return replace(green, matrix=scale * green.matrix, scale_applied=True, kron_block=block)
 
 
 def select_p(singular_values: np.ndarray, policy: PPolicy) -> int:
     """Number of eigenchannels a policy keeps for the given spectrum."""
     s = np.asarray(singular_values, dtype=float)
+    if not np.all(np.isfinite(s)):
+        raise NumericalError("spectrum is not finite: the channel matrix holds NaN or inf")
     if s.size == 0 or s[0] <= 0.0:
         raise ValueError("zero channel: spectrum has no positive singular value")
     if policy.kind == "threshold":
@@ -145,10 +149,23 @@ def select_p(singular_values: np.ndarray, policy: PPolicy) -> int:
     raise ValueError(f"unknown policy kind {policy.kind!r}")
 
 
+def _kron_spectrum(block: np.ndarray, m_count: int, n_count: int) -> np.ndarray:
+    """Singular values of ``kron(theta_r theta_t', block)`` with unit-modulus phases.
+
+    The rank-one phase factor has the single singular value sqrt(M N), so
+    the spectrum is sqrt(M N) times the block's three values, padded with
+    exact zeros to the full length min(3M, 3N).
+    """
+    s = np.zeros(3 * min(m_count, n_count))
+    s[:3] = np.sqrt(m_count * n_count) * np.linalg.svd(block, compute_uv=False)
+    return s
+
+
 def eigenchannel_decompose(
     green: BlockChannelMatrix,
     cfg: PhysicalConfig,
     policy: PPolicy = PPolicy.threshold(1e-6),
+    patterns: bool = True,
 ) -> EigenchannelSet:
     """Decompose an unscaled channel matrix into its eigenchannels.
 
@@ -156,20 +173,39 @@ def eigenchannel_decompose(
         green: block channel matrix with ``scale_applied`` False.
         cfg: physical configuration supplying the element areas.
         policy: eigenchannel count policy.
+        patterns: compute the transmit/receive patterns with a full SVD.
+            Without them only the spectrum is computed: in closed form
+            when the matrix carries a Kronecker block, otherwise by a
+            values-only SVD.
 
     Returns:
-        EigenchannelSet with the full gain spectrum and the first
-        ``p_used`` transmit/receive patterns.  Patterns satisfy
-        (sqrt(a) * patterns)' (sqrt(a) * patterns) = I.
+        EigenchannelSet with the full gain spectrum and, when ``patterns``
+        is True, the first ``p_used`` transmit/receive patterns.  Patterns
+        satisfy (sqrt(a) * patterns)' (sqrt(a) * patterns) = I.
+
+    Raises:
+        NumericalError: the matrix or its spectrum is not finite.
     """
     if green.scale_applied:
         raise ValueError("decomposition expects the unscaled Green-level matrix")
     if green.matrix.size == 0:
         raise ValueError("empty channel matrix")
-    u, s, vh = np.linalg.svd(green.matrix, full_matrices=False)
+    if not patterns and green.kron_block is not None:
+        s = _kron_spectrum(green.kron_block, green.m_count, green.n_count)
+    else:
+        # On inf entries LAPACK's full SVD does not return and the values-only
+        # one stalls before giving NaN, so reject them before either runs.
+        if not np.isfinite(green.matrix).all():
+            raise NumericalError("channel matrix holds NaN or inf entries")
+        if patterns:
+            u, s, vh = np.linalg.svd(green.matrix, full_matrices=False)
+        else:
+            s = np.linalg.svd(green.matrix, compute_uv=False)
     p_used = select_p(s, policy)
     gains = np.sqrt(cfg.a_r * cfg.a_t) * s
     gains.setflags(write=False)
+    if not patterns:
+        return EigenchannelSet(gains=gains, p_used=p_used, tx_patterns=None, rx_patterns=None)
     return EigenchannelSet(
         gains=gains,
         p_used=p_used,

@@ -3,7 +3,9 @@
 Three subcommands mirror the three experiments: ``sweep-distance``,
 ``sweep-elements`` and ``point``.  Each accepts an optional JSON config
 file plus flag overrides and exits with 0 on success, 2 on config
-validation failure, 3 on degenerate geometry and 4 on I/O failure.
+validation failure, 3 on degenerate geometry, 4 on I/O failure and 5 on
+numerical failure (a channel matrix or spectrum that is not finite, or an
+SVD that does not converge).
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .errors import ConfigError, DegenerateGeometryError
+from numpy.linalg import LinAlgError
+
+from .errors import ConfigError, DegenerateGeometryError, NumericalError
 from .green import MODEL_VARIANTS
 from .sweep import (
     SweepSpec,
@@ -35,6 +39,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_IO = 4
+EXIT_NUMERICAL = 5
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,6 +126,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (NumericalError, LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -9,6 +9,10 @@ class CoincidentPointsError(DegenerateGeometryError):
     """Raised when a field point coincides with a source point (singular kernel)."""
 
 
+class NumericalError(ValueError):
+    """Raised when a channel matrix or its spectrum is not finite."""
+
+
 class ConfigError(ValueError):
     """Raised by the benchmark layer when a sweep config is invalid.
 

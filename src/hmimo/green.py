@@ -43,6 +43,11 @@ class BlockChannelMatrix:
     rows ``3m..3m+2`` and columns ``3n..3n+2``.  ``scale_applied`` records
     whether the physical channel scale has been multiplied in; entries are
     raw dyad values while it is False.
+
+    ``kron_block``, when set, is the 3x3 block K of a Kronecker-separable
+    matrix ``kron(theta_r theta_t', K)`` whose phase vectors have
+    unit-modulus entries, so the spectrum is sqrt(M N) times that of K.
+    Assemblers set it only where the structure is exact.
     """
 
     matrix: np.ndarray
@@ -50,6 +55,7 @@ class BlockChannelMatrix:
     n_count: int
     variant: str
     scale_applied: bool = False
+    kron_block: np.ndarray | None = None
 
     def __post_init__(self):
         if self.variant not in MODEL_VARIANTS:
@@ -57,6 +63,8 @@ class BlockChannelMatrix:
         expected = (3 * self.m_count, 3 * self.n_count)
         if self.matrix.shape != expected:
             raise ValueError(f"matrix shape {self.matrix.shape} does not match blocks {expected}")
+        if self.kron_block is not None and np.shape(self.kron_block) != (3, 3):
+            raise ValueError(f"kron_block must be 3x3, got shape {np.shape(self.kron_block)}")
 
     def block(self, m: int, n: int) -> np.ndarray:
         """The 3x3 block coupling RX element m to TX element n."""

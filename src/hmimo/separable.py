@@ -209,7 +209,11 @@ def assemble_pscm(
     blocks = (pref * pair_phase / gamma)[..., None, None] * amp
     m_count, n_count = gamma.shape
     dense = blocks.transpose(0, 2, 1, 3).reshape(3 * m_count, 3 * n_count)
-    return BlockChannelMatrix(dense, m_count, n_count, _VARIANT_TAGS[variant])
+    # With gamma == 1 on every pair the two kept blocks are the same for all
+    # pairs and the matrix is kron(pref theta_r theta_t', w1 I + w2 kappa kappa').
+    kron_block = pref * amp[0, 0] if keep == 2 and np.all(gamma == 1.0) else None
+    return BlockChannelMatrix(dense, m_count, n_count, _VARIANT_TAGS[variant],
+                              kron_block=kron_block)
 
 
 def assemble_fscm(
@@ -230,4 +234,4 @@ def assemble_fscm(
     projector = _EYE3 - np.outer(link.kappa, link.kappa)
     pref = -1j * np.exp(1j * k0 * link.d0) / (4.0 * np.pi * link.d0)
     dense = np.kron(pref * np.outer(theta_r, np.conj(theta_t)), projector)
-    return BlockChannelMatrix(dense, rx.count, tx.count, "FSCM")
+    return BlockChannelMatrix(dense, rx.count, tx.count, "FSCM", kron_block=pref * projector)

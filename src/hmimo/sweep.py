@@ -294,17 +294,20 @@ def _evaluate_point(spec: SweepSpec, tx_grid, d0_lambda: float, x_value, dump_k:
     policy = PPolicy.parse(spec.p_policy)
     k0 = cfg.k0
 
+    # At most two dense variants are alive at once: the OCM reference,
+    # which every NMSE needs, and the variant being scored and decomposed.
     order = sorted(spec.variants)
-    mats = {name: _ASSEMBLERS[name](tx, rx, link, k0) for name in order}
+    ref = _ASSEMBLERS["OCM"](tx, rx, link, k0) if "OCM" in order else None
     nmse_map = {}
-    if "OCM" in mats:
-        ref = mats["OCM"]
-        nmse_map = {name: nmse(mats[name], ref) for name in order if name != "OCM"}
     cap_map = {}
     sv_map = {}
     scale = float(np.sqrt(cfg.a_r * cfg.a_t))
     for name in order:
-        eigs = eigenchannel_decompose(mats[name], cfg, policy)
+        mat = ref if name == "OCM" else _ASSEMBLERS[name](tx, rx, link, k0)
+        if ref is not None and name != "OCM":
+            nmse_map[name] = nmse(mat, ref)
+        eigs = eigenchannel_decompose(mat, cfg, policy, patterns=False)
+        del mat
         cap_map[name] = capacity(eigs, cfg)
         if dump_k > 0:
             sv_map[name] = tuple(float(g) / scale for g in eigs.gains[:dump_k])

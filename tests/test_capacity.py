@@ -1,20 +1,28 @@
 """Physical configuration, eigenchannel decomposition and capacity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmimo import (
     FREE_SPACE_IMPEDANCE,
     SPEED_OF_LIGHT,
+    BlockChannelMatrix,
     LinkGeometry,
+    NumericalError,
     PhysicalConfig,
     PPolicy,
     assemble_fscm,
     assemble_ocm,
+    assemble_pscm,
     build_planar_surface,
     capacity,
     channel_from_green,
     eigenchannel_decompose,
+    pairwise_offsets,
     select_p,
 )
 
@@ -130,8 +138,6 @@ def test_patterns_are_orthonormal():
 
 
 def test_gains_ignore_a_global_phase():
-    from dataclasses import replace
-
     cfg = _cfg()
     tx = build_planar_surface(2, 2, 0.05)
     G = assemble_ocm(tx, tx, LinkGeometry.from_angles(1.2), 2 * np.pi)
@@ -173,3 +179,108 @@ def test_capacity_monotone_in_the_power_budget():
     assert all(b > a for a, b in zip(caps, caps[1:]))
     noisy = capacity(eigs, _cfg(noise_var=4.0))
     assert noisy < capacity(eigs, cfg)
+
+
+def test_select_p_rejects_a_non_finite_spectrum():
+    for bad in (np.array([np.nan, 1.0]), np.array([1.0, np.nan]), np.array([np.inf, 1.0])):
+        with pytest.raises(NumericalError, match="not finite"):
+            select_p(bad, PPolicy.fixed(1))
+
+
+def test_full_decomposition_rejects_non_finite_entries():
+    cfg = _cfg()
+    tx = build_planar_surface(2, 1, 0.05)
+    G = assemble_ocm(tx, tx, LinkGeometry.from_angles(1.0), cfg.k0)
+    for value in (np.nan, np.inf):
+        matrix = G.matrix.copy()
+        matrix[0, 0] = value
+        with pytest.raises(NumericalError):
+            eigenchannel_decompose(replace(G, matrix=matrix), cfg)
+
+
+def test_kron_block_must_be_three_by_three():
+    tx = build_planar_surface(1, 1, 0.05)
+    G = assemble_fscm(tx, tx, LinkGeometry.from_angles(1.0), 2 * np.pi)
+    with pytest.raises(ValueError, match="3x3"):
+        BlockChannelMatrix(G.matrix, 1, 1, "FSCM", kron_block=np.eye(2))
+
+
+def test_channel_scale_rescales_the_kron_block():
+    cfg = _cfg()
+    tx = build_planar_surface(2, 2, 0.05)
+    G = assemble_fscm(tx, tx, LinkGeometry.from_angles(1.0), cfg.k0)
+    scaled = channel_from_green(G, cfg)
+    ratio = scaled.matrix[0, 0] / G.matrix[0, 0]
+    np.testing.assert_allclose(scaled.kron_block, ratio * G.kron_block, rtol=1e-14)
+
+
+def test_full_decomposition_ignores_the_kron_block():
+    # a deliberately wrong block changes the spectrum-only result, not the dense one
+    cfg = _cfg()
+    tx = build_planar_surface(2, 2, 0.05)
+    G = assemble_fscm(tx, tx, LinkGeometry.from_angles(1.0), cfg.k0)
+    wrong = replace(G, kron_block=2.0 * G.kron_block)
+    dense = eigenchannel_decompose(G, cfg, PPolicy.fixed(2))
+    kept = eigenchannel_decompose(wrong, cfg, PPolicy.fixed(2))
+    np.testing.assert_array_equal(kept.gains, dense.gains)
+    np.testing.assert_array_equal(kept.tx_patterns, dense.tx_patterns)
+    fast = eigenchannel_decompose(wrong, cfg, PPolicy.fixed(2), patterns=False)
+    assert fast.tx_patterns is None and fast.rx_patterns is None
+    np.testing.assert_allclose(fast.gains[:2], 2.0 * dense.gains[:2], rtol=1e-12)
+
+
+def _rotation(a, b, c):
+    ca, sa, cb, sb, cc, sc = np.cos(a), np.sin(a), np.cos(b), np.sin(b), np.cos(c), np.sin(c)
+    rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+    ry = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cc, -sc], [0.0, sc, cc]])
+    return rz @ ry @ rx
+
+
+_side = st.integers(1, 7)
+_angle = st.floats(-np.pi, np.pi)
+
+
+@given(
+    tx_shape=st.tuples(_side, _side),
+    rx_shape=st.tuples(_side, _side),
+    tx_spacing=st.floats(0.02, 0.1),
+    rx_spacing=st.floats(0.02, 0.1),
+    d0=st.floats(1.0, 4.0),
+    theta=st.one_of(st.just(0.0), st.floats(0.1, 0.4)),
+    phi=st.floats(0.0, 2 * np.pi),
+    rotation=st.one_of(st.none(), st.tuples(_angle, _angle, _angle)),
+    fixed=st.integers(1, 160),
+)
+@settings(max_examples=40, deadline=None)
+def test_spectrum_only_decomposition_matches_the_dense_svd(
+    tx_shape, rx_shape, tx_spacing, rx_spacing, d0, theta, phi, rotation, fixed
+):
+    # wavelength 1: every pair offset stays below 0.85 < d0, so no geometry degenerates
+    cfg = PhysicalConfig(frequency=SPEED_OF_LIGHT, a_t=tx_spacing**2, a_r=rx_spacing**2)
+    tx = build_planar_surface(*tx_shape, tx_spacing)
+    rx = build_planar_surface(*rx_shape, rx_spacing)
+    link = LinkGeometry.from_angles(
+        d0, theta, phi, rx_rotation=None if rotation is None else _rotation(*rotation)
+    )
+    k0 = cfg.k0
+    gamma = 1.0 + pairwise_offsets(tx, rx, link) @ link.kappa / link.d0
+    mats = [
+        assemble_ocm(tx, rx, link, k0),
+        assemble_pscm(tx, rx, link, k0, "1234"),
+        assemble_pscm(tx, rx, link, k0, "123"),
+        assemble_pscm(tx, rx, link, k0, "12"),
+        assemble_fscm(tx, rx, link, k0),
+    ]
+    kron = {G.variant: G.kron_block is not None for G in mats}
+    assert kron == {"OCM": False, "PSCM": False, "PSCM123": False,
+                    "PSCM12": bool(np.all(gamma == 1.0)), "FSCM": True}
+    for G in mats:
+        dense = np.sqrt(cfg.a_r * cfg.a_t) * np.linalg.svd(G.matrix, compute_uv=False)
+        for policy in (PPolicy.threshold(1e-6), PPolicy.threshold(1e-3), PPolicy.fixed(fixed)):
+            full = eigenchannel_decompose(G, cfg, policy)
+            fast = eigenchannel_decompose(G, cfg, policy, patterns=False)
+            assert fast.tx_patterns is None and fast.rx_patterns is None
+            assert fast.gains.shape == dense.shape
+            assert np.max(np.abs(fast.gains - dense)) <= 1e-12 * dense[0], G.variant
+            assert fast.p_used == full.p_used, (G.variant, policy)

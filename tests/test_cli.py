@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from hmimo import DegenerateGeometryError
-from hmimo.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_IO, EXIT_OK, main
+from hmimo import BlockChannelMatrix, DegenerateGeometryError
+from hmimo import sweep as sweep_module
+from hmimo.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 
 DESK_POINT = {
     "experiment": "single-point",
@@ -150,3 +152,23 @@ def test_degenerate_geometry_exit_code(monkeypatch, tmp_path):
 
     monkeypatch.setattr("hmimo.cli.run_distance_sweep", explode)
     assert main(["sweep-distance", "--config", config]) == EXIT_DEGENERATE
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_channel_is_a_numerical_failure(monkeypatch, point_config, capsys, value):
+    def poisoned(tx, rx, link, k0):
+        matrix = np.ones((3 * rx.count, 3 * tx.count), dtype=complex)
+        matrix[0, 0] = value
+        return BlockChannelMatrix(matrix, rx.count, tx.count, "OCM")
+
+    monkeypatch.setitem(sweep_module._ASSEMBLERS, "OCM", poisoned)
+    assert main(["point", "--config", point_config, "--variants", "OCM"]) == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_unconverged_svd_is_a_numerical_failure(monkeypatch, point_config):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    assert main(["point", "--config", point_config, "--variants", "OCM"]) == EXIT_NUMERICAL
