@@ -131,8 +131,8 @@ def channel_from_green(green: BlockChannelMatrix, cfg: PhysicalConfig) -> BlockC
     if green.scale_applied:
         raise ValueError("channel scale already applied to this matrix")
     scale = cfg.eta / (2.0 * cfg.wavelength) * cfg.a_r * cfg.a_t
-    block = None if green.kron_block is None else scale * green.kron_block
-    return replace(green, matrix=scale * green.matrix, scale_applied=True, kron_block=block)
+    factors = None if green.factors is None else (scale * green.factors[0], green.factors[1])
+    return replace(green, matrix=scale * green.matrix, scale_applied=True, factors=factors)
 
 
 def select_p(singular_values: np.ndarray, policy: PPolicy) -> int:
@@ -149,15 +149,17 @@ def select_p(singular_values: np.ndarray, policy: PPolicy) -> int:
     raise ValueError(f"unknown policy kind {policy.kind!r}")
 
 
-def _kron_spectrum(block: np.ndarray, m_count: int, n_count: int) -> np.ndarray:
-    """Singular values of ``kron(theta_r theta_t', block)`` with unit-modulus phases.
+def _factored_spectrum(left: np.ndarray, right: np.ndarray, length: int) -> np.ndarray:
+    """Singular values of ``left @ right'`` from the two thin factors.
 
-    The rank-one phase factor has the single singular value sqrt(M N), so
-    the spectrum is sqrt(M N) times the block's three values, padded with
-    exact zeros to the full length min(3M, 3N).
+    With the economy QRs left = Q_l R_l and right = Q_r R_r the matrix is
+    Q_l (R_l R_r') Q_r' with orthonormal Q_l and Q_r, so its spectrum is
+    that of the small core R_l R_r', padded with zeros to ``length``.
     """
-    s = np.zeros(3 * min(m_count, n_count))
-    s[:3] = np.sqrt(m_count * n_count) * np.linalg.svd(block, compute_uv=False)
+    core = np.linalg.qr(left, mode="r") @ np.linalg.qr(right, mode="r").conj().T
+    s = np.zeros(length)
+    values = np.linalg.svd(core, compute_uv=False)
+    s[: values.size] = values
     return s
 
 
@@ -174,9 +176,9 @@ def eigenchannel_decompose(
         cfg: physical configuration supplying the element areas.
         policy: eigenchannel count policy.
         patterns: compute the transmit/receive patterns with a full SVD.
-            Without them only the spectrum is computed: in closed form
-            when the matrix carries a Kronecker block, otherwise by a
-            values-only SVD.
+            Without them only the spectrum is computed: from a QR of each
+            factor and a small core SVD when the matrix carries thin
+            factors, otherwise by a values-only SVD.
 
     Returns:
         EigenchannelSet with the full gain spectrum and, when ``patterns``
@@ -190,8 +192,11 @@ def eigenchannel_decompose(
         raise ValueError("decomposition expects the unscaled Green-level matrix")
     if green.matrix.size == 0:
         raise ValueError("empty channel matrix")
-    if not patterns and green.kron_block is not None:
-        s = _kron_spectrum(green.kron_block, green.m_count, green.n_count)
+    if not patterns and green.factors is not None:
+        # LAPACK can stall on inf entries, so reject them before the QRs run.
+        if not all(np.isfinite(f).all() for f in green.factors):
+            raise NumericalError("channel factors hold NaN or inf entries")
+        s = _factored_spectrum(*green.factors, 3 * min(green.m_count, green.n_count))
     else:
         # On inf entries LAPACK's full SVD does not return and the values-only
         # one stalls before giving NaN, so reject them before either runs.

@@ -78,6 +78,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args) -> SweepSpec:
+    flag_violations = []
+    if getattr(args, "workers", 1) < 1:
+        flag_violations.append(f"--workers must be at least 1, got {args.workers}")
+    if getattr(args, "dump_singular_values", 0) < 0:
+        flag_violations.append(
+            f"--dump-singular-values must not be negative, got {args.dump_singular_values}"
+        )
+    if flag_violations:
+        raise ConfigError(flag_violations)
     experiment = _EXPERIMENT_OF[args.command]
     if args.config:
         spec = load_spec(args.config, experiment=experiment)
@@ -111,9 +120,9 @@ def main(argv=None) -> int:
     try:
         spec = _spec_from_args(args)
         if args.command == "sweep-distance":
-            rows = run_distance_sweep(spec, workers=max(1, args.workers))
+            rows = run_distance_sweep(spec, workers=args.workers)
         elif args.command == "sweep-elements":
-            rows = run_element_sweep(spec, workers=max(1, args.workers))
+            rows = run_element_sweep(spec, workers=args.workers)
         else:
             rows = [run_single_point(spec, dump_singular_values=args.dump_singular_values)]
         write_rows(rows, spec)

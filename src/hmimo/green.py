@@ -44,10 +44,10 @@ class BlockChannelMatrix:
     whether the physical channel scale has been multiplied in; entries are
     raw dyad values while it is False.
 
-    ``kron_block``, when set, is the 3x3 block K of a Kronecker-separable
-    matrix ``kron(theta_r theta_t', K)`` whose phase vectors have
-    unit-modulus entries, so the spectrum is sqrt(M N) times that of K.
-    Assemblers set it only where the structure is exact.
+    ``factors``, when set, is a pair ``(L, R)`` of thin factors with
+    ``matrix == L @ R.conj().T``: ``L`` is 3M x r and ``R`` is 3N x r.
+    Assemblers set it only where the matrix is exactly separable into
+    TX and RX terms, so its spectrum follows from the two factors alone.
     """
 
     matrix: np.ndarray
@@ -55,7 +55,7 @@ class BlockChannelMatrix:
     n_count: int
     variant: str
     scale_applied: bool = False
-    kron_block: np.ndarray | None = None
+    factors: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         if self.variant not in MODEL_VARIANTS:
@@ -63,8 +63,14 @@ class BlockChannelMatrix:
         expected = (3 * self.m_count, 3 * self.n_count)
         if self.matrix.shape != expected:
             raise ValueError(f"matrix shape {self.matrix.shape} does not match blocks {expected}")
-        if self.kron_block is not None and np.shape(self.kron_block) != (3, 3):
-            raise ValueError(f"kron_block must be 3x3, got shape {np.shape(self.kron_block)}")
+        if self.factors is not None:
+            left, right = (np.shape(f) for f in self.factors)
+            if (len(left) != 2 or len(right) != 2 or left[0] != expected[0]
+                    or right[0] != expected[1] or left[1] != right[1]):
+                raise ValueError(
+                    f"factors of shapes {left} and {right} do not match "
+                    f"{expected[0]} x r and {expected[1]} x r"
+                )
 
     def block(self, m: int, n: int) -> np.ndarray:
         """The 3x3 block coupling RX element m to TX element n."""
@@ -144,12 +150,16 @@ def assemble_ocm(
         m, n = np.argwhere(dist == 0.0)[0]
         raise CoincidentPointsError(f"RX element {m} coincides with TX element {n}")
     u = dvec / dist[..., None]
-    proj = u[..., :, None] * u[..., None, :]
     kd = k0 * dist
     c1 = 1.0 + 1j / kd - 1.0 / kd**2
     c2 = 3.0 / kd**2 - 3j / kd - 1.0
     pref = (-1j / (4.0 * np.pi * dist)) * np.exp(1j * kd)
-    blocks = pref[..., None, None] * (c1[..., None, None] * _EYE3 + c2[..., None, None] * proj)
     m_count, n_count = dist.shape
-    dense = blocks.transpose(0, 2, 1, 3).reshape(3 * m_count, 3 * n_count)
-    return BlockChannelMatrix(dense, m_count, n_count, "OCM")
+    # Writing each polarization slice in place keeps the peak at the result
+    # plus a few (M, N) temporaries.
+    dense = np.empty((m_count, 3, n_count, 3), dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            np.multiply(pref, c1 * _EYE3[i, j] + c2 * (u[..., i] * u[..., j]),
+                        out=dense[:, i, :, j])
+    return BlockChannelMatrix(dense.reshape(3 * m_count, 3 * n_count), m_count, n_count, "OCM")

@@ -18,6 +18,13 @@ where (x) is a Kronecker and (.) a Hadamard product.  The rank-one
 scalar factor ``theta_r theta_t'`` is broadcast over each 3x3 block, so
 the e3 e3' factor is never materialized.  The pairwise route is the
 slower, obviously-correct oracle; the assembler is the production path.
+
+When both surfaces lie in the plane through their centers perpendicular
+to kappa (every p'kappa and q'kappa exactly 0), gamma is 1 on every pair,
+omega1 and omega2 are constants and A is a polynomial of degree <= 2 in
+q - p.  The matrix is then exactly ``L R'`` with thin factors of 3, 6 or
+16 columns (PSCM12, PSCM123, PSCM), and the assembler builds it as that
+one product and records the factors; FSCM is always ``L R'`` with three.
 """
 
 from __future__ import annotations
@@ -162,7 +169,8 @@ def assemble_pscm(
     Matches the pairwise route blockwise: block (m, n) equals
     ``pscm_pair(p_n, q_m, kappa, d0, k0, variant)``.  Any pair with a
     non-positive projection factor makes the whole configuration
-    degenerate and is rejected.
+    degenerate and is rejected.  When every p'kappa and q'kappa is
+    exactly 0 the matrix is built as ``L R'`` and carries its factors.
     """
     try:
         keep = _VARIANT_BLOCKS[variant]
@@ -179,6 +187,10 @@ def assemble_pscm(
 
     theta_t = array_response(ps, kappa, k0)
     theta_r = array_response(qs, kappa, k0)
+    pref = -1j * np.exp(1j * k0 * d0) / (4.0 * np.pi * d0)
+    if not (ps @ kappa).any() and not (qs @ kappa).any():
+        left, right = _pscm_factors(ps, qs, theta_t, theta_r, kappa, d0, k0, pref, keep)
+        return _factored(left, right, _VARIANT_TAGS[variant])
 
     diff = qs[:, None, :] - ps[None, :, :]  # (M, N, 3)
     gamma = 1.0 + (diff @ kappa) / d0
@@ -205,15 +217,62 @@ def assemble_pscm(
         )
 
     pair_phase = theta_r[:, None] * np.conj(theta_t)[None, :]
-    pref = -1j * np.exp(1j * k0 * d0) / (4.0 * np.pi * d0)
     blocks = (pref * pair_phase / gamma)[..., None, None] * amp
     m_count, n_count = gamma.shape
     dense = blocks.transpose(0, 2, 1, 3).reshape(3 * m_count, 3 * n_count)
-    # With gamma == 1 on every pair the two kept blocks are the same for all
-    # pairs and the matrix is kron(pref theta_r theta_t', w1 I + w2 kappa kappa').
-    kron_block = pref * amp[0, 0] if keep == 2 and np.all(gamma == 1.0) else None
-    return BlockChannelMatrix(dense, m_count, n_count, _VARIANT_TAGS[variant],
-                              kron_block=kron_block)
+    return BlockChannelMatrix(dense, m_count, n_count, _VARIANT_TAGS[variant])
+
+
+def _pscm_factors(ps, qs, theta_t, theta_r, kappa, d0, k0, pref, keep):
+    """Thin factors (L, R) of the separable matrix when gamma is 1 on every pair.
+
+    Block (m, n) is c theta_r[m] conj(theta_t[n]) A(q_m - p_n), and A
+    expands into three kinds of term:
+
+    - RX-only: w1 I + w2 kappa kappa' + w2 (kappa q' + q kappa') / d0
+      + w2 q q' / d0^2, against theta_t[n] I3 (3 columns);
+    - TX-only: w2 I3, against theta_t[n] times the real symmetric
+      -(kappa p' + p kappa') / d0 + p p' / d0^2 (3 columns);
+    - cross: -w2 (q p' + p q') / d0^2, one column for q p' and nine for
+      p q' (entry (i, j) = sum_ab [i == a] q[b] * p[a] [j == b]).
+
+    Each factor is returned flat: L is 3M x r and R is 3N x r.
+    """
+    w1, w2 = omega_pair(k0, 1.0, d0)
+    rx_phase = (pref * theta_r)[:, None, None]
+    tx_phase = theta_t[:, None, None]
+    rx_only = w1 * _EYE3 + w2 * np.outer(kappa, kappa)
+    if keep >= 3:
+        rx_only = rx_only + (w2 / d0) * (_outers(kappa, qs) + _outers(qs, kappa))
+        tx_only = -(_outers(kappa, ps) + _outers(ps, kappa)) / d0
+    if keep >= 4:
+        rx_only = rx_only + (w2 / (d0 * d0)) * _outers(qs, qs)
+        tx_only = tx_only + _outers(ps, ps) / (d0 * d0)
+    lefts = [rx_phase * rx_only]
+    rights = [tx_phase * _EYE3]
+    if keep >= 3:
+        lefts.append(rx_phase * (w2 * _EYE3))
+        rights.append(tx_phase * tx_only)
+    if keep >= 4:
+        cross = rx_phase * (-w2 / (d0 * d0))
+        lefts.append(cross * qs[:, :, None])
+        rights.append(tx_phase * ps[:, :, None])
+        lefts.append(cross * np.einsum("ia,mb->miab", _EYE3, qs).reshape(-1, 3, 9))
+        rights.append(tx_phase * np.einsum("na,jb->njab", ps, _EYE3).reshape(-1, 3, 9))
+    left = np.concatenate(lefts, axis=2)
+    right = np.concatenate(rights, axis=2)
+    return left.reshape(-1, left.shape[2]), right.reshape(-1, right.shape[2])
+
+
+def _outers(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Outer products ``a b'`` over the last axis, broadcast over leading ones."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def _factored(left: np.ndarray, right: np.ndarray, variant: str) -> BlockChannelMatrix:
+    """The dense matrix ``L R'`` as one product, carrying its factors."""
+    return BlockChannelMatrix(left @ right.conj().T, left.shape[0] // 3, right.shape[0] // 3,
+                              variant, factors=(left, right))
 
 
 def assemble_fscm(
@@ -223,8 +282,8 @@ def assemble_fscm(
 
     Block (m, n) is the rank-2 transverse projector I3 - kappa kappa'
     scaled by (-i exp(i k0 d0) / (4 pi d0)) and the pair phase
-    theta_r[m] * conj(theta_t[n]); the whole matrix is the Kronecker
-    product of the rank-one phase matrix with the projector.
+    theta_r[m] * conj(theta_t[n]); the whole matrix is ``L R'`` with
+    ``L = c theta_r (x) (I3 - kappa kappa')`` and ``R = theta_t (x) I3``.
     """
     if k0 <= 0:
         raise ValueError(f"wavenumber must be positive, got {k0}")
@@ -233,5 +292,6 @@ def assemble_fscm(
     theta_r = array_response(qs, link.kappa, k0)
     projector = _EYE3 - np.outer(link.kappa, link.kappa)
     pref = -1j * np.exp(1j * k0 * link.d0) / (4.0 * np.pi * link.d0)
-    dense = np.kron(pref * np.outer(theta_r, np.conj(theta_t)), projector)
-    return BlockChannelMatrix(dense, rx.count, tx.count, "FSCM", kron_block=pref * projector)
+    left = np.kron((pref * theta_r)[:, None], projector)
+    right = np.kron(theta_t[:, None], _EYE3)
+    return _factored(left, right, "FSCM")

@@ -22,7 +22,7 @@ from hmimo import (
     capacity,
     channel_from_green,
     eigenchannel_decompose,
-    pairwise_offsets,
+    global_rx_positions,
     select_p,
 )
 
@@ -198,28 +198,35 @@ def test_full_decomposition_rejects_non_finite_entries():
             eigenchannel_decompose(replace(G, matrix=matrix), cfg)
 
 
-def test_kron_block_must_be_three_by_three():
-    tx = build_planar_surface(1, 1, 0.05)
-    G = assemble_fscm(tx, tx, LinkGeometry.from_angles(1.0), 2 * np.pi)
-    with pytest.raises(ValueError, match="3x3"):
-        BlockChannelMatrix(G.matrix, 1, 1, "FSCM", kron_block=np.eye(2))
+def test_factors_must_match_the_block_shape():
+    tx = build_planar_surface(2, 1, 0.05)
+    rx = build_planar_surface(1, 1, 0.05)
+    G = assemble_fscm(tx, rx, LinkGeometry.from_angles(1.0), 2 * np.pi)
+    left, right = G.factors
+    assert left.shape == (3, 3) and right.shape == (6, 3)
+    for bad in ((right, right), (left, left), (left, right[:, :2]), (left[:, 0], right[:, 0])):
+        with pytest.raises(ValueError, match="factors"):
+            BlockChannelMatrix(G.matrix, 1, 2, "FSCM", factors=bad)
 
 
-def test_channel_scale_rescales_the_kron_block():
+def test_channel_scale_rescales_the_left_factor_only():
     cfg = _cfg()
     tx = build_planar_surface(2, 2, 0.05)
     G = assemble_fscm(tx, tx, LinkGeometry.from_angles(1.0), cfg.k0)
     scaled = channel_from_green(G, cfg)
     ratio = scaled.matrix[0, 0] / G.matrix[0, 0]
-    np.testing.assert_allclose(scaled.kron_block, ratio * G.kron_block, rtol=1e-14)
+    np.testing.assert_allclose(scaled.factors[0], ratio * G.factors[0], rtol=1e-14)
+    assert scaled.factors[1] is G.factors[1]
+    left, right = scaled.factors
+    np.testing.assert_allclose(left @ right.conj().T, scaled.matrix, rtol=1e-14)
 
 
-def test_full_decomposition_ignores_the_kron_block():
-    # a deliberately wrong block changes the spectrum-only result, not the dense one
+def test_full_decomposition_ignores_the_factors():
+    # deliberately wrong factors change the spectrum-only result, not the dense one
     cfg = _cfg()
     tx = build_planar_surface(2, 2, 0.05)
     G = assemble_fscm(tx, tx, LinkGeometry.from_angles(1.0), cfg.k0)
-    wrong = replace(G, kron_block=2.0 * G.kron_block)
+    wrong = replace(G, factors=(2.0 * G.factors[0], G.factors[1]))
     dense = eigenchannel_decompose(G, cfg, PPolicy.fixed(2))
     kept = eigenchannel_decompose(wrong, cfg, PPolicy.fixed(2))
     np.testing.assert_array_equal(kept.gains, dense.gains)
@@ -227,6 +234,18 @@ def test_full_decomposition_ignores_the_kron_block():
     fast = eigenchannel_decompose(wrong, cfg, PPolicy.fixed(2), patterns=False)
     assert fast.tx_patterns is None and fast.rx_patterns is None
     np.testing.assert_allclose(fast.gains[:2], 2.0 * dense.gains[:2], rtol=1e-12)
+
+
+def test_spectrum_only_decomposition_rejects_non_finite_factors():
+    cfg = _cfg()
+    tx = build_planar_surface(2, 1, 0.05)
+    G = assemble_pscm(tx, tx, LinkGeometry.from_angles(1.0), cfg.k0)
+    for value in (np.nan, np.inf):
+        for side in (0, 1):
+            factors = [f.copy() for f in G.factors]
+            factors[side][0, 0] = value
+            with pytest.raises(NumericalError, match="factors"):
+                eigenchannel_decompose(replace(G, factors=tuple(factors)), cfg, patterns=False)
 
 
 def _rotation(a, b, c):
@@ -239,6 +258,10 @@ def _rotation(a, b, c):
 
 _side = st.integers(1, 7)
 _angle = st.floats(-np.pi, np.pi)
+# a rotation about z keeps a boresight RX surface perpendicular to kappa
+_rotations = st.one_of(
+    st.none(), st.tuples(_angle, _angle, _angle), st.tuples(_angle, st.just(0.0), st.just(0.0))
+)
 
 
 @given(
@@ -249,7 +272,7 @@ _angle = st.floats(-np.pi, np.pi)
     d0=st.floats(1.0, 4.0),
     theta=st.one_of(st.just(0.0), st.floats(0.1, 0.4)),
     phi=st.floats(0.0, 2 * np.pi),
-    rotation=st.one_of(st.none(), st.tuples(_angle, _angle, _angle)),
+    rotation=_rotations,
     fixed=st.integers(1, 160),
 )
 @settings(max_examples=40, deadline=None)
@@ -264,7 +287,9 @@ def test_spectrum_only_decomposition_matches_the_dense_svd(
         d0, theta, phi, rx_rotation=None if rotation is None else _rotation(*rotation)
     )
     k0 = cfg.k0
-    gamma = 1.0 + pairwise_offsets(tx, rx, link) @ link.kappa / link.d0
+    boresight = not (tx.positions @ link.kappa).any() and not (
+        global_rx_positions(link, rx) @ link.kappa
+    ).any()
     mats = [
         assemble_ocm(tx, rx, link, k0),
         assemble_pscm(tx, rx, link, k0, "1234"),
@@ -272,10 +297,13 @@ def test_spectrum_only_decomposition_matches_the_dense_svd(
         assemble_pscm(tx, rx, link, k0, "12"),
         assemble_fscm(tx, rx, link, k0),
     ]
-    kron = {G.variant: G.kron_block is not None for G in mats}
-    assert kron == {"OCM": False, "PSCM": False, "PSCM123": False,
-                    "PSCM12": bool(np.all(gamma == 1.0)), "FSCM": True}
+    factored = {G.variant: G.factors is not None for G in mats}
+    assert factored == {"OCM": False, "PSCM": boresight, "PSCM123": boresight,
+                        "PSCM12": boresight, "FSCM": True}
     for G in mats:
+        if G.factors is not None:
+            left, right = G.factors
+            np.testing.assert_array_equal(G.matrix, left @ right.conj().T)
         dense = np.sqrt(cfg.a_r * cfg.a_t) * np.linalg.svd(G.matrix, compute_uv=False)
         for policy in (PPolicy.threshold(1e-6), PPolicy.threshold(1e-3), PPolicy.fixed(fixed)):
             full = eigenchannel_decompose(G, cfg, policy)

@@ -113,6 +113,28 @@ def test_element_sweep_subcommand(tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["25", "81"]
 
 
+@pytest.mark.parametrize("command,runner", [("sweep-distance", "run_distance_sweep"),
+                                            ("sweep-elements", "run_element_sweep")])
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_workers_below_one_fail_validation(monkeypatch, capsys, command, runner, workers):
+    def must_not_run(spec, workers=1):
+        raise AssertionError("the sweep ran despite an invalid worker count")
+
+    monkeypatch.setattr(f"hmimo.cli.{runner}", must_not_run)
+    assert main([command, "--workers", workers]) == EXIT_CONFIG
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_negative_dump_count_fails_validation(monkeypatch, point_config, capsys):
+    def must_not_run(spec, dump_singular_values=0):
+        raise AssertionError("the point ran despite a negative dump count")
+
+    monkeypatch.setattr("hmimo.cli.run_single_point", must_not_run)
+    code = main(["point", "--config", point_config, "--dump-singular-values", "-3"])
+    assert code == EXIT_CONFIG
+    assert "--dump-singular-values" in capsys.readouterr().err
+
+
 def test_variants_without_reference_fail_validation(point_config):
     assert main(["point", "--config", point_config, "--variants", "PSCM"]) == EXIT_CONFIG
 

@@ -147,16 +147,20 @@ def test_array_response_has_unit_modulus_phases():
 
 @pytest.mark.parametrize("variant,tag", [("12", "PSCM12"), ("123", "PSCM123"), ("1234", "PSCM")])
 def test_assembler_matches_the_pairwise_route(variant, tag):
+    # the tilted link takes the elementwise route, the boresight ones the thin factors
     tx = build_planar_surface(3, 3, 0.05)
     rx = build_planar_surface(2, 2, 0.05)
-    link = LinkGeometry.from_angles(0.5, theta=0.35, phi=1.1)
-    G = assemble_pscm(tx, rx, link, 2 * np.pi, variant=variant)
-    assert G.variant == tag
-    scale = np.max(np.abs(G.matrix))
-    for m in range(rx.count):
-        for n in range(tx.count):
-            ref = pscm_pair(tx.positions[n], rx.positions[m], link.kappa, link.d0, 2 * np.pi, variant)
-            assert np.max(np.abs(G.block(m, n) - ref)) <= 1e-12 * scale
+    for d0, theta in ((0.5, 0.35), (0.5, 0.0), (1.7, 0.0)):
+        link = LinkGeometry.from_angles(d0, theta=theta, phi=1.1)
+        G = assemble_pscm(tx, rx, link, 2 * np.pi, variant=variant)
+        assert G.variant == tag
+        assert (G.factors is not None) == (theta == 0.0)
+        scale = np.max(np.abs(G.matrix))
+        for m in range(rx.count):
+            for n in range(tx.count):
+                ref = pscm_pair(tx.positions[n], rx.positions[m], link.kappa, link.d0,
+                                2 * np.pi, variant)
+                assert np.max(np.abs(G.block(m, n) - ref)) <= 1e-12 * scale
 
 
 def test_assembler_honors_rx_rotation():
