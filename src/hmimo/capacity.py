@@ -135,15 +135,26 @@ def channel_from_green(green: BlockChannelMatrix, cfg: PhysicalConfig) -> BlockC
     return replace(green, matrix=scale * green.matrix, scale_applied=True, factors=factors)
 
 
+# Singular values closer than this (relative to sigma_1) to the threshold cut
+# count as on it: every fast spectrum route is held to this tolerance of the
+# dense SVD, so a degenerate sigma_1 = sigma_2 pair counts the same on each.
+_TIE = 1e-12
+
+
 def select_p(singular_values: np.ndarray, policy: PPolicy) -> int:
-    """Number of eigenchannels a policy keeps for the given spectrum."""
+    """Number of eigenchannels a policy keeps for the given spectrum.
+
+    ``threshold(eps)`` counts every value >= (eps - 1e-12) * sigma_1, so
+    values within rounding of the cut (such as sigma_2 == sigma_1 under
+    ``threshold(1)``) count whichever route computed the spectrum.
+    """
     s = np.asarray(singular_values, dtype=float)
     if not np.all(np.isfinite(s)):
         raise NumericalError("spectrum is not finite: the channel matrix holds NaN or inf")
     if s.size == 0 or s[0] <= 0.0:
         raise ValueError("zero channel: spectrum has no positive singular value")
     if policy.kind == "threshold":
-        return int(np.count_nonzero(s >= policy.value * s[0]))
+        return int(np.count_nonzero(s >= (policy.value - _TIE) * s[0]))
     if policy.kind == "fixed":
         return min(int(policy.value), s.size)
     raise ValueError(f"unknown policy kind {policy.kind!r}")
@@ -163,6 +174,80 @@ def _factored_spectrum(left: np.ndarray, right: np.ndarray, length: int) -> np.n
     return s
 
 
+# Sign of each polarization component under the x mirror, S = diag(-1, 1, 1),
+# and under the y mirror, S = diag(1, -1, 1).
+_MIRROR_SIGNS = ((-1, 1, 1), (1, -1, 1))
+_SQRT_HALF = np.sqrt(0.5)
+
+
+def _mirror_spectrum(matrix: np.ndarray, mirror, length: int) -> np.ndarray:
+    """Singular values of a mirror-symmetric matrix from its four parity sectors.
+
+    A butterfly along each of the four grid axes (:func:`_butterfly`) is
+    an orthonormal change of basis on each side, so it keeps the
+    spectrum.  Afterwards every row and column has an x and a y parity:
+    the spatial parity of its element times the polarization's sign in
+    ``_MIRROR_SIGNS``.  The mirror symmetry makes every entry between
+    rows and columns of different parities exactly zero, so the spectrum
+    is the union of the four (x, y) parity sectors' spectra, sorted and
+    padded with zeros to ``length``.
+    """
+    (rx_v, rx_h), (tx_v, tx_h) = mirror
+    src = matrix.reshape(rx_v, rx_h, 3, tx_v, tx_h, 3)
+    folded = np.empty_like(src)
+    for axis in (4, 3, 1, 0):
+        _butterfly(src, folded, axis)
+        src = folded
+    folded = folded.reshape(matrix.shape)
+    values = []
+    for ex in (1, -1):
+        for ey in (1, -1):
+            rows = _sector_indices(rx_v, rx_h, ex, ey)
+            cols = _sector_indices(tx_v, tx_h, ex, ey)
+            if rows.size and cols.size:
+                values.append(np.linalg.svd(folded[np.ix_(rows, cols)], compute_uv=False))
+    values = np.sort(np.concatenate(values))[::-1]
+    s = np.zeros(length)
+    s[: values.size] = values
+    return s
+
+
+def _butterfly(src: np.ndarray, dst: np.ndarray, axis: int) -> None:
+    """Split one grid axis into even and odd parts, writing into ``dst``.
+
+    Index k and its mirror n-1-k become (a + b)/sqrt(2) at k and
+    (a - b)/sqrt(2) at n-1-k; a centre index is kept as is.  ``dst`` may
+    be ``src``; the even parts then pass through a half-size temporary.
+    """
+    n = src.shape[axis]
+    half = n // 2
+    lead = (slice(None),) * axis
+    low, high = lead + (slice(0, half),), lead + (slice(n - 1, n - 1 - half, -1),)
+    a, b = src[low], src[high]
+    even = a + b
+    np.subtract(a, b, out=dst[high])
+    dst[high] *= _SQRT_HALF
+    np.multiply(even, _SQRT_HALF, out=dst[low])
+    if n % 2 and dst is not src:
+        dst[lead + (half,)] = src[lead + (half,)]
+
+
+def _sector_indices(n_v: int, n_h: int, ex: int, ey: int) -> np.ndarray:
+    """Flat (element, polarization) indices of the folded grid in sector (ex, ey)."""
+    parts = []
+    for c in range(3):
+        ys = _parity_indices(n_v, ey * _MIRROR_SIGNS[1][c])
+        xs = _parity_indices(n_h, ex * _MIRROR_SIGNS[0][c])
+        parts.append(((ys[:, None] * n_h + xs) * 3 + c).ravel())
+    return np.concatenate(parts)
+
+
+def _parity_indices(n: int, parity: int) -> np.ndarray:
+    """Positions of the even (+1) or odd (-1) parts along an axis of length n."""
+    split = n - n // 2
+    return np.arange(split) if parity > 0 else np.arange(split, n)
+
+
 def eigenchannel_decompose(
     green: BlockChannelMatrix,
     cfg: PhysicalConfig,
@@ -178,7 +263,8 @@ def eigenchannel_decompose(
         patterns: compute the transmit/receive patterns with a full SVD.
             Without them only the spectrum is computed: from a QR of each
             factor and a small core SVD when the matrix carries thin
-            factors, otherwise by a values-only SVD.
+            factors, from values-only SVDs of its four parity sectors when
+            it carries ``mirror``, otherwise by a values-only SVD.
 
     Returns:
         EigenchannelSet with the full gain spectrum and, when ``patterns``
@@ -204,6 +290,8 @@ def eigenchannel_decompose(
             raise NumericalError("channel matrix holds NaN or inf entries")
         if patterns:
             u, s, vh = np.linalg.svd(green.matrix, full_matrices=False)
+        elif green.mirror is not None:
+            s = _mirror_spectrum(green.matrix, green.mirror, 3 * min(green.m_count, green.n_count))
         else:
             s = np.linalg.svd(green.matrix, compute_uv=False)
     p_used = select_p(s, policy)

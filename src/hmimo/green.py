@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentPointsError
-from .geometry import LinkGeometry, SurfaceLayout, pairwise_offsets
+from .geometry import LinkGeometry, SurfaceLayout, global_rx_positions, pairwise_offsets
 
 __all__ = [
     "MODEL_VARIANTS",
@@ -48,6 +48,13 @@ class BlockChannelMatrix:
     ``matrix == L @ R.conj().T``: ``L`` is 3M x r and ``R`` is 3N x r.
     Assemblers set it only where the matrix is exactly separable into
     TX and RX terms, so its spectrum follows from the two factors alone.
+
+    ``mirror``, when set, is ``((rx_n_v, rx_n_h), (tx_n_v, tx_n_h))``,
+    the grid shapes of the j-major element order.  Reversing the i index
+    of both grids maps block (m, n) to ``S G(m, n) S`` with
+    ``S = diag(-1, 1, 1)``, and reversing the j index does the same with
+    ``S = diag(1, -1, 1)``, exactly, so the spectrum splits into four
+    parity sectors.
     """
 
     matrix: np.ndarray
@@ -56,6 +63,7 @@ class BlockChannelMatrix:
     variant: str
     scale_applied: bool = False
     factors: tuple[np.ndarray, np.ndarray] | None = None
+    mirror: tuple[tuple[int, int], tuple[int, int]] | None = None
 
     def __post_init__(self):
         if self.variant not in MODEL_VARIANTS:
@@ -70,6 +78,13 @@ class BlockChannelMatrix:
                 raise ValueError(
                     f"factors of shapes {left} and {right} do not match "
                     f"{expected[0]} x r and {expected[1]} x r"
+                )
+        if self.mirror is not None:
+            (rx_v, rx_h), (tx_v, tx_h) = self.mirror
+            if rx_v * rx_h != self.m_count or tx_v * tx_h != self.n_count:
+                raise ValueError(
+                    f"mirror grids {self.mirror} do not hold {self.m_count} RX "
+                    f"and {self.n_count} TX elements"
                 )
 
     def block(self, m: int, n: int) -> np.ndarray:
@@ -139,7 +154,9 @@ def assemble_ocm(
     """Exact coupled reference channel: one dyad per element pair.
 
     Equivalent to evaluating :func:`green_dyadic` at every pair
-    displacement, but vectorized over the whole grid.
+    displacement, but vectorized over the whole grid.  At boresight
+    (kappa along z) with both grids mirror-symmetric in x and y the
+    result carries ``mirror``.
     """
     if k0 <= 0:
         raise ValueError(f"wavenumber must be positive, got {k0}")
@@ -162,4 +179,21 @@ def assemble_ocm(
         for j in range(3):
             np.multiply(pref, c1 * _EYE3[i, j] + c2 * (u[..., i] * u[..., j]),
                         out=dense[:, i, :, j])
-    return BlockChannelMatrix(dense.reshape(3 * m_count, 3 * n_count), m_count, n_count, "OCM")
+    mirror = None
+    if (not link.kappa[:2].any() and _is_mirrored(tx, tx.positions)
+            and _is_mirrored(rx, global_rx_positions(link, rx))):
+        mirror = ((rx.n_v, rx.n_h), (tx.n_v, tx.n_h))
+    return BlockChannelMatrix(dense.reshape(3 * m_count, 3 * n_count), m_count, n_count, "OCM",
+                              mirror=mirror)
+
+
+def _is_mirrored(layout: SurfaceLayout, positions: np.ndarray) -> bool:
+    """Whether reversing the grid's i (j) index maps x to -x (y to -y) exactly.
+
+    ``positions`` are the layout's element positions in the global frame,
+    one row per element in the layout's j-major order.
+    """
+    grid = positions.reshape(layout.n_v, layout.n_h, 3)
+    flip_x = grid[:, ::-1] * (-1.0, 1.0, 1.0)
+    flip_y = grid[::-1] * (1.0, -1.0, 1.0)
+    return bool(np.array_equal(flip_x, grid) and np.array_equal(flip_y, grid))

@@ -21,13 +21,19 @@ class ModelComparison:
     frob_ref: float
 
 
+# Elements per chunk in nmse: 4 MiB of complex values and a whole number of
+# numpy's 8192-element ufunc buffers, so the chunked extended-precision sums
+# add the same buffer sums in the same order as one sum over the matrix.
+_CHUNK = 1 << 18
+
+
 def nmse(candidate: BlockChannelMatrix, reference: BlockChannelMatrix) -> float:
     """Normalized mean squared error |C - R|_F^2 / |R|_F^2.
 
     Both matrices must have identical block dimensions and the same
     scaling state; the squared-magnitude sums accumulate in extended
-    precision.  Scaling both matrices by a common factor leaves the
-    result unchanged.
+    precision, chunk by chunk, so no temporary is larger than a chunk.
+    Scaling both matrices by a common factor leaves the result unchanged.
     """
     if candidate.matrix.shape != reference.matrix.shape:
         raise ValueError(
@@ -36,10 +42,16 @@ def nmse(candidate: BlockChannelMatrix, reference: BlockChannelMatrix) -> float:
         )
     if candidate.scale_applied != reference.scale_applied:
         raise ValueError("mixed scaling: candidate and reference differ in scale_applied")
-    den = np.sum(np.abs(reference.matrix) ** 2, dtype=np.longdouble)
+    cand = candidate.matrix.reshape(-1)
+    ref = reference.matrix.reshape(-1)
+    num = den = np.longdouble(0.0)
+    for start in range(0, ref.size, _CHUNK):
+        r = ref[start : start + _CHUNK]
+        den = np.sum(np.abs(r) ** 2, dtype=np.longdouble, initial=den)
+        num = np.sum(np.abs(cand[start : start + _CHUNK] - r) ** 2, dtype=np.longdouble,
+                     initial=num)
     if den == 0.0:
         raise ValueError("degenerate reference: zero matrix")
-    num = np.sum(np.abs(candidate.matrix - reference.matrix) ** 2, dtype=np.longdouble)
     return float(num / den)
 
 

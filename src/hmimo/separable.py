@@ -204,23 +204,25 @@ def assemble_pscm(
     w2 = 3.0 / x**2 - 3j / x - 1.0
     g2 = gamma * gamma
 
-    amp = w1[..., None, None] * _EYE3 + (w2 / g2)[..., None, None] * np.outer(kappa, kappa)
-    if keep >= 3:
-        cross = (
-            kappa[None, None, :, None] * diff[..., None, :]
-            + diff[..., :, None] * kappa[None, None, None, :]
-        )
-        amp = amp + (w2 / (g2 * d0))[..., None, None] * cross
-    if keep >= 4:
-        amp = amp + (w2 / (g2 * d0 * d0))[..., None, None] * (
-            diff[..., :, None] * diff[..., None, :]
-        )
-
-    pair_phase = theta_r[:, None] * np.conj(theta_t)[None, :]
-    blocks = (pref * pair_phase / gamma)[..., None, None] * amp
+    c2 = w2 / g2
+    c3 = w2 / (g2 * d0) if keep >= 3 else None
+    c4 = w2 / (g2 * d0 * d0) if keep >= 4 else None
+    kk = np.outer(kappa, kappa)
+    scale = pref * (theta_r[:, None] * np.conj(theta_t)[None, :]) / gamma
     m_count, n_count = gamma.shape
-    dense = blocks.transpose(0, 2, 1, 3).reshape(3 * m_count, 3 * n_count)
-    return BlockChannelMatrix(dense, m_count, n_count, _VARIANT_TAGS[variant])
+    # Writing each polarization slice in place keeps the peak at the result
+    # plus a few (M, N) temporaries.
+    dense = np.empty((m_count, 3, n_count, 3), dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            amp = w1 * _EYE3[i, j] + c2 * kk[i, j]
+            if keep >= 3:
+                amp = amp + c3 * (kappa[i] * diff[..., j] + diff[..., i] * kappa[j])
+            if keep >= 4:
+                amp = amp + c4 * (diff[..., i] * diff[..., j])
+            np.multiply(scale, amp, out=dense[:, i, :, j])
+    return BlockChannelMatrix(dense.reshape(3 * m_count, 3 * n_count), m_count, n_count,
+                              _VARIANT_TAGS[variant])
 
 
 def _pscm_factors(ps, qs, theta_t, theta_r, kappa, d0, k0, pref, keep):

@@ -66,6 +66,7 @@ def test_channel_scale_applies_only_once():
     tx = build_planar_surface(1, 1, 0.01)
     G = assemble_ocm(tx, tx, LinkGeometry.from_angles(1.0), cfg.k0)
     scaled = channel_from_green(G, cfg)
+    assert scaled.mirror == G.mirror == ((1, 1), (1, 1))
     with pytest.raises(ValueError):
         channel_from_green(scaled, cfg)
 
@@ -198,6 +199,77 @@ def test_full_decomposition_rejects_non_finite_entries():
             eigenchannel_decompose(replace(G, matrix=matrix), cfg)
 
 
+def test_select_p_counts_a_degenerate_pair_whatever_its_rounding():
+    for second in (1.0, 1.0 - 1e-15, 1.0 + 1e-15):
+        assert select_p(np.array([1.0, second, 0.5]), PPolicy.threshold(1.0)) == 2
+    assert select_p(np.array([1.0, 1.0 - 1e-9, 0.5]), PPolicy.threshold(1.0)) == 1
+
+
+@pytest.mark.parametrize("tx_side,d0_lambda", [(9, 1.5), (9, 2.5), (9, 4.25), (25, 4.25)])
+def test_threshold_one_counts_the_same_on_every_route(tx_side, d0_lambda):
+    # the built-in sweep geometry with a 5 x 5 RX surface, where the spectra
+    # have a degenerate sigma_1 = sigma_2 pair
+    cfg = _cfg()
+    spacing = 0.01 * cfg.wavelength
+    tx = build_planar_surface(tx_side, tx_side, spacing)
+    rx = build_planar_surface(5, 5, spacing)
+    link = LinkGeometry.from_angles(d0_lambda * cfg.wavelength)
+    mats = [assemble_ocm(tx, rx, link, cfg.k0), assemble_fscm(tx, rx, link, cfg.k0)]
+    mats += [assemble_pscm(tx, rx, link, cfg.k0, v) for v in ("1234", "123", "12")]
+    assert mats[0].mirror is not None
+    assert all(G.factors is not None for G in mats[1:])
+    policy = PPolicy.threshold(1.0)
+    for G in mats:
+        dense = eigenchannel_decompose(G, cfg, policy)
+        fast = eigenchannel_decompose(G, cfg, policy, patterns=False)
+        assert fast.p_used == dense.p_used, G.variant
+
+
+def test_spectrum_only_decomposition_rejects_a_non_finite_mirrored_matrix():
+    cfg = _cfg()
+    tx = build_planar_surface(3, 2, 0.05)
+    G = assemble_ocm(tx, build_planar_surface(2, 2, 0.05), LinkGeometry.from_angles(1.0), cfg.k0)
+    assert G.mirror is not None
+    for value in (np.nan, np.inf):
+        matrix = G.matrix.copy()
+        matrix[4, 7] = value
+        with pytest.raises(NumericalError, match="NaN or inf"):
+            eigenchannel_decompose(replace(G, matrix=matrix), cfg, patterns=False)
+
+
+@pytest.mark.parametrize("rx_shape,tx_shape", [((2, 1), (1, 2)), ((4, 1), (2, 2)),
+                                               ((6, 1), (2, 3)), ((5, 1), (2, 2))])
+def test_sector_spectrum_is_padded_to_the_full_length(rx_shape, tx_shape):
+    # these grids leave the four parity sectors fewer than min(3M, 3N) values
+    cfg = _cfg()
+    G = assemble_ocm(build_planar_surface(*tx_shape, 0.05), build_planar_surface(*rx_shape, 0.05),
+                     LinkGeometry.from_angles(0.7), 2 * np.pi)
+    assert G.mirror is not None
+    length = 3 * min(G.m_count, G.n_count)
+    dense = eigenchannel_decompose(G, cfg, PPolicy.fixed(length))
+    fast = eigenchannel_decompose(G, cfg, PPolicy.fixed(length), patterns=False)
+    assert fast.gains.shape == dense.gains.shape == (length,)
+    assert np.max(np.abs(fast.gains - dense.gains)) <= 1e-12 * dense.gains[0]
+    assert fast.gains[-1] == 0.0
+
+
+def test_mirror_must_match_the_element_counts():
+    tx = build_planar_surface(3, 2, 0.05)
+    rx = build_planar_surface(2, 1, 0.05)
+    G = assemble_ocm(tx, rx, LinkGeometry.from_angles(1.0), 2 * np.pi)
+    assert G.mirror == ((1, 2), (2, 3))
+    for bad in (((2, 2), (2, 3)), ((1, 2), (3, 3)), ((1, 1), (2, 3))):
+        with pytest.raises(ValueError, match="mirror"):
+            replace(G, mirror=bad)
+
+
+def test_tilted_and_rotated_links_carry_no_mirror():
+    tx = build_planar_surface(3, 3, 0.05)
+    for link in (LinkGeometry.from_angles(1.0, theta=0.2),
+                 LinkGeometry.from_angles(1.0, rx_rotation=_rotation(0.3, 0.0, 0.0))):
+        assert assemble_ocm(tx, tx, link, 2 * np.pi).mirror is None
+
+
 def test_factors_must_match_the_block_shape():
     tx = build_planar_surface(2, 1, 0.05)
     rx = build_planar_surface(1, 1, 0.05)
@@ -256,6 +328,18 @@ def _rotation(a, b, c):
     return rz @ ry @ rx
 
 
+def _mirror_maps(layout):
+    """Flat element indices of a layout with its i index and its j index reversed."""
+    j, i = np.divmod(np.arange(layout.count), layout.n_h)
+    return j * layout.n_h + (layout.n_h - 1 - i), (layout.n_v - 1 - j) * layout.n_h + i
+
+
+def _exactly_mirrored(layout, positions):
+    flip_i, flip_j = _mirror_maps(layout)
+    return (np.array_equal(positions[flip_i], positions * [-1.0, 1.0, 1.0])
+            and np.array_equal(positions[flip_j], positions * [1.0, -1.0, 1.0]))
+
+
 _side = st.integers(1, 7)
 _angle = st.floats(-np.pi, np.pi)
 # a rotation about z keeps a boresight RX surface perpendicular to kappa
@@ -300,15 +384,27 @@ def test_spectrum_only_decomposition_matches_the_dense_svd(
     factored = {G.variant: G.factors is not None for G in mats}
     assert factored == {"OCM": False, "PSCM": boresight, "PSCM123": boresight,
                         "PSCM12": boresight, "FSCM": True}
+    mirrored = (link.kappa[0] == 0.0 and link.kappa[1] == 0.0
+                and _exactly_mirrored(tx, tx.positions)
+                and _exactly_mirrored(rx, global_rx_positions(link, rx)))
+    assert [G.mirror is not None for G in mats] == [mirrored, False, False, False, False]
+    if mirrored:
+        assert mats[0].mirror == ((rx.n_v, rx.n_h), (tx.n_v, tx.n_h))
+        blocks = mats[0].blocks
+        signs = (np.array([-1.0, 1.0, 1.0]), np.array([1.0, -1.0, 1.0]))
+        for rx_map, tx_map, sign in zip(_mirror_maps(rx), _mirror_maps(tx), signs):
+            np.testing.assert_array_equal(blocks[rx_map][:, tx_map],
+                                          blocks * sign[:, None] * sign)
     for G in mats:
         if G.factors is not None:
             left, right = G.factors
             np.testing.assert_array_equal(G.matrix, left @ right.conj().T)
         dense = np.sqrt(cfg.a_r * cfg.a_t) * np.linalg.svd(G.matrix, compute_uv=False)
-        for policy in (PPolicy.threshold(1e-6), PPolicy.threshold(1e-3), PPolicy.fixed(fixed)):
+        for policy in (PPolicy.threshold(1e-6), PPolicy.threshold(1e-3), PPolicy.threshold(1.0),
+                       PPolicy.fixed(fixed)):
             full = eigenchannel_decompose(G, cfg, policy)
             fast = eigenchannel_decompose(G, cfg, policy, patterns=False)
             assert fast.tx_patterns is None and fast.rx_patterns is None
-            assert fast.gains.shape == dense.shape
+            assert fast.gains.shape == dense.shape == (3 * min(rx.count, tx.count),)
             assert np.max(np.abs(fast.gains - dense)) <= 1e-12 * dense[0], G.variant
             assert fast.p_used == full.p_used, (G.variant, policy)

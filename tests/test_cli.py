@@ -188,6 +188,18 @@ def test_non_finite_channel_is_a_numerical_failure(monkeypatch, point_config, ca
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_non_finite_mirrored_channel_is_a_numerical_failure(monkeypatch, point_config, capsys):
+    def poisoned(tx, rx, link, k0):
+        matrix = np.ones((3 * rx.count, 3 * tx.count), dtype=complex)
+        matrix[5, 2] = np.nan
+        return BlockChannelMatrix(matrix, rx.count, tx.count, "OCM",
+                                  mirror=((rx.n_v, rx.n_h), (tx.n_v, tx.n_h)))
+
+    monkeypatch.setitem(sweep_module._ASSEMBLERS, "OCM", poisoned)
+    assert main(["point", "--config", point_config, "--variants", "OCM"]) == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_unconverged_svd_is_a_numerical_failure(monkeypatch, point_config):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")

@@ -45,6 +45,19 @@ def test_nmse_is_invariant_under_common_rescaling(scale, phase):
     assert scaled == pytest.approx(base, rel=1e-12)
 
 
+def test_chunked_nmse_matches_one_sum_over_the_matrix():
+    # 3 x 3 x 1681 x 36 entries span two full chunks and a partial one
+    tx = build_planar_surface(41, 41, 0.003)
+    rx = build_planar_surface(6, 6, 0.003)
+    link = LinkGeometry.from_angles(0.3, theta=0.2)
+    ref = assemble_ocm(tx, rx, link, 2 * np.pi)
+    cand = assemble_pscm(tx, rx, link, 2 * np.pi, "12")
+    assert ref.matrix.size > 2 * 2**18
+    num = np.sum(np.abs(cand.matrix - ref.matrix) ** 2, dtype=np.longdouble)
+    den = np.sum(np.abs(ref.matrix) ** 2, dtype=np.longdouble)
+    assert nmse(cand, ref) == pytest.approx(float(num / den), rel=1e-15)
+
+
 def test_nmse_rejects_dimension_mismatch():
     cand, ref = _pair()
     small = assemble_ocm(
