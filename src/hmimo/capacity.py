@@ -72,6 +72,12 @@ class PhysicalConfig:
         return self.eta**2 / (4.0 * self.wavelength**2)
 
 
+# Singular values closer than this (relative to sigma_1) to the threshold cut
+# count as on it: every fast spectrum route is held to this tolerance of the
+# dense SVD, so a degenerate sigma_1 = sigma_2 pair counts the same on each.
+_TIE = 1e-12
+
+
 _POLICY_RE = re.compile(r"^(threshold|fixed)\(([^)]+)\)$")
 
 
@@ -79,8 +85,10 @@ _POLICY_RE = re.compile(r"^(threshold|fixed)\(([^)]+)\)$")
 class PPolicy:
     """How many eigenchannels to keep.
 
-    ``threshold(eps)`` keeps every singular value >= eps * sigma_1;
-    ``fixed(P)`` keeps exactly P channels (capped at the spectrum length).
+    ``threshold(eps)`` keeps every singular value >= eps * sigma_1, with
+    1e-12 < eps <= 1 (a lower cut would keep the exact zeros that pad a
+    spectrum); ``fixed(P)`` keeps exactly P channels (capped at the
+    spectrum length).
     """
 
     kind: str
@@ -88,8 +96,8 @@ class PPolicy:
 
     @classmethod
     def threshold(cls, epsilon: float = 1e-6) -> "PPolicy":
-        if not 0 < epsilon <= 1:
-            raise ValueError(f"threshold must lie in (0, 1], got {epsilon}")
+        if not _TIE < epsilon <= 1:
+            raise ValueError(f"threshold must lie in ({_TIE:g}, 1], got {epsilon}")
         return cls("threshold", float(epsilon))
 
     @classmethod
@@ -133,12 +141,6 @@ def channel_from_green(green: BlockChannelMatrix, cfg: PhysicalConfig) -> BlockC
     scale = cfg.eta / (2.0 * cfg.wavelength) * cfg.a_r * cfg.a_t
     factors = None if green.factors is None else (scale * green.factors[0], green.factors[1])
     return replace(green, matrix=scale * green.matrix, scale_applied=True, factors=factors)
-
-
-# Singular values closer than this (relative to sigma_1) to the threshold cut
-# count as on it: every fast spectrum route is held to this tolerance of the
-# dense SVD, so a degenerate sigma_1 = sigma_2 pair counts the same on each.
-_TIE = 1e-12
 
 
 def select_p(singular_values: np.ndarray, policy: PPolicy) -> int:

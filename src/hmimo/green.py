@@ -160,31 +160,61 @@ def assemble_ocm(
     """
     if k0 <= 0:
         raise ValueError(f"wavenumber must be positive, got {k0}")
-    offsets = pairwise_offsets(tx, rx, link)  # (M, N, 3)
-    dvec = link.d0 * link.kappa + offsets
+    dvec = link.d0 * link.kappa + pairwise_offsets(tx, rx, link)  # (M, N, 3)
     dist = np.sqrt(np.einsum("mni,mni->mn", dvec, dvec))
     if np.any(dist == 0.0):
         m, n = np.argwhere(dist == 0.0)[0]
         raise CoincidentPointsError(f"RX element {m} coincides with TX element {n}")
-    u = dvec / dist[..., None]
+    mirror = None
+    if (not link.kappa[:2].any() and _is_mirrored(tx, tx.positions)
+            and _is_mirrored(rx, global_rx_positions(link, rx))):
+        mirror = ((rx.n_v, rx.n_h), (tx.n_v, tx.n_h))
+    return BlockChannelMatrix(_dyad_dense(dvec, dist, link, k0), rx.count, tx.count, "OCM",
+                              mirror=mirror)
+
+
+def _dyad_dense(
+    dvec: np.ndarray, dist: np.ndarray, link: LinkGeometry, k0: float, keep: int = 4
+) -> np.ndarray:
+    """The dyad of every pair at distance ``dist``, as one dense (3M, 3N) array.
+
+    ``dvec`` holds the (M, N, 3) pair displacements ``d0 kappa + q - p``
+    and is overwritten.  With u = dvec / dist, block (m, n) is
+
+        (-i / (4 pi r)) * [ c1(k0 r) I3 + c2(k0 r) U ] * exp(i k0 r)
+
+    with r = dist[m, n], c1 and c2 the weights of :func:`green_dyadic`,
+    and U the dyad term truncated to the ``keep`` amplitude blocks of the
+    separable variants: ``u u'`` (4), ``u u' - t t'`` (3) with
+    ``t = u - (d0 / r) kappa`` the offset part of u, or
+    ``(d0 / r)^2 kappa kappa'`` (2).  At ``r = |dvec|`` and ``keep = 4``
+    this is the exact dyad; at the projected distance ``r = dvec'kappa``
+    it is the separable model.
+    """
+    if keep == 2:
+        u = np.multiply((link.d0 / dist)[..., None], link.kappa, out=dvec)
+    else:
+        u = np.divide(dvec, dist[..., None], out=dvec)
+    t = u - (link.d0 / dist)[..., None] * link.kappa if keep == 3 else None
     kd = k0 * dist
     c1 = 1.0 + 1j / kd - 1.0 / kd**2
     c2 = 3.0 / kd**2 - 3j / kd - 1.0
     pref = (-1j / (4.0 * np.pi * dist)) * np.exp(1j * kd)
     m_count, n_count = dist.shape
-    # Writing each polarization slice in place keeps the peak at the result
-    # plus a few (M, N) temporaries.
+    # One (M, N) workspace per slice, written to both symmetric slices,
+    # keeps the peak at the result plus a few (M, N) arrays.
     dense = np.empty((m_count, 3, n_count, 3), dtype=complex)
+    work = np.empty_like(pref)
     for i in range(3):
-        for j in range(3):
-            np.multiply(pref, c1 * _EYE3[i, j] + c2 * (u[..., i] * u[..., j]),
-                        out=dense[:, i, :, j])
-    mirror = None
-    if (not link.kappa[:2].any() and _is_mirrored(tx, tx.positions)
-            and _is_mirrored(rx, global_rx_positions(link, rx))):
-        mirror = ((rx.n_v, rx.n_h), (tx.n_v, tx.n_h))
-    return BlockChannelMatrix(dense.reshape(3 * m_count, 3 * n_count), m_count, n_count, "OCM",
-                              mirror=mirror)
+        for j in range(i, 3):
+            dyad = u[..., i] * u[..., j]
+            if t is not None:
+                dyad -= t[..., i] * t[..., j]
+            np.multiply(c2, dyad, out=work)
+            if i == j:
+                work += c1
+            dense[:, i, :, j] = dense[:, j, :, i] = np.multiply(pref, work, out=work)
+    return dense.reshape(3 * m_count, 3 * n_count)
 
 
 def _is_mirrored(layout: SurfaceLayout, positions: np.ndarray) -> bool:

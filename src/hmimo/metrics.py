@@ -2,23 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .green import BlockChannelMatrix
 
-__all__ = ["ModelComparison", "nmse", "compare"]
-
-
-@dataclass(frozen=True)
-class ModelComparison:
-    """NMSE of one candidate model against a reference, with context."""
-
-    reference_variant: str
-    candidate_variant: str
-    nmse: float
-    frob_ref: float
+__all__ = ["nmse"]
 
 
 # Elements per chunk in nmse: 4 MiB of complex values and a whole number of
@@ -54,13 +42,3 @@ def nmse(candidate: BlockChannelMatrix, reference: BlockChannelMatrix) -> float:
         raise ValueError("degenerate reference: zero matrix")
     return float(num / den)
 
-
-def compare(candidate: BlockChannelMatrix, reference: BlockChannelMatrix) -> ModelComparison:
-    """NMSE bundled with the variants and the reference Frobenius norm."""
-    value = nmse(candidate, reference)
-    return ModelComparison(
-        reference_variant=reference.variant,
-        candidate_variant=candidate.variant,
-        nmse=value,
-        frob_ref=float(np.linalg.norm(reference.matrix)),
-    )

@@ -10,14 +10,14 @@ everything onto a rank-2 transverse projector (tag ``FSCM``).
 
 Two construction routes are provided and must agree: :func:`pscm_pair`
 builds one 3x3 block at a time, while :func:`assemble_pscm` builds the
-whole dense matrix as a scaled Khatri-Rao-style product
-
-    G = c * (theta_r theta_t' (x) e3 e3') (.) A
-
-where (x) is a Kronecker and (.) a Hadamard product.  The rank-one
-scalar factor ``theta_r theta_t'`` is broadcast over each 3x3 block, so
-the e3 e3' factor is never materialized.  The pairwise route is the
-slower, obviously-correct oracle; the assembler is the production path.
+whole dense matrix.  With gamma*d0 = d'kappa, the projection of the pair
+displacement d = d0 kappa + q - p on the link axis, and u = d / (gamma d0),
+a1 = omega1 I3 and a2 + a3 + a4 = omega2 u u', where a3 is the part of
+u u' linear in q - p and a4 the quadratic part.  The separable block is
+therefore the exact dyad kernel of :mod:`hmimo.green` at the projected
+distance d'kappa with u u' truncated, and the assembler calls that
+kernel.  The pairwise route is the slower, obviously-correct oracle; the
+assembler is the production path.
 
 When both surfaces lie in the plane through their centers perpendicular
 to kappa (every p'kappa and q'kappa exactly 0), gamma is 1 on every pair,
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DegenerateGeometryError
 from .geometry import LinkGeometry, SurfaceLayout, global_rx_positions
-from .green import BlockChannelMatrix
+from .green import BlockChannelMatrix, _dyad_dense
 
 __all__ = [
     "OmegaPair",
@@ -50,9 +50,18 @@ __all__ = [
 
 _EYE3 = np.eye(3)
 
-# Which of the four amplitude blocks each variant keeps.
-_VARIANT_BLOCKS = {"12": 2, "123": 3, "1234": 4}
+# Each variant code lists the amplitude blocks it keeps.
 _VARIANT_TAGS = {"12": "PSCM12", "123": "PSCM123", "1234": "PSCM"}
+
+
+def _variant_tag(variant: str) -> str:
+    """The tag of a variant code, rejecting unknown codes."""
+    try:
+        return _VARIANT_TAGS[variant]
+    except KeyError:
+        raise ValueError(
+            f"unknown variant {variant!r}, expected one of {sorted(_VARIANT_TAGS)}"
+        ) from None
 
 
 class OmegaPair(NamedTuple):
@@ -130,12 +139,8 @@ def pscm_pair(
     ("12", "123" or "1234").  At zero offsets (p = q = 0) the result
     equals the exact dyad at d0*kappa.
     """
-    try:
-        keep = _VARIANT_BLOCKS[variant]
-    except KeyError:
-        raise ValueError(
-            f"unknown variant {variant!r}, expected one of {sorted(_VARIANT_BLOCKS)}"
-        ) from None
+    _variant_tag(variant)
+    keep = len(variant)
     blocks = a_blocks(p_n, q_m, kappa, d0, k0)
     amp = blocks.a1 + blocks.a2
     if keep >= 3:
@@ -172,57 +177,29 @@ def assemble_pscm(
     degenerate and is rejected.  When every p'kappa and q'kappa is
     exactly 0 the matrix is built as ``L R'`` and carries its factors.
     """
-    try:
-        keep = _VARIANT_BLOCKS[variant]
-    except KeyError:
-        raise ValueError(
-            f"unknown variant {variant!r}, expected one of {sorted(_VARIANT_BLOCKS)}"
-        ) from None
+    tag = _variant_tag(variant)
     if k0 <= 0:
         raise ValueError(f"wavenumber must be positive, got {k0}")
     ps = tx.positions
     qs = global_rx_positions(link, rx)
     kappa = link.kappa
     d0 = link.d0
-
-    theta_t = array_response(ps, kappa, k0)
-    theta_r = array_response(qs, kappa, k0)
-    pref = -1j * np.exp(1j * k0 * d0) / (4.0 * np.pi * d0)
+    keep = len(variant)
     if not (ps @ kappa).any() and not (qs @ kappa).any():
+        theta_t = array_response(ps, kappa, k0)
+        theta_r = array_response(qs, kappa, k0)
+        pref = -1j * np.exp(1j * k0 * d0) / (4.0 * np.pi * d0)
         left, right = _pscm_factors(ps, qs, theta_t, theta_r, kappa, d0, k0, pref, keep)
-        return _factored(left, right, _VARIANT_TAGS[variant])
+        return _factored(left, right, tag)
 
-    diff = qs[:, None, :] - ps[None, :, :]  # (M, N, 3)
-    gamma = 1.0 + (diff @ kappa) / d0
-    if np.any(gamma <= 0.0):
-        m, n = np.argwhere(gamma <= 0.0)[0]
+    dvec = d0 * kappa + (qs[:, None, :] - ps[None, :, :])  # (M, N, 3)
+    dist = dvec @ kappa  # gamma * d0
+    if np.any(dist <= 0.0):
+        m, n = np.argwhere(dist <= 0.0)[0]
         raise DegenerateGeometryError(
             f"projection factor is not positive for RX element {m}, TX element {n}"
         )
-    x = k0 * gamma * d0
-    w1 = 1.0 + 1j / x - 1.0 / x**2
-    w2 = 3.0 / x**2 - 3j / x - 1.0
-    g2 = gamma * gamma
-
-    c2 = w2 / g2
-    c3 = w2 / (g2 * d0) if keep >= 3 else None
-    c4 = w2 / (g2 * d0 * d0) if keep >= 4 else None
-    kk = np.outer(kappa, kappa)
-    scale = pref * (theta_r[:, None] * np.conj(theta_t)[None, :]) / gamma
-    m_count, n_count = gamma.shape
-    # Writing each polarization slice in place keeps the peak at the result
-    # plus a few (M, N) temporaries.
-    dense = np.empty((m_count, 3, n_count, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            amp = w1 * _EYE3[i, j] + c2 * kk[i, j]
-            if keep >= 3:
-                amp = amp + c3 * (kappa[i] * diff[..., j] + diff[..., i] * kappa[j])
-            if keep >= 4:
-                amp = amp + c4 * (diff[..., i] * diff[..., j])
-            np.multiply(scale, amp, out=dense[:, i, :, j])
-    return BlockChannelMatrix(dense.reshape(3 * m_count, 3 * n_count), m_count, n_count,
-                              _VARIANT_TAGS[variant])
+    return BlockChannelMatrix(_dyad_dense(dvec, dist, link, k0, keep), rx.count, tx.count, tag)
 
 
 def _pscm_factors(ps, qs, theta_t, theta_r, kappa, d0, k0, pref, keep):

@@ -91,7 +91,8 @@ def test_policy_parsing():
     assert (p.kind, p.value) == ("threshold", 1e-6)
     q = PPolicy.parse(" fixed(4) ")
     assert (q.kind, q.value) == ("fixed", 4)
-    for bad in ("fixed", "fixed()", "median(3)", "threshold(0)", "fixed(0)"):
+    for bad in ("fixed", "fixed()", "median(3)", "threshold(0)", "threshold(1e-12)",
+                "fixed(0)"):
         with pytest.raises(ValueError):
             PPolicy.parse(bad)
 

@@ -135,6 +135,18 @@ def test_negative_dump_count_fails_validation(monkeypatch, point_config, capsys)
     assert "--dump-singular-values" in capsys.readouterr().err
 
 
+def test_threshold_at_the_tie_tolerance_fails_validation(monkeypatch, tmp_path, capsys):
+    # a cut at 1e-12 sigma_1 or lower would keep the zeros that pad a spectrum
+    def must_not_run(spec, dump_singular_values=0):
+        raise AssertionError("the point ran despite an invalid threshold")
+
+    monkeypatch.setattr("hmimo.cli.run_single_point", must_not_run)
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(dict(DESK_POINT, p_policy="threshold(1e-12)")), encoding="utf-8")
+    assert main(["point", "--config", str(path)]) == EXIT_CONFIG
+    assert "p_policy" in capsys.readouterr().err
+
+
 def test_variants_without_reference_fail_validation(point_config):
     assert main(["point", "--config", point_config, "--variants", "PSCM"]) == EXIT_CONFIG
 

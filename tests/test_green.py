@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hmimo import (
     SIGN_AS_PRINTED,
@@ -13,6 +13,7 @@ from hmimo import (
     SurfaceLayout,
     assemble_ocm,
     build_planar_surface,
+    global_rx_positions,
     green_dyadic,
     green_dyadic_far,
     pair_displacement,
@@ -106,17 +107,45 @@ def test_only_the_projector_form_reproduces_the_exact_limit():
     assert np.linalg.norm(as_printed - exact) / np.linalg.norm(exact) > 0.5
 
 
-def test_assembled_reference_matches_the_pairwise_kernel():
-    tx = build_planar_surface(3, 2, 0.04)
-    rx = build_planar_surface(2, 2, 0.03)
-    link = LinkGeometry.from_angles(0.7, theta=0.3, phi=0.9)
+# Pair geometries for the property test: grid sides 1-7, element spacings,
+# boresight or tilted links, and RX surfaces either parallel to the TX one
+# or turned by (tilt about x, spin about z).
+_SIDES = st.tuples(st.integers(1, 7), st.integers(1, 7))
+_SPACINGS = st.floats(0.01, 0.06)
+_THETAS = st.just(0.0) | st.floats(0.1, 0.4)
+_TURNS = st.none() | st.tuples(st.floats(0.1, 0.5), st.floats(0.0, 2 * np.pi))
+
+
+def _turned(turn):
+    """RX rotation: a tilt about x by turn[0], then a spin about z by turn[1]."""
+    if turn is None:
+        return None
+    tilt, spin = turn
+    c, s = np.cos(tilt), np.sin(tilt)
+    about_x = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    c, s = np.cos(spin), np.sin(spin)
+    about_z = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return about_z @ about_x
+
+
+@given(tx_sides=_SIDES, rx_sides=_SIDES, tx_spacing=_SPACINGS, rx_spacing=_SPACINGS,
+       d0=st.floats(0.6, 3.0), theta=_THETAS, phi=st.floats(0.0, 2 * np.pi), turn=_TURNS)
+@example(tx_sides=(3, 2), rx_sides=(2, 2), tx_spacing=0.04, rx_spacing=0.03, d0=0.7, theta=0.3,
+         phi=0.9, turn=None)
+@settings(max_examples=60, deadline=None)
+def test_assembled_reference_matches_the_pairwise_kernel(tx_sides, rx_sides, tx_spacing,
+                                                         rx_spacing, d0, theta, phi, turn):
+    tx = build_planar_surface(*tx_sides, tx_spacing)
+    rx = build_planar_surface(*rx_sides, rx_spacing)
+    link = LinkGeometry.from_angles(d0, theta=theta, phi=phi, rx_rotation=_turned(turn))
+    qs = global_rx_positions(link, rx)
     G = assemble_ocm(tx, rx, link, 2 * np.pi)
     assert G.variant == "OCM"
     assert not G.scale_applied
     scale = np.max(np.abs(G.matrix))
     for m in range(rx.count):
         for n in range(tx.count):
-            ref = green_dyadic(pair_displacement(link, tx.positions[n], rx.positions[m]), 2 * np.pi)
+            ref = green_dyadic(pair_displacement(link, tx.positions[n], qs[m]), 2 * np.pi)
             assert np.max(np.abs(G.block(m, n) - ref)) <= 1e-13 * scale
 
 

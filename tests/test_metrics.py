@@ -10,7 +10,6 @@ from hmimo import (
     assemble_pscm,
     build_planar_surface,
     channel_from_green,
-    compare,
     nmse,
 )
 
@@ -80,12 +79,3 @@ def test_nmse_rejects_zero_reference():
     zero = replace(ref, matrix=np.zeros_like(ref.matrix))
     with pytest.raises(ValueError, match="zero matrix"):
         nmse(cand, zero)
-
-
-def test_compare_carries_context():
-    cand, ref = _pair()
-    result = compare(cand, ref)
-    assert result.reference_variant == "OCM"
-    assert result.candidate_variant == "PSCM"
-    assert result.nmse == nmse(cand, ref)
-    assert result.frob_ref == pytest.approx(np.linalg.norm(ref.matrix))

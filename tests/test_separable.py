@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hmimo import (
     DegenerateGeometryError,
@@ -145,22 +145,56 @@ def test_array_response_has_unit_modulus_phases():
     np.testing.assert_allclose(theta, expect, atol=1e-14)
 
 
+# Pair geometries for the property tests: grid sides 1-7, element spacings,
+# boresight or tilted links, and RX surfaces either parallel to the TX one
+# or turned by (tilt about x, spin about z).
+_SIDES = st.tuples(st.integers(1, 7), st.integers(1, 7))
+_SPACINGS = st.floats(0.01, 0.06)
+_THETAS = st.just(0.0) | st.floats(0.1, 0.4)
+_TURNS = st.none() | st.tuples(st.floats(0.1, 0.5), st.floats(0.0, 2 * np.pi))
+
+
+def _turned(turn):
+    """RX rotation: a tilt about x by turn[0], then a spin about z by turn[1]."""
+    if turn is None:
+        return None
+    tilt, spin = turn
+    c, s = np.cos(tilt), np.sin(tilt)
+    about_x = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    c, s = np.cos(spin), np.sin(spin)
+    about_z = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return about_z @ about_x
+
+
 @pytest.mark.parametrize("variant,tag", [("12", "PSCM12"), ("123", "PSCM123"), ("1234", "PSCM")])
-def test_assembler_matches_the_pairwise_route(variant, tag):
-    # the tilted link takes the elementwise route, the boresight ones the thin factors
-    tx = build_planar_surface(3, 3, 0.05)
-    rx = build_planar_surface(2, 2, 0.05)
-    for d0, theta in ((0.5, 0.35), (0.5, 0.0), (1.7, 0.0)):
-        link = LinkGeometry.from_angles(d0, theta=theta, phi=1.1)
-        G = assemble_pscm(tx, rx, link, 2 * np.pi, variant=variant)
-        assert G.variant == tag
-        assert (G.factors is not None) == (theta == 0.0)
-        scale = np.max(np.abs(G.matrix))
-        for m in range(rx.count):
-            for n in range(tx.count):
-                ref = pscm_pair(tx.positions[n], rx.positions[m], link.kappa, link.d0,
-                                2 * np.pi, variant)
-                assert np.max(np.abs(G.block(m, n) - ref)) <= 1e-12 * scale
+@given(tx_sides=_SIDES, rx_sides=_SIDES, tx_spacing=_SPACINGS, rx_spacing=_SPACINGS,
+       d0=st.floats(0.6, 3.0), theta=_THETAS, phi=st.floats(0.0, 2 * np.pi), turn=_TURNS)
+@example(tx_sides=(3, 3), rx_sides=(2, 2), tx_spacing=0.05, rx_spacing=0.05, d0=0.5, theta=0.35,
+         phi=1.1, turn=None)
+@example(tx_sides=(3, 3), rx_sides=(2, 2), tx_spacing=0.05, rx_spacing=0.05, d0=0.5, theta=0.0,
+         phi=1.1, turn=None)
+@example(tx_sides=(3, 3), rx_sides=(2, 2), tx_spacing=0.05, rx_spacing=0.05, d0=1.7, theta=0.0,
+         phi=1.1, turn=None)
+@settings(max_examples=40, deadline=None)
+def test_assembler_matches_the_pairwise_route(variant, tag, tx_sides, rx_sides, tx_spacing,
+                                              rx_spacing, d0, theta, phi, turn):
+    # links with every p'kappa and q'kappa zero take the thin factors,
+    # all others the elementwise route
+    tx = build_planar_surface(*tx_sides, tx_spacing)
+    rx = build_planar_surface(*rx_sides, rx_spacing)
+    link = LinkGeometry.from_angles(d0, theta=theta, phi=phi, rx_rotation=_turned(turn))
+    qs = global_rx_positions(link, rx)
+    G = assemble_pscm(tx, rx, link, 2 * np.pi, variant=variant)
+    assert G.variant == tag
+    in_plane = not (tx.positions @ link.kappa).any() and not (qs @ link.kappa).any()
+    assert (G.factors is not None) == in_plane
+    if theta == 0.0 and turn is None:
+        assert in_plane
+    scale = np.max(np.abs(G.matrix))
+    for m in range(rx.count):
+        for n in range(tx.count):
+            ref = pscm_pair(tx.positions[n], qs[m], link.kappa, link.d0, 2 * np.pi, variant)
+            assert np.max(np.abs(G.block(m, n) - ref)) <= 1e-12 * scale
 
 
 def test_assembler_honors_rx_rotation():
