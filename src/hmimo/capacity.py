@@ -162,28 +162,14 @@ def select_p(singular_values: np.ndarray, policy: PPolicy) -> int:
     raise ValueError(f"unknown policy kind {policy.kind!r}")
 
 
-def _factored_spectrum(left: np.ndarray, right: np.ndarray, length: int) -> np.ndarray:
-    """Singular values of ``left @ right'`` from the two thin factors.
-
-    With the economy QRs left = Q_l R_l and right = Q_r R_r the matrix is
-    Q_l (R_l R_r') Q_r' with orthonormal Q_l and Q_r, so its spectrum is
-    that of the small core R_l R_r', padded with zeros to ``length``.
-    """
-    core = np.linalg.qr(left, mode="r") @ np.linalg.qr(right, mode="r").conj().T
-    s = np.zeros(length)
-    values = np.linalg.svd(core, compute_uv=False)
-    s[: values.size] = values
-    return s
-
-
 # Sign of each polarization component under the x mirror, S = diag(-1, 1, 1),
 # and under the y mirror, S = diag(1, -1, 1).
 _MIRROR_SIGNS = ((-1, 1, 1), (1, -1, 1))
 _SQRT_HALF = np.sqrt(0.5)
 
 
-def _mirror_spectrum(matrix: np.ndarray, mirror, length: int) -> np.ndarray:
-    """Singular values of a mirror-symmetric matrix from its four parity sectors.
+def _mirror_sectors(matrix: np.ndarray, mirror):
+    """The four parity sectors of a mirror-symmetric matrix, one at a time.
 
     A butterfly along each of the four grid axes (:func:`_butterfly`) is
     an orthonormal change of basis on each side, so it keeps the
@@ -191,8 +177,8 @@ def _mirror_spectrum(matrix: np.ndarray, mirror, length: int) -> np.ndarray:
     the spatial parity of its element times the polarization's sign in
     ``_MIRROR_SIGNS``.  The mirror symmetry makes every entry between
     rows and columns of different parities exactly zero, so the spectrum
-    is the union of the four (x, y) parity sectors' spectra, sorted and
-    padded with zeros to ``length``.
+    is the union of the (x, y) parity sectors' spectra.  Empty sectors
+    are skipped.
     """
     (rx_v, rx_h), (tx_v, tx_h) = mirror
     src = matrix.reshape(rx_v, rx_h, 3, tx_v, tx_h, 3)
@@ -201,17 +187,12 @@ def _mirror_spectrum(matrix: np.ndarray, mirror, length: int) -> np.ndarray:
         _butterfly(src, folded, axis)
         src = folded
     folded = folded.reshape(matrix.shape)
-    values = []
     for ex in (1, -1):
         for ey in (1, -1):
             rows = _sector_indices(rx_v, rx_h, ex, ey)
             cols = _sector_indices(tx_v, tx_h, ex, ey)
             if rows.size and cols.size:
-                values.append(np.linalg.svd(folded[np.ix_(rows, cols)], compute_uv=False))
-    values = np.sort(np.concatenate(values))[::-1]
-    s = np.zeros(length)
-    s[: values.size] = values
-    return s
+                yield folded[np.ix_(rows, cols)]
 
 
 def _butterfly(src: np.ndarray, dst: np.ndarray, axis: int) -> None:
@@ -263,10 +244,13 @@ def eigenchannel_decompose(
         cfg: physical configuration supplying the element areas.
         policy: eigenchannel count policy.
         patterns: compute the transmit/receive patterns with a full SVD.
-            Without them only the spectrum is computed: from a QR of each
-            factor and a small core SVD when the matrix carries thin
-            factors, from values-only SVDs of its four parity sectors when
-            it carries ``mirror``, otherwise by a values-only SVD.
+            Without them only the spectrum is computed, in one values-only
+            step: each route supplies its blocks (the r x r core
+            R_L R_R' of the economy QRs L = Q_L R_L, R = Q_R R_R when the
+            matrix carries thin factors, the four parity sectors when it
+            carries ``mirror``, otherwise the matrix itself), and the
+            blocks' singular values are sorted once and padded with zeros
+            to min(3M, 3N).
 
     Returns:
         EigenchannelSet with the full gain spectrum and, when ``patterns``
@@ -280,11 +264,13 @@ def eigenchannel_decompose(
         raise ValueError("decomposition expects the unscaled Green-level matrix")
     if green.matrix.size == 0:
         raise ValueError("empty channel matrix")
+    tx_patterns = rx_patterns = None
     if not patterns and green.factors is not None:
         # LAPACK can stall on inf entries, so reject them before the QRs run.
         if not all(np.isfinite(f).all() for f in green.factors):
             raise NumericalError("channel factors hold NaN or inf entries")
-        s = _factored_spectrum(*green.factors, 3 * min(green.m_count, green.n_count))
+        left, right = green.factors
+        blocks = [np.linalg.qr(left, mode="r") @ np.linalg.qr(right, mode="r").conj().T]
     else:
         # On inf entries LAPACK's full SVD does not return and the values-only
         # one stalls before giving NaN, so reject them before either runs.
@@ -293,20 +279,20 @@ def eigenchannel_decompose(
         if patterns:
             u, s, vh = np.linalg.svd(green.matrix, full_matrices=False)
         elif green.mirror is not None:
-            s = _mirror_spectrum(green.matrix, green.mirror, 3 * min(green.m_count, green.n_count))
+            blocks = _mirror_sectors(green.matrix, green.mirror)
         else:
-            s = np.linalg.svd(green.matrix, compute_uv=False)
+            blocks = [green.matrix]
+    if not patterns:
+        values = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks]))
+        s = np.zeros(3 * min(green.m_count, green.n_count))
+        s[: values.size] = values[::-1]
     p_used = select_p(s, policy)
     gains = np.sqrt(cfg.a_r * cfg.a_t) * s
     gains.setflags(write=False)
-    if not patterns:
-        return EigenchannelSet(gains=gains, p_used=p_used, tx_patterns=None, rx_patterns=None)
-    return EigenchannelSet(
-        gains=gains,
-        p_used=p_used,
-        tx_patterns=vh[:p_used].conj().T / np.sqrt(cfg.a_t),
-        rx_patterns=u[:, :p_used] / np.sqrt(cfg.a_r),
-    )
+    if patterns:
+        tx_patterns = vh[:p_used].conj().T / np.sqrt(cfg.a_t)
+        rx_patterns = u[:, :p_used] / np.sqrt(cfg.a_r)
+    return EigenchannelSet(gains, p_used, tx_patterns, rx_patterns)
 
 
 def capacity(eigs: EigenchannelSet, cfg: PhysicalConfig) -> float:

@@ -11,6 +11,7 @@ SVD that does not converge).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -119,6 +120,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         spec = _spec_from_args(args)
+        # Fail before any point runs; the file itself is written only at the end.
+        if spec.output_path and not os.path.isdir(os.path.dirname(spec.output_path) or "."):
+            raise FileNotFoundError(f"the directory of {spec.output_path!r} does not exist")
         if args.command == "sweep-distance":
             rows = run_distance_sweep(spec, workers=args.workers)
         elif args.command == "sweep-elements":

@@ -24,7 +24,9 @@ to kappa (every p'kappa and q'kappa exactly 0), gamma is 1 on every pair,
 omega1 and omega2 are constants and A is a polynomial of degree <= 2 in
 q - p.  The matrix is then exactly ``L R'`` with thin factors of 3, 6 or
 16 columns (PSCM12, PSCM123, PSCM), and the assembler builds it as that
-one product and records the factors; FSCM is always ``L R'`` with three.
+one product and records the factors.  FSCM is the same factor builder
+with two blocks and the far-field weights omega1 = 1, omega2 = -1, so it
+is always ``L R'`` with three columns.
 """
 
 from __future__ import annotations
@@ -182,18 +184,12 @@ def assemble_pscm(
         raise ValueError(f"wavenumber must be positive, got {k0}")
     ps = tx.positions
     qs = global_rx_positions(link, rx)
-    kappa = link.kappa
-    d0 = link.d0
     keep = len(variant)
-    if not (ps @ kappa).any() and not (qs @ kappa).any():
-        theta_t = array_response(ps, kappa, k0)
-        theta_r = array_response(qs, kappa, k0)
-        pref = -1j * np.exp(1j * k0 * d0) / (4.0 * np.pi * d0)
-        left, right = _pscm_factors(ps, qs, theta_t, theta_r, kappa, d0, k0, pref, keep)
-        return _factored(left, right, tag)
+    if not (ps @ link.kappa).any() and not (qs @ link.kappa).any():
+        return _pscm_factors(ps, qs, link, k0, keep, omega_pair(k0, 1.0, link.d0), tag)
 
-    dvec = d0 * kappa + (qs[:, None, :] - ps[None, :, :])  # (M, N, 3)
-    dist = dvec @ kappa  # gamma * d0
+    dvec = link.d0 * link.kappa + (qs[:, None, :] - ps[None, :, :])  # (M, N, 3)
+    dist = dvec @ link.kappa  # gamma * d0
     if np.any(dist <= 0.0):
         m, n = np.argwhere(dist <= 0.0)[0]
         raise DegenerateGeometryError(
@@ -202,10 +198,11 @@ def assemble_pscm(
     return BlockChannelMatrix(_dyad_dense(dvec, dist, link, k0, keep), rx.count, tx.count, tag)
 
 
-def _pscm_factors(ps, qs, theta_t, theta_r, kappa, d0, k0, pref, keep):
-    """Thin factors (L, R) of the separable matrix when gamma is 1 on every pair.
+def _pscm_factors(ps, qs, link, k0, keep, weights, tag) -> BlockChannelMatrix:
+    """The separable matrix as ``L R'`` with gamma = 1 on every pair, carrying (L, R).
 
-    Block (m, n) is c theta_r[m] conj(theta_t[n]) A(q_m - p_n), and A
+    Block (m, n) is c theta_r[m] conj(theta_t[n]) A(q_m - p_n) with
+    c = -i exp(i k0 d0) / (4 pi d0), and A, with ``weights`` = (w1, w2),
     expands into three kinds of term:
 
     - RX-only: w1 I + w2 kappa kappa' + w2 (kappa q' + q kappa') / d0
@@ -215,11 +212,14 @@ def _pscm_factors(ps, qs, theta_t, theta_r, kappa, d0, k0, pref, keep):
     - cross: -w2 (q p' + p q') / d0^2, one column for q p' and nine for
       p q' (entry (i, j) = sum_ab [i == a] q[b] * p[a] [j == b]).
 
-    Each factor is returned flat: L is 3M x r and R is 3N x r.
+    Only the first ``keep`` amplitude blocks enter.  Each factor is flat:
+    L is 3M x r and R is 3N x r.
     """
-    w1, w2 = omega_pair(k0, 1.0, d0)
-    rx_phase = (pref * theta_r)[:, None, None]
-    tx_phase = theta_t[:, None, None]
+    kappa, d0 = link.kappa, link.d0
+    w1, w2 = weights
+    pref = -1j * np.exp(1j * k0 * d0) / (4.0 * np.pi * d0)
+    rx_phase = (pref * array_response(qs, kappa, k0))[:, None, None]
+    tx_phase = array_response(ps, kappa, k0)[:, None, None]
     rx_only = w1 * _EYE3 + w2 * np.outer(kappa, kappa)
     if keep >= 3:
         rx_only = rx_only + (w2 / d0) * (_outers(kappa, qs) + _outers(qs, kappa))
@@ -240,7 +240,8 @@ def _pscm_factors(ps, qs, theta_t, theta_r, kappa, d0, k0, pref, keep):
         rights.append(tx_phase * np.einsum("na,jb->njab", ps, _EYE3).reshape(-1, 3, 9))
     left = np.concatenate(lefts, axis=2)
     right = np.concatenate(rights, axis=2)
-    return left.reshape(-1, left.shape[2]), right.reshape(-1, right.shape[2])
+    left, right = left.reshape(-1, left.shape[2]), right.reshape(-1, right.shape[2])
+    return BlockChannelMatrix(left @ right.conj().T, len(qs), len(ps), tag, factors=(left, right))
 
 
 def _outers(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -248,29 +249,20 @@ def _outers(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :, None] * b[..., None, :]
 
 
-def _factored(left: np.ndarray, right: np.ndarray, variant: str) -> BlockChannelMatrix:
-    """The dense matrix ``L R'`` as one product, carrying its factors."""
-    return BlockChannelMatrix(left @ right.conj().T, left.shape[0] // 3, right.shape[0] // 3,
-                              variant, factors=(left, right))
-
-
 def assemble_fscm(
     tx: SurfaceLayout, rx: SurfaceLayout, link: LinkGeometry, k0: float
 ) -> BlockChannelMatrix:
-    """Fully separable far-field channel.
+    """Fully separable far-field channel: the separable model's far-field limit.
 
-    Block (m, n) is the rank-2 transverse projector I3 - kappa kappa'
-    scaled by (-i exp(i k0 d0) / (4 pi d0)) and the pair phase
-    theta_r[m] * conj(theta_t[n]); the whole matrix is ``L R'`` with
-    ``L = c theta_r (x) (I3 - kappa kappa')`` and ``R = theta_t (x) I3``.
+    Far out gamma -> 1, omega1 -> 1 and omega2 -> -1, so the two-block
+    dyad w1 I + w2 kappa kappa' becomes the rank-2 transverse projector
+    I3 - kappa kappa'.  Block (m, n) is that projector scaled by
+    (-i exp(i k0 d0) / (4 pi d0)) and the pair phase
+    theta_r[m] * conj(theta_t[n]), built by the shared factor builder
+    with ``keep = 2`` and the weights (1, -1): ``L = c theta_r (x)
+    (I3 - kappa kappa')`` and ``R = theta_t (x) I3`` (r = 3).
     """
     if k0 <= 0:
         raise ValueError(f"wavenumber must be positive, got {k0}")
     qs = global_rx_positions(link, rx)
-    theta_t = array_response(tx.positions, link.kappa, k0)
-    theta_r = array_response(qs, link.kappa, k0)
-    projector = _EYE3 - np.outer(link.kappa, link.kappa)
-    pref = -1j * np.exp(1j * k0 * link.d0) / (4.0 * np.pi * link.d0)
-    left = np.kron((pref * theta_r)[:, None], projector)
-    right = np.kron(theta_t[:, None], _EYE3)
-    return _factored(left, right, "FSCM")
+    return _pscm_factors(tx.positions, qs, link, k0, 2, (1.0, -1.0), "FSCM")

@@ -20,6 +20,7 @@ rows unambiguous when two link distances run in one sweep.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -106,15 +107,26 @@ def default_spec(experiment: str) -> SweepSpec:
     return SweepSpec(experiment=experiment, d0_range_lambda=_DEFAULT_D0[experiment])
 
 
+def _is_real(value) -> bool:
+    """Whether a config value is a finite real number that fits a float; bools do not count."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _as_float(value):
+    """A finite real as float; anything else as given, for validate_spec to report."""
+    return float(value) if _is_real(value) else value
+
+
 def _normalize_d0(value, experiment):
     """Coerce the JSON form of d0_range_lambda into canonical shape."""
     if value is None:
         return _DEFAULT_D0.get(experiment)
     if isinstance(value, dict):
-        return {k: float(v) for k, v in value.items()}
-    if isinstance(value, (int, float)):
-        return (float(value),)
-    return tuple(float(v) for v in value)
+        return {k: _as_float(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return tuple(_as_float(v) for v in value)
+    return (_as_float(value),)
 
 
 def spec_from_json_dict(data: dict, experiment: str | None = None) -> SweepSpec:
@@ -148,29 +160,17 @@ def spec_from_json_dict(data: dict, experiment: str | None = None) -> SweepSpec:
 
 def spec_to_json_dict(spec: SweepSpec) -> dict:
     """JSON form of a spec; parsing it back yields an identical spec."""
-    d0 = spec.d0_range_lambda
-    if isinstance(d0, tuple):
-        d0 = list(d0)
-    return {
-        "experiment": spec.experiment,
-        "tx_grid": list(spec.tx_grid),
-        "rx_grid": list(spec.rx_grid),
-        "spacing_lambda": spec.spacing_lambda,
-        "d0_range_lambda": d0,
-        "n_list": list(spec.n_list),
-        "variants": list(spec.variants),
-        "frequency": spec.frequency,
-        "snr_db": spec.snr_db,
-        "p_policy": spec.p_policy,
-        "output_path": spec.output_path,
-        "output_format": spec.output_format,
-    }
+    values = ((f.name, getattr(spec, f.name)) for f in fields(SweepSpec))
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
 
 
 def load_spec(path: str, experiment: str | None = None) -> SweepSpec:
     """Read and validate a JSON config file."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError([f"config file is not UTF-8 text: {exc}"]) from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -195,17 +195,23 @@ def validate_spec(spec: SweepSpec) -> list[str]:
         v.append(f"experiment must be one of {EXPERIMENTS}, got {spec.experiment!r}")
     _check_grid("tx_grid", spec.tx_grid, v)
     _check_grid("rx_grid", spec.rx_grid, v)
-    if not (isinstance(spec.spacing_lambda, (int, float)) and spec.spacing_lambda > 0):
-        v.append(f"spacing_lambda must be positive, got {spec.spacing_lambda!r}")
-    if not (isinstance(spec.frequency, (int, float)) and spec.frequency > 0):
-        v.append(f"frequency must be positive, got {spec.frequency!r}")
-    if not isinstance(spec.snr_db, (int, float)) or isinstance(spec.snr_db, bool):
-        v.append(f"snr_db must be a real number, got {spec.snr_db!r}")
+    scale_ok = True
+    for name in ("spacing_lambda", "frequency"):
+        value = getattr(spec, name)
+        if not (_is_real(value) and value > 0):
+            v.append(f"{name} must be a positive finite number, got {value!r}")
+            scale_ok = False
+    if not _is_real(spec.snr_db):
+        v.append(f"snr_db must be a finite real number, got {spec.snr_db!r}")
+    elif scale_ok and not 0.0 < _point_scale(spec)[2] < math.inf:
+        v.append(f"snr_db {spec.snr_db!r} gives a total power that is not finite and positive")
 
     d0 = spec.d0_range_lambda
     if spec.experiment == "distance":
         if not (isinstance(d0, dict) and set(d0) == {"start", "stop", "step"}):
             v.append("d0_range_lambda must be a {start, stop, step} object for distance sweeps")
+        elif not all(_is_real(x) for x in d0.values()):
+            v.append(f"d0 range start, stop and step must be finite numbers, got {d0!r}")
         else:
             if d0["start"] <= 0:
                 v.append(f"d0 range start must be positive, got {d0['start']}")
@@ -220,8 +226,8 @@ def validate_spec(spec: SweepSpec) -> list[str]:
                 f"d0_range_lambda must hold 1{'-2' if limit == 2 else ''} fixed "
                 f"distance(s) for {spec.experiment}, got {d0!r}"
             )
-        elif any(x <= 0 for x in d0):
-            v.append(f"all fixed d0 values must be positive, got {d0!r}")
+        elif not all(_is_real(x) and x > 0 for x in d0):
+            v.append(f"all fixed d0 values must be positive finite numbers, got {d0!r}")
 
     if spec.experiment == "tx-elements":
         ok = (
@@ -250,6 +256,8 @@ def validate_spec(spec: SweepSpec) -> list[str]:
     except (ValueError, TypeError, AttributeError) as exc:
         v.append(f"p_policy: {exc}")
 
+    if spec.output_path is not None and not isinstance(spec.output_path, str):
+        v.append(f"output_path must be a string or null, got {spec.output_path!r}")
     if spec.output_format not in ("csv", "json"):
         v.append(f"output_format must be 'csv' or 'json', got {spec.output_format!r}")
     return v
@@ -276,10 +284,19 @@ _ASSEMBLERS = {
 }
 
 
-def _evaluate_point(spec: SweepSpec, tx_grid, d0_lambda: float, x_value, dump_k: int = 0):
-    """Assemble, score and decompose every requested variant at one point."""
+def _point_scale(spec: SweepSpec):
+    """Wavelength, element spacing and total power 10^(snr_db/10) * area (inf on overflow)."""
     lam = SPEED_OF_LIGHT / spec.frequency
     spacing = spec.spacing_lambda * lam
+    try:
+        return lam, spacing, 10.0 ** (spec.snr_db / 10.0) * (spacing * spacing)
+    except OverflowError:
+        return lam, spacing, math.inf
+
+
+def _evaluate_point(spec: SweepSpec, tx_grid, d0_lambda: float, x_value, dump_k: int = 0):
+    """Assemble, score and decompose every requested variant at one point."""
+    lam, spacing, power = _point_scale(spec)
     area = spacing * spacing
     tx = build_planar_surface(tx_grid[0], tx_grid[1], spacing)
     rx = build_planar_surface(spec.rx_grid[0], spec.rx_grid[1], spacing)
@@ -289,7 +306,7 @@ def _evaluate_point(spec: SweepSpec, tx_grid, d0_lambda: float, x_value, dump_k:
         a_t=area,
         a_r=area,
         noise_var=1.0,
-        total_power=10.0 ** (spec.snr_db / 10.0) * area,
+        total_power=power,
     )
     policy = PPolicy.parse(spec.p_policy)
     k0 = cfg.k0

@@ -147,6 +147,56 @@ def test_threshold_at_the_tie_tolerance_fails_validation(monkeypatch, tmp_path, 
     assert "p_policy" in capsys.readouterr().err
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the run started despite an invalid config")
+
+
+_TINY_POINT = dict(DESK_POINT, tx_grid=[3, 3], rx_grid=[2, 2])
+_TINY_DISTANCE = dict(_TINY_POINT, experiment="distance",
+                      d0_range_lambda={"start": 0.5, "stop": 1.0, "step": 0.5})
+
+
+@pytest.mark.parametrize("command,config,flags", [
+    pytest.param("point", dict(_TINY_POINT, d0_range_lambda=["x"]), [], id="d0-string"),
+    pytest.param("sweep-distance", dict(_TINY_DISTANCE, d0_range_lambda={
+        "start": "a", "stop": 1.0, "step": 0.5}), [], id="d0-start-string"),
+    pytest.param("sweep-distance", dict(_TINY_DISTANCE, d0_range_lambda={
+        "start": 0.5, "stop": np.inf, "step": 0.5}), [], id="d0-stop-inf"),
+    pytest.param("point", dict(_TINY_POINT, d0_range_lambda=[np.inf]), [], id="d0-inf"),
+    pytest.param("point", dict(_TINY_POINT, d0_range_lambda=[None]), [], id="d0-null"),
+    pytest.param("point", dict(_TINY_POINT, d0_range_lambda=[True]), [], id="d0-bool"),
+    pytest.param("point", dict(_TINY_POINT, spacing_lambda=np.inf), [], id="spacing-inf"),
+    pytest.param("point", dict(_TINY_POINT, frequency=True), [], id="frequency-bool"),
+    pytest.param("point", _TINY_POINT, ["--snr-db", "nan"], id="snr-nan"),
+    pytest.param("point", _TINY_POINT, ["--snr-db", "inf"], id="snr-inf"),
+    pytest.param("point", _TINY_POINT, ["--snr-db=-inf"], id="snr-minus-inf"),
+    pytest.param("point", _TINY_POINT, ["--snr-db", "4000"], id="snr-overflow"),
+    pytest.param("point", dict(_TINY_POINT, snr_db=-4000), [], id="snr-underflow"),
+    pytest.param("point", dict(_TINY_POINT, output_path=7), [], id="output-path-int"),
+    pytest.param("point", b'{"experiment": "single-point", "p_policy": "fixed(1)\xff"}', [],
+                 id="not-utf8"),
+])
+def test_bad_config_values_fail_before_any_work(monkeypatch, tmp_path, capsys, command, config,
+                                                flags):
+    for runner in ("run_distance_sweep", "run_element_sweep", "run_single_point"):
+        monkeypatch.setattr(f"hmimo.cli.{runner}", _must_not_run)
+    path = tmp_path / "bad.json"
+    if isinstance(config, bytes):
+        path.write_bytes(config)
+    else:
+        path.write_text(json.dumps(config), encoding="utf-8")
+    assert main([command, "--config", str(path), *flags]) == EXIT_CONFIG
+    assert "invalid sweep config" in capsys.readouterr().err
+
+
+def test_missing_output_directory_fails_before_any_point(monkeypatch, tmp_path):
+    monkeypatch.setattr("hmimo.cli.run_distance_sweep", _must_not_run)
+    out = tmp_path / "missing" / "rows.csv"
+    code = main(["sweep-distance", "--config", _distance_config(tmp_path), "--output", str(out)])
+    assert code == EXIT_IO
+    assert not out.parent.exists()
+
+
 def test_variants_without_reference_fail_validation(point_config):
     assert main(["point", "--config", point_config, "--variants", "PSCM"]) == EXIT_CONFIG
 

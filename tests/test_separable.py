@@ -224,15 +224,24 @@ def test_assembler_rejects_degenerate_pairs():
         assemble_pscm(tx, rx_far_back, link, 2 * np.pi)
 
 
-def test_fscm_blocks_are_scaled_transverse_projectors():
-    tx = build_planar_surface(3, 2, 0.04)
-    rx = build_planar_surface(2, 2, 0.05)
-    link = LinkGeometry.from_angles(1.3, theta=0.25, phi=0.6)
+@given(tx_sides=_SIDES, rx_sides=_SIDES, tx_spacing=_SPACINGS, rx_spacing=_SPACINGS,
+       d0=st.floats(0.6, 3.0), theta=_THETAS, phi=st.floats(0.0, 2 * np.pi), turn=_TURNS)
+@example(tx_sides=(3, 2), rx_sides=(2, 2), tx_spacing=0.04, rx_spacing=0.05, d0=1.3, theta=0.25,
+         phi=0.6, turn=None)
+@settings(max_examples=40, deadline=None)
+def test_fscm_blocks_are_scaled_transverse_projectors(tx_sides, rx_sides, tx_spacing, rx_spacing,
+                                                      d0, theta, phi, turn):
+    tx = build_planar_surface(*tx_sides, tx_spacing)
+    rx = build_planar_surface(*rx_sides, rx_spacing)
+    link = LinkGeometry.from_angles(d0, theta=theta, phi=phi, rx_rotation=_turned(turn))
     k0 = 2 * np.pi
     G = assemble_fscm(tx, rx, link, k0)
     assert G.variant == "FSCM"
+    left, right = G.factors
+    assert left.shape[1] == right.shape[1] == 3
+    assert np.array_equal(G.matrix, left @ right.conj().T)
     theta_t = array_response(tx.positions, link.kappa, k0)
-    theta_r = array_response(rx.positions, link.kappa, k0)
+    theta_r = array_response(global_rx_positions(link, rx), link.kappa, k0)
     projector = np.eye(3) - np.outer(link.kappa, link.kappa)
     pref = -1j * np.exp(1j * k0 * link.d0) / (4 * np.pi * link.d0)
     scale = np.max(np.abs(G.matrix))
