@@ -140,7 +140,8 @@ def channel_from_green(green: BlockChannelMatrix, cfg: PhysicalConfig) -> BlockC
         raise ValueError("channel scale already applied to this matrix")
     scale = cfg.eta / (2.0 * cfg.wavelength) * cfg.a_r * cfg.a_t
     factors = None if green.factors is None else (scale * green.factors[0], green.factors[1])
-    return replace(green, matrix=scale * green.matrix, scale_applied=True, factors=factors)
+    scaled = replace(green, matrix=scale * green.matrix, scale_applied=True, factors=factors)
+    return scaled.with_lattice(green.lattice)
 
 
 def select_p(singular_values: np.ndarray, policy: PPolicy) -> int:
@@ -231,6 +232,27 @@ def _parity_indices(n: int, parity: int) -> np.ndarray:
     return np.arange(split) if parity > 0 else np.arange(split, n)
 
 
+# A block at least this many times as long in one dimension as in the other
+# is reduced to its QR triangle before the values-only SVD.  Measured on the
+# built-in mirror sectors (OpenBLAS, 2 cores): 1.5x faster at 176 x 341,
+# 2.5-4x at 176 x 1281 and 21 x 1281, but 1.1x slower at 176 x 225 and
+# 176 x 133; random 169 x 253 blocks gain 1.2x.
+_QR_FIRST_RATIO = 1.5
+
+
+def _block_values(block: np.ndarray) -> np.ndarray:
+    """Singular values of one block, through its QR triangle when clearly non-square.
+
+    With the tall orientation T = Q R (T is the block or its transpose),
+    R is square and has the block's singular values; LAPACK's values-only
+    SVD is much slower on the wide block itself.
+    """
+    rows, cols = block.shape
+    if max(rows, cols) >= _QR_FIRST_RATIO * min(rows, cols):
+        block = np.linalg.qr(block.T if rows < cols else block, mode="r")
+    return np.linalg.svd(block, compute_uv=False)
+
+
 def eigenchannel_decompose(
     green: BlockChannelMatrix,
     cfg: PhysicalConfig,
@@ -248,7 +270,9 @@ def eigenchannel_decompose(
             step: each route supplies its blocks (the r x r core
             R_L R_R' of the economy QRs L = Q_L R_L, R = Q_R R_R when the
             matrix carries thin factors, the four parity sectors when it
-            carries ``mirror``, otherwise the matrix itself), and the
+            carries ``mirror``, otherwise the matrix itself); a block at
+            least 1.5 times as long one way as the other is reduced to
+            the QR triangle of its tall orientation first, and the
             blocks' singular values are sorted once and padded with zeros
             to min(3M, 3N).
 
@@ -283,7 +307,7 @@ def eigenchannel_decompose(
         else:
             blocks = [green.matrix]
     if not patterns:
-        values = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks]))
+        values = np.sort(np.concatenate([_block_values(b) for b in blocks]))
         s = np.zeros(3 * min(green.m_count, green.n_count))
         s[: values.size] = values[::-1]
     p_used = select_p(s, policy)
@@ -302,10 +326,17 @@ def capacity(eigs: EigenchannelSet, cfg: PhysicalConfig) -> float:
 
         sum_p log2(1 + mu * snr * gain_p^2),
         snr = total_power / (p_used * a_r * noise_var).
+
+    Each term is evaluated in the log domain, as log2(1 + 2^L) with L the
+    sum of the factors' base-2 logarithms, so a product that would
+    overflow (a huge but finite power) still gives a finite capacity,
+    and a zero gain gives exactly 0.
     """
     p_used = eigs.p_used
     if p_used < 1:
         raise ValueError(f"need at least one eigenchannel, got {p_used}")
-    snr = cfg.total_power / (p_used * cfg.a_r * cfg.noise_var)
-    terms = np.log2(1.0 + cfg.mu * snr * eigs.gains[:p_used] ** 2)
-    return float(np.sum(terms))
+    log_mu_snr = (np.log2(cfg.mu) + np.log2(cfg.total_power) - np.log2(p_used)
+                  - np.log2(cfg.a_r) - np.log2(cfg.noise_var))
+    with np.errstate(divide="ignore"):
+        log_gains = 2.0 * np.log2(eigs.gains[:p_used])
+    return float(np.sum(np.logaddexp2(0.0, log_mu_snr + log_gains)))

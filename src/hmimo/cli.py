@@ -123,6 +123,8 @@ def main(argv=None) -> int:
         # Fail before any point runs; the file itself is written only at the end.
         if spec.output_path and not os.path.isdir(os.path.dirname(spec.output_path) or "."):
             raise FileNotFoundError(f"the directory of {spec.output_path!r} does not exist")
+        if spec.output_path and os.path.isdir(spec.output_path):
+            raise IsADirectoryError(f"output path {spec.output_path!r} is a directory")
         if args.command == "sweep-distance":
             rows = run_distance_sweep(spec, workers=args.workers)
         elif args.command == "sweep-elements":

@@ -9,12 +9,18 @@ measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import CoincidentPointsError
-from .geometry import LinkGeometry, SurfaceLayout, global_rx_positions, pairwise_offsets
+from .geometry import (
+    LinkGeometry,
+    SurfaceLayout,
+    build_planar_surface,
+    global_rx_positions,
+    pairwise_offsets,
+)
 
 __all__ = [
     "MODEL_VARIANTS",
@@ -55,6 +61,16 @@ class BlockChannelMatrix:
     ``S = diag(-1, 1, 1)``, and reversing the j index does the same with
     ``S = diag(1, -1, 1)``, exactly, so the spectrum splits into four
     parity sectors.
+
+    ``lattice``, when set, has the same form as ``mirror`` and records
+    that both grids are uniform with one spacing and parallel, so block
+    (m, n) depends only on the grid-index offset (v_r - v_t, h_r - h_t)
+    of RX element (v_r, h_r) and TX element (v_t, h_t): exactly in exact
+    arithmetic, within rounding in floating point.  The matrix then holds
+    (rx_n_v + tx_n_v - 1)(rx_n_h + tx_n_h - 1) distinct blocks, and
+    :func:`~hmimo.metrics.nmse` reads only one of each.  It is not an
+    ``__init__`` argument, so ``dataclasses.replace`` never carries it to
+    a new matrix; it is set through :meth:`with_lattice` only.
     """
 
     matrix: np.ndarray
@@ -64,6 +80,7 @@ class BlockChannelMatrix:
     scale_applied: bool = False
     factors: tuple[np.ndarray, np.ndarray] | None = None
     mirror: tuple[tuple[int, int], tuple[int, int]] | None = None
+    lattice: tuple[tuple[int, int], tuple[int, int]] | None = field(default=None, init=False)
 
     def __post_init__(self):
         if self.variant not in MODEL_VARIANTS:
@@ -79,13 +96,29 @@ class BlockChannelMatrix:
                     f"factors of shapes {left} and {right} do not match "
                     f"{expected[0]} x r and {expected[1]} x r"
                 )
-        if self.mirror is not None:
-            (rx_v, rx_h), (tx_v, tx_h) = self.mirror
-            if rx_v * rx_h != self.m_count or tx_v * tx_h != self.n_count:
-                raise ValueError(
-                    f"mirror grids {self.mirror} do not hold {self.m_count} RX "
-                    f"and {self.n_count} TX elements"
-                )
+        self._check_grids("mirror", self.mirror)
+
+    def _check_grids(self, name, grids):
+        """Reject ``mirror`` or ``lattice`` grids that do not hold the element counts."""
+        if grids is None:
+            return
+        (rx_v, rx_h), (tx_v, tx_h) = grids
+        if rx_v * rx_h != self.m_count or tx_v * tx_h != self.n_count:
+            raise ValueError(
+                f"{name} grids {grids} do not hold {self.m_count} RX "
+                f"and {self.n_count} TX elements"
+            )
+
+    def with_lattice(self, lattice) -> BlockChannelMatrix:
+        """A copy sharing every field and the matrix array, carrying ``lattice``.
+
+        ``lattice`` is a claim about the entries (None leaves the copy
+        without one); its grids are checked against the element counts.
+        """
+        self._check_grids("lattice", lattice)
+        tagged = replace(self)
+        object.__setattr__(tagged, "lattice", lattice)
+        return tagged
 
     def block(self, m: int, n: int) -> np.ndarray:
         """The 3x3 block coupling RX element m to TX element n."""
@@ -156,7 +189,8 @@ def assemble_ocm(
     Equivalent to evaluating :func:`green_dyadic` at every pair
     displacement, but vectorized over the whole grid.  At boresight
     (kappa along z) with both grids mirror-symmetric in x and y the
-    result carries ``mirror``.
+    result carries ``mirror``; with parallel uniform grids of one spacing
+    it carries ``lattice``.
     """
     if k0 <= 0:
         raise ValueError(f"wavenumber must be positive, got {k0}")
@@ -170,7 +204,7 @@ def assemble_ocm(
             and _is_mirrored(rx, global_rx_positions(link, rx))):
         mirror = ((rx.n_v, rx.n_h), (tx.n_v, tx.n_h))
     return BlockChannelMatrix(_dyad_dense(dvec, dist, link, k0), rx.count, tx.count, "OCM",
-                              mirror=mirror)
+                              mirror=mirror).with_lattice(_grid_lattice(tx, rx, link))
 
 
 def _dyad_dense(
@@ -227,3 +261,21 @@ def _is_mirrored(layout: SurfaceLayout, positions: np.ndarray) -> bool:
     flip_x = grid[:, ::-1] * (-1.0, 1.0, 1.0)
     flip_y = grid[::-1] * (1.0, -1.0, 1.0)
     return bool(np.array_equal(flip_x, grid) and np.array_equal(flip_y, grid))
+
+
+def _grid_lattice(tx: SurfaceLayout, rx: SurfaceLayout, link: LinkGeometry):
+    """``((rx_n_v, rx_n_h), (tx_n_v, tx_n_h))`` when blocks depend only on the index offset.
+
+    That holds when the RX surface is not rotated, both grids share one
+    spacing and each grid's positions are exactly those
+    :func:`~hmimo.geometry.build_planar_surface` gives; the tilt of the
+    link does not matter, since every variant sees the pair only through
+    q - p.  Otherwise None.
+    """
+    if link.rx_rotation is not None or tx.spacing != rx.spacing or not tx.spacing > 0:
+        return None
+    for layout in (tx, rx):
+        uniform = build_planar_surface(layout.n_h, layout.n_v, layout.spacing).positions
+        if not np.array_equal(layout.positions, uniform):
+            return None
+    return ((rx.n_v, rx.n_h), (tx.n_v, tx.n_h))

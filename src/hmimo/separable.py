@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DegenerateGeometryError
 from .geometry import LinkGeometry, SurfaceLayout, global_rx_positions
-from .green import BlockChannelMatrix, _dyad_dense
+from .green import BlockChannelMatrix, _dyad_dense, _grid_lattice
 
 __all__ = [
     "OmegaPair",
@@ -178,6 +178,7 @@ def assemble_pscm(
     non-positive projection factor makes the whole configuration
     degenerate and is rejected.  When every p'kappa and q'kappa is
     exactly 0 the matrix is built as ``L R'`` and carries its factors.
+    Parallel uniform grids of one spacing make it carry ``lattice``.
     """
     tag = _variant_tag(variant)
     if k0 <= 0:
@@ -185,8 +186,9 @@ def assemble_pscm(
     ps = tx.positions
     qs = global_rx_positions(link, rx)
     keep = len(variant)
+    lattice = _grid_lattice(tx, rx, link)
     if not (ps @ link.kappa).any() and not (qs @ link.kappa).any():
-        return _pscm_factors(ps, qs, link, k0, keep, omega_pair(k0, 1.0, link.d0), tag)
+        return _pscm_factors(ps, qs, link, k0, keep, omega_pair(k0, 1.0, link.d0), tag, lattice)
 
     dvec = link.d0 * link.kappa + (qs[:, None, :] - ps[None, :, :])  # (M, N, 3)
     dist = dvec @ link.kappa  # gamma * d0
@@ -195,10 +197,11 @@ def assemble_pscm(
         raise DegenerateGeometryError(
             f"projection factor is not positive for RX element {m}, TX element {n}"
         )
-    return BlockChannelMatrix(_dyad_dense(dvec, dist, link, k0, keep), rx.count, tx.count, tag)
+    matrix = _dyad_dense(dvec, dist, link, k0, keep)
+    return BlockChannelMatrix(matrix, rx.count, tx.count, tag).with_lattice(lattice)
 
 
-def _pscm_factors(ps, qs, link, k0, keep, weights, tag) -> BlockChannelMatrix:
+def _pscm_factors(ps, qs, link, k0, keep, weights, tag, lattice) -> BlockChannelMatrix:
     """The separable matrix as ``L R'`` with gamma = 1 on every pair, carrying (L, R).
 
     Block (m, n) is c theta_r[m] conj(theta_t[n]) A(q_m - p_n) with
@@ -213,7 +216,8 @@ def _pscm_factors(ps, qs, link, k0, keep, weights, tag) -> BlockChannelMatrix:
       p q' (entry (i, j) = sum_ab [i == a] q[b] * p[a] [j == b]).
 
     Only the first ``keep`` amplitude blocks enter.  Each factor is flat:
-    L is 3M x r and R is 3N x r.
+    L is 3M x r and R is 3N x r.  ``lattice`` is passed through to the
+    result.
     """
     kappa, d0 = link.kappa, link.d0
     w1, w2 = weights
@@ -241,7 +245,8 @@ def _pscm_factors(ps, qs, link, k0, keep, weights, tag) -> BlockChannelMatrix:
     left = np.concatenate(lefts, axis=2)
     right = np.concatenate(rights, axis=2)
     left, right = left.reshape(-1, left.shape[2]), right.reshape(-1, right.shape[2])
-    return BlockChannelMatrix(left @ right.conj().T, len(qs), len(ps), tag, factors=(left, right))
+    return BlockChannelMatrix(left @ right.conj().T, len(qs), len(ps), tag,
+                              factors=(left, right)).with_lattice(lattice)
 
 
 def _outers(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -260,9 +265,11 @@ def assemble_fscm(
     (-i exp(i k0 d0) / (4 pi d0)) and the pair phase
     theta_r[m] * conj(theta_t[n]), built by the shared factor builder
     with ``keep = 2`` and the weights (1, -1): ``L = c theta_r (x)
-    (I3 - kappa kappa')`` and ``R = theta_t (x) I3`` (r = 3).
+    (I3 - kappa kappa')`` and ``R = theta_t (x) I3`` (r = 3).  It
+    carries ``lattice`` as :func:`assemble_pscm` does.
     """
     if k0 <= 0:
         raise ValueError(f"wavenumber must be positive, got {k0}")
     qs = global_rx_positions(link, rx)
-    return _pscm_factors(tx.positions, qs, link, k0, 2, (1.0, -1.0), "FSCM")
+    return _pscm_factors(tx.positions, qs, link, k0, 2, (1.0, -1.0), "FSCM",
+                         _grid_lattice(tx, rx, link))

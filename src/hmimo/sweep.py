@@ -219,6 +219,8 @@ def validate_spec(spec: SweepSpec) -> list[str]:
                 v.append(f"d0 range step must be positive, got {d0['step']}")
             if d0["stop"] < d0["start"]:
                 v.append("d0 range stop must be >= start")
+            elif d0["step"] > 0 and _grid_count(d0) is None:
+                v.append(f"d0 range {d0!r} holds too many points to count")
     elif spec.experiment in ("tx-elements", "single-point"):
         limit = 2 if spec.experiment == "tx-elements" else 1
         if not (isinstance(d0, tuple) and 1 <= len(d0) <= limit):
@@ -263,12 +265,17 @@ def validate_spec(spec: SweepSpec) -> list[str]:
     return v
 
 
+def _grid_count(rng: dict) -> int | None:
+    """Candidate points of a {start, stop, step} range; None when the count overflows."""
+    steps = (rng["stop"] - rng["start"]) / rng["step"]
+    return int(round(steps)) + 1 if math.isfinite(steps) else None
+
+
 def distance_grid(spec: SweepSpec) -> tuple[float, ...]:
     """The d0 grid (in wavelengths) a distance sweep will visit."""
     rng = spec.d0_range_lambda
-    count = int(round((rng["stop"] - rng["start"]) / rng["step"])) + 1
     points = []
-    for i in range(count):
+    for i in range(_grid_count(rng)):
         value = rng["start"] + i * rng["step"]
         if value <= rng["stop"] + 1e-9 * rng["step"]:
             points.append(value)

@@ -1,5 +1,6 @@
 """Physical configuration, eigenchannel decomposition and capacity."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from hmimo import (
     FREE_SPACE_IMPEDANCE,
     SPEED_OF_LIGHT,
     BlockChannelMatrix,
+    EigenchannelSet,
     LinkGeometry,
     NumericalError,
     PhysicalConfig,
@@ -25,6 +27,7 @@ from hmimo import (
     global_rx_positions,
     select_p,
 )
+from hmimo.capacity import _QR_FIRST_RATIO, _mirror_sectors
 
 
 def _cfg(**kw):
@@ -409,3 +412,53 @@ def test_spectrum_only_decomposition_matches_the_dense_svd(
             assert fast.gains.shape == dense.shape == (3 * min(rx.count, tx.count),)
             assert np.max(np.abs(fast.gains - dense)) <= 1e-12 * dense[0], G.variant
             assert fast.p_used == full.p_used, (G.variant, policy)
+
+
+@pytest.mark.parametrize("tx_side,rx_side,d0_lambda", [(41, 5, 0.25), (41, 5, 4.25),
+                                                       (21, 15, 0.75), (25, 15, 2.5)])
+def test_qr_first_spectra_keep_p_used_at_every_threshold(tx_side, rx_side, d0_lambda):
+    # built-in sweep geometries whose parity sectors are wide enough to go QR-first
+    cfg = _cfg()
+    spacing = 0.01 * cfg.wavelength
+    tx = build_planar_surface(tx_side, tx_side, spacing)
+    rx = build_planar_surface(rx_side, rx_side, spacing)
+    G = assemble_ocm(tx, rx, LinkGeometry.from_angles(d0_lambda * cfg.wavelength), cfg.k0)
+    sectors = list(_mirror_sectors(G.matrix, G.mirror))
+    assert all(max(b.shape) >= _QR_FIRST_RATIO * min(b.shape) for b in sectors)
+    direct = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for b in sectors]))[::-1]
+    direct *= np.sqrt(cfg.a_r * cfg.a_t)
+    fast = eigenchannel_decompose(G, cfg, patterns=False)
+    assert fast.p_used == select_p(fast.gains, PPolicy.threshold(1e-6))
+    assert np.max(np.abs(fast.gains[: direct.size] - direct)) <= 1e-12 * direct[0]
+    for k in range(120):
+        policy = PPolicy.threshold(10 ** (-k / 10))
+        assert select_p(fast.gains, policy) == select_p(direct, policy), k
+
+
+def _log_domain_capacity(gains, p_used, cfg):
+    """sum_p log2(1 + 2^L_p), with L_p = log2(mu * snr * gain_p^2) summed from the factors' logs."""
+    total = 0.0
+    for g in gains[:p_used]:
+        if g == 0.0:
+            continue
+        log_x = (math.log2(cfg.mu) + math.log2(cfg.total_power) - math.log2(p_used)
+                 - math.log2(cfg.a_r) - math.log2(cfg.noise_var) + 2.0 * math.log2(g))
+        if log_x > 0:
+            total += log_x + math.log1p(2.0**-log_x) / math.log(2.0)
+        else:
+            total += math.log1p(2.0**log_x) / math.log(2.0)
+    return total
+
+
+@pytest.mark.parametrize("total_power,gains,p_used", [
+    pytest.param(1e303, [3e-3, 1e-3, 2e-7, 0.0], 3, id="every-product-huge"),
+    pytest.param(1e303, [1e-148, 4e-150, 0.0], 2, id="mu-snr-overflows-products-near-one"),
+    pytest.param(1e290, [1e5, 1e-3, 0.0], 2, id="one-product-overflows"),
+    pytest.param(1e303, [3e-3, 0.0], 2, id="zero-gain-in-use"),
+    pytest.param(1e-6, [3e-3, 1e-3, 2e-7, 0.0], 3, id="no-overflow"),
+])
+def test_capacity_matches_a_log_domain_reference(total_power, gains, p_used):
+    cfg = _cfg(total_power=total_power)
+    got = capacity(EigenchannelSet(np.array(gains), p_used, None, None), cfg)
+    assert math.isfinite(got)
+    assert got == pytest.approx(_log_domain_capacity(gains, p_used, cfg), rel=1e-13)

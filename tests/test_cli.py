@@ -172,6 +172,8 @@ _TINY_DISTANCE = dict(_TINY_POINT, experiment="distance",
     pytest.param("point", _TINY_POINT, ["--snr-db=-inf"], id="snr-minus-inf"),
     pytest.param("point", _TINY_POINT, ["--snr-db", "4000"], id="snr-overflow"),
     pytest.param("point", dict(_TINY_POINT, snr_db=-4000), [], id="snr-underflow"),
+    pytest.param("sweep-distance", dict(_TINY_DISTANCE, d0_range_lambda={
+        "start": 0.25, "stop": 1e300, "step": 1e-300}), [], id="d0-count-overflow"),
     pytest.param("point", dict(_TINY_POINT, output_path=7), [], id="output-path-int"),
     pytest.param("point", b'{"experiment": "single-point", "p_policy": "fixed(1)\xff"}', [],
                  id="not-utf8"),
@@ -195,6 +197,30 @@ def test_missing_output_directory_fails_before_any_point(monkeypatch, tmp_path):
     code = main(["sweep-distance", "--config", _distance_config(tmp_path), "--output", str(out)])
     assert code == EXIT_IO
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command,runner", [("sweep-distance", "run_distance_sweep"),
+                                            ("sweep-elements", "run_element_sweep"),
+                                            ("point", "run_single_point")])
+def test_existing_output_directory_fails_before_any_point(monkeypatch, tmp_path, command, runner):
+    monkeypatch.setattr(f"hmimo.cli.{runner}", _must_not_run)
+    path = tmp_path / "tiny.json"
+    config = {"sweep-distance": _TINY_DISTANCE, "point": _TINY_POINT}.get(
+        command, dict(_TINY_POINT, experiment="tx-elements", n_list=[3]))
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main([command, "--config", str(path), "--output", str(tmp_path)]) == EXIT_IO
+
+
+def test_huge_snr_gives_finite_capacities(tmp_path):
+    # total power 10^307.5 times the element area is finite, but mu * snr overflows
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(_TINY_POINT), encoding="utf-8")
+    out = tmp_path / "row.csv"
+    assert main(["point", "--config", str(path), "--snr-db", "3075", "--output", str(out)]) == EXIT_OK
+    header, row = out.read_text(encoding="utf-8").strip().split("\n")
+    caps = [float(v) for c, v in zip(header.split(","), row.split(",")) if c.startswith("capacity_")]
+    assert len(caps) == 5
+    assert all(np.isfinite(caps)) and min(caps) > 1000.0
 
 
 def test_variants_without_reference_fail_validation(point_config):
