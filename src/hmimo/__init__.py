@@ -2,128 +2,20 @@
 
 Exact dyadic-Green reference channel, transmit-receive separable
 approximations, eigenchannel capacity, agreement metrics and a benchmark
-CLI for distance and element-count sweeps.
+CLI for distance and element-count sweeps.  The package re-exports every
+submodule's ``__all__``; ``hmimo.capacity`` is the capacity function.
 """
 
-from .capacity import (
-    FREE_SPACE_IMPEDANCE,
-    SPEED_OF_LIGHT,
-    EigenchannelSet,
-    PhysicalConfig,
-    PPolicy,
-    capacity,
-    channel_from_green,
-    eigenchannel_decompose,
-    select_p,
-)
-from .errors import ConfigError, CoincidentPointsError, DegenerateGeometryError, NumericalError
-from .geometry import (
-    LinkGeometry,
-    SurfaceLayout,
-    alpha_factor,
-    build_planar_surface,
-    gamma_factor,
-    global_rx_positions,
-    pair_displacement,
-    pairwise_offsets,
-    rayleigh_distance,
-    wavevector,
-)
-from .green import (
-    MODEL_VARIANTS,
-    SIGN_AS_PRINTED,
-    SIGN_TRANSVERSE,
-    BlockChannelMatrix,
-    assemble_ocm,
-    green_dyadic,
-    green_dyadic_far,
-)
-from .metrics import nmse
-from .separable import (
-    ABlockSet,
-    OmegaPair,
-    a_blocks,
-    array_response,
-    assemble_fscm,
-    assemble_pscm,
-    omega_pair,
-    pscm_pair,
-)
-from .sweep import (
-    DEFAULT_N_LIST,
-    EXPERIMENTS,
-    SweepResultRow,
-    SweepSpec,
-    default_spec,
-    distance_grid,
-    load_spec,
-    rows_to_csv,
-    rows_to_json,
-    run_distance_sweep,
-    run_element_sweep,
-    run_single_point,
-    spec_from_json_dict,
-    spec_to_json_dict,
-    validate_spec,
-    write_rows,
-)
+from . import capacity as _capacity, errors, geometry, green, metrics, separable, sweep
+from .capacity import *  # noqa: F403 (rebinds hmimo.capacity to the function)
+from .errors import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .green import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .separable import *  # noqa: F403
+from .sweep import *  # noqa: F403
 
-__all__ = [
-    "SPEED_OF_LIGHT",
-    "FREE_SPACE_IMPEDANCE",
-    "MODEL_VARIANTS",
-    "SIGN_AS_PRINTED",
-    "SIGN_TRANSVERSE",
-    "SurfaceLayout",
-    "LinkGeometry",
-    "build_planar_surface",
-    "wavevector",
-    "global_rx_positions",
-    "pairwise_offsets",
-    "pair_displacement",
-    "alpha_factor",
-    "gamma_factor",
-    "rayleigh_distance",
-    "BlockChannelMatrix",
-    "green_dyadic",
-    "green_dyadic_far",
-    "assemble_ocm",
-    "OmegaPair",
-    "ABlockSet",
-    "omega_pair",
-    "a_blocks",
-    "pscm_pair",
-    "array_response",
-    "assemble_pscm",
-    "assemble_fscm",
-    "PhysicalConfig",
-    "PPolicy",
-    "EigenchannelSet",
-    "channel_from_green",
-    "select_p",
-    "eigenchannel_decompose",
-    "capacity",
-    "nmse",
-    "EXPERIMENTS",
-    "DEFAULT_N_LIST",
-    "SweepSpec",
-    "SweepResultRow",
-    "default_spec",
-    "spec_from_json_dict",
-    "spec_to_json_dict",
-    "load_spec",
-    "validate_spec",
-    "distance_grid",
-    "run_distance_sweep",
-    "run_element_sweep",
-    "run_single_point",
-    "rows_to_csv",
-    "rows_to_json",
-    "write_rows",
-    "DegenerateGeometryError",
-    "CoincidentPointsError",
-    "ConfigError",
-    "NumericalError",
-]
+__all__ = [name for module in (_capacity, errors, geometry, green, metrics, separable, sweep)
+           for name in module.__all__]
 
 __version__ = "0.1.0"

@@ -135,13 +135,18 @@ class EigenchannelSet:
 
 
 def channel_from_green(green: BlockChannelMatrix, cfg: PhysicalConfig) -> BlockChannelMatrix:
-    """Apply the physical scale eta/(2 lambda) * a_r * a_t to a Green-level matrix."""
+    """Apply the physical scale eta/(2 lambda) * a_r * a_t to a Green-level matrix.
+
+    The scaled matrix carries the input's structure claims: ``mirror`` and
+    ``lattice`` unchanged, and ``factors`` with the scale in ``L`` only
+    (``R`` is the same array).
+    """
     if green.scale_applied:
         raise ValueError("channel scale already applied to this matrix")
     scale = cfg.eta / (2.0 * cfg.wavelength) * cfg.a_r * cfg.a_t
     factors = None if green.factors is None else (scale * green.factors[0], green.factors[1])
-    scaled = replace(green, matrix=scale * green.matrix, scale_applied=True, factors=factors)
-    return scaled.with_lattice(green.lattice)
+    scaled = replace(green, matrix=scale * green.matrix, scale_applied=True)
+    return scaled.with_structure(factors, green.mirror, green.lattice)
 
 
 def select_p(singular_values: np.ndarray, policy: PPolicy) -> int:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DegenerateGeometryError", "CoincidentPointsError", "ConfigError", "NumericalError"]
+
 
 class DegenerateGeometryError(ValueError):
     """Raised when a TX/RX pair geometry leaves the model's validity region."""

@@ -24,6 +24,7 @@ from .geometry import (
 
 __all__ = [
     "MODEL_VARIANTS",
+    "PSCM_CODES",
     "SIGN_AS_PRINTED",
     "SIGN_TRANSVERSE",
     "BlockChannelMatrix",
@@ -34,6 +35,9 @@ __all__ = [
 
 #: Recognized channel-model tags, exact reference first.
 MODEL_VARIANTS = ("OCM", "PSCM", "PSCM123", "PSCM12", "FSCM")
+
+#: The code of each separable variant: the amplitude blocks it keeps.
+PSCM_CODES = {"PSCM": "1234", "PSCM123": "123", "PSCM12": "12"}
 
 SIGN_AS_PRINTED = "as-printed"
 SIGN_TRANSVERSE = "transverse-projector"
@@ -50,27 +54,30 @@ class BlockChannelMatrix:
     whether the physical channel scale has been multiplied in; entries are
     raw dyad values while it is False.
 
-    ``factors``, when set, is a pair ``(L, R)`` of thin factors with
+    Three optional structure claims describe the entries; fast routes
+    trust them.  None is a constructor argument: they are attached only
+    through :meth:`with_structure`, so neither ``BlockChannelMatrix(...)``
+    nor ``dataclasses.replace`` ever carries one, and a matrix rebuilt
+    with new entries is read entry by entry.
+
+    ``factors`` is a pair ``(L, R)`` of thin factors with
     ``matrix == L @ R.conj().T``: ``L`` is 3M x r and ``R`` is 3N x r.
-    Assemblers set it only where the matrix is exactly separable into
+    Assemblers attach it only where the matrix is exactly separable into
     TX and RX terms, so its spectrum follows from the two factors alone.
 
-    ``mirror``, when set, is ``((rx_n_v, rx_n_h), (tx_n_v, tx_n_h))``,
-    the grid shapes of the j-major element order.  Reversing the i index
-    of both grids maps block (m, n) to ``S G(m, n) S`` with
-    ``S = diag(-1, 1, 1)``, and reversing the j index does the same with
-    ``S = diag(1, -1, 1)``, exactly, so the spectrum splits into four
-    parity sectors.
+    ``mirror`` is ``((rx_n_v, rx_n_h), (tx_n_v, tx_n_h))``, the grid
+    shapes of the j-major element order.  Reversing the i index of both
+    grids maps block (m, n) to ``S G(m, n) S`` with ``S = diag(-1, 1, 1)``,
+    and reversing the j index does the same with ``S = diag(1, -1, 1)``,
+    exactly, so the spectrum splits into four parity sectors.
 
-    ``lattice``, when set, has the same form as ``mirror`` and records
-    that both grids are uniform with one spacing and parallel, so block
-    (m, n) depends only on the grid-index offset (v_r - v_t, h_r - h_t)
-    of RX element (v_r, h_r) and TX element (v_t, h_t): exactly in exact
+    ``lattice`` has the same form as ``mirror`` and records that both
+    grids are uniform with one spacing and parallel, so block (m, n)
+    depends only on the grid-index offset (v_r - v_t, h_r - h_t) of RX
+    element (v_r, h_r) and TX element (v_t, h_t): exactly in exact
     arithmetic, within rounding in floating point.  The matrix then holds
     (rx_n_v + tx_n_v - 1)(rx_n_h + tx_n_h - 1) distinct blocks, and
-    :func:`~hmimo.metrics.nmse` reads only one of each.  It is not an
-    ``__init__`` argument, so ``dataclasses.replace`` never carries it to
-    a new matrix; it is set through :meth:`with_lattice` only.
+    :func:`~hmimo.metrics.nmse` reads only one of each.
     """
 
     matrix: np.ndarray
@@ -78,8 +85,8 @@ class BlockChannelMatrix:
     n_count: int
     variant: str
     scale_applied: bool = False
-    factors: tuple[np.ndarray, np.ndarray] | None = None
-    mirror: tuple[tuple[int, int], tuple[int, int]] | None = None
+    factors: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False)
+    mirror: tuple[tuple[int, int], tuple[int, int]] | None = field(default=None, init=False)
     lattice: tuple[tuple[int, int], tuple[int, int]] | None = field(default=None, init=False)
 
     def __post_init__(self):
@@ -88,36 +95,30 @@ class BlockChannelMatrix:
         expected = (3 * self.m_count, 3 * self.n_count)
         if self.matrix.shape != expected:
             raise ValueError(f"matrix shape {self.matrix.shape} does not match blocks {expected}")
-        if self.factors is not None:
-            left, right = (np.shape(f) for f in self.factors)
-            if (len(left) != 2 or len(right) != 2 or left[0] != expected[0]
-                    or right[0] != expected[1] or left[1] != right[1]):
+
+    def with_structure(self, factors=None, mirror=None, lattice=None) -> BlockChannelMatrix:
+        """A copy sharing the matrix array that carries exactly the claims given.
+
+        Each claim is checked against the block shape: ``factors`` must be
+        3M x r and 3N x r with one common r, and the ``mirror`` and
+        ``lattice`` grids must hold the M RX and N TX elements.
+        """
+        rows, cols = self.matrix.shape
+        if factors is not None:
+            left, right = (np.shape(f) for f in factors)
+            if (len(left) != 2 or len(right) != 2 or left[0] != rows
+                    or right[0] != cols or left[1] != right[1]):
                 raise ValueError(
                     f"factors of shapes {left} and {right} do not match "
-                    f"{expected[0]} x r and {expected[1]} x r"
+                    f"{rows} x r and {cols} x r"
                 )
-        self._check_grids("mirror", self.mirror)
-
-    def _check_grids(self, name, grids):
-        """Reject ``mirror`` or ``lattice`` grids that do not hold the element counts."""
-        if grids is None:
-            return
-        (rx_v, rx_h), (tx_v, tx_h) = grids
-        if rx_v * rx_h != self.m_count or tx_v * tx_h != self.n_count:
-            raise ValueError(
-                f"{name} grids {grids} do not hold {self.m_count} RX "
-                f"and {self.n_count} TX elements"
-            )
-
-    def with_lattice(self, lattice) -> BlockChannelMatrix:
-        """A copy sharing every field and the matrix array, carrying ``lattice``.
-
-        ``lattice`` is a claim about the entries (None leaves the copy
-        without one); its grids are checked against the element counts.
-        """
-        self._check_grids("lattice", lattice)
+        for name, grids in (("mirror", mirror), ("lattice", lattice)):
+            if grids is not None and [v * h for v, h in grids] != [self.m_count, self.n_count]:
+                raise ValueError(f"{name} grids {grids} do not hold {self.m_count} RX "
+                                 f"and {self.n_count} TX elements")
         tagged = replace(self)
-        object.__setattr__(tagged, "lattice", lattice)
+        for name, claim in (("factors", factors), ("mirror", mirror), ("lattice", lattice)):
+            object.__setattr__(tagged, name, claim)
         return tagged
 
     def block(self, m: int, n: int) -> np.ndarray:
@@ -203,8 +204,14 @@ def assemble_ocm(
     if (not link.kappa[:2].any() and _is_mirrored(tx, tx.positions)
             and _is_mirrored(rx, global_rx_positions(link, rx))):
         mirror = ((rx.n_v, rx.n_h), (tx.n_v, tx.n_h))
-    return BlockChannelMatrix(_dyad_dense(dvec, dist, link, k0), rx.count, tx.count, "OCM",
-                              mirror=mirror).with_lattice(_grid_lattice(tx, rx, link))
+    matrix = _dyad_dense(dvec, dist, link, k0)
+    return BlockChannelMatrix(matrix, rx.count, tx.count, "OCM").with_structure(
+        mirror=mirror, lattice=_grid_lattice(tx, rx, link))
+
+
+def _weights(kd):
+    """Kernel weights ``(c1, c2) = (1 + i/kd - 1/kd^2, 3/kd^2 - 3i/kd - 1)``, scalar or array."""
+    return 1.0 + 1j / kd - 1.0 / kd**2, 3.0 / kd**2 - 3j / kd - 1.0
 
 
 def _dyad_dense(
@@ -217,7 +224,7 @@ def _dyad_dense(
 
         (-i / (4 pi r)) * [ c1(k0 r) I3 + c2(k0 r) U ] * exp(i k0 r)
 
-    with r = dist[m, n], c1 and c2 the weights of :func:`green_dyadic`,
+    with r = dist[m, n], c1 and c2 the weights :func:`_weights` gives at k0 r,
     and U the dyad term truncated to the ``keep`` amplitude blocks of the
     separable variants: ``u u'`` (4), ``u u' - t t'`` (3) with
     ``t = u - (d0 / r) kappa`` the offset part of u, or
@@ -231,8 +238,7 @@ def _dyad_dense(
         u = np.divide(dvec, dist[..., None], out=dvec)
     t = u - (link.d0 / dist)[..., None] * link.kappa if keep == 3 else None
     kd = k0 * dist
-    c1 = 1.0 + 1j / kd - 1.0 / kd**2
-    c2 = 3.0 / kd**2 - 3j / kd - 1.0
+    c1, c2 = _weights(kd)
     pref = (-1j / (4.0 * np.pi * dist)) * np.exp(1j * kd)
     m_count, n_count = dist.shape
     # One (M, N) workspace per slice, written to both symmetric slices,

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DegenerateGeometryError
 from .geometry import LinkGeometry, SurfaceLayout, global_rx_positions
-from .green import BlockChannelMatrix, _dyad_dense, _grid_lattice
+from .green import PSCM_CODES, BlockChannelMatrix, _dyad_dense, _grid_lattice, _weights
 
 __all__ = [
     "OmegaPair",
@@ -52,18 +52,15 @@ __all__ = [
 
 _EYE3 = np.eye(3)
 
-# Each variant code lists the amplitude blocks it keeps.
-_VARIANT_TAGS = {"12": "PSCM12", "123": "PSCM123", "1234": "PSCM"}
-
 
 def _variant_tag(variant: str) -> str:
-    """The tag of a variant code, rejecting unknown codes."""
-    try:
-        return _VARIANT_TAGS[variant]
-    except KeyError:
-        raise ValueError(
-            f"unknown variant {variant!r}, expected one of {sorted(_VARIANT_TAGS)}"
-        ) from None
+    """The tag of a variant code in :data:`~hmimo.green.PSCM_CODES`, rejecting unknown codes."""
+    for tag, code in PSCM_CODES.items():
+        if code == variant:
+            return tag
+    raise ValueError(
+        f"unknown variant {variant!r}, expected one of {sorted(PSCM_CODES.values())}"
+    )
 
 
 class OmegaPair(NamedTuple):
@@ -93,8 +90,7 @@ def omega_pair(k0: float, gamma: float, d0: float) -> OmegaPair:
         raise ValueError(
             f"k0, gamma and d0 must all be positive, got k0={k0}, gamma={gamma}, d0={d0}"
         )
-    x = k0 * gamma * d0
-    return OmegaPair(1.0 + 1j / x - 1.0 / x**2, 3.0 / x**2 - 3j / x - 1.0)
+    return OmegaPair(*_weights(k0 * gamma * d0))
 
 
 def a_blocks(
@@ -198,7 +194,7 @@ def assemble_pscm(
             f"projection factor is not positive for RX element {m}, TX element {n}"
         )
     matrix = _dyad_dense(dvec, dist, link, k0, keep)
-    return BlockChannelMatrix(matrix, rx.count, tx.count, tag).with_lattice(lattice)
+    return BlockChannelMatrix(matrix, rx.count, tx.count, tag).with_structure(lattice=lattice)
 
 
 def _pscm_factors(ps, qs, link, k0, keep, weights, tag, lattice) -> BlockChannelMatrix:
@@ -245,8 +241,8 @@ def _pscm_factors(ps, qs, link, k0, keep, weights, tag, lattice) -> BlockChannel
     left = np.concatenate(lefts, axis=2)
     right = np.concatenate(rights, axis=2)
     left, right = left.reshape(-1, left.shape[2]), right.reshape(-1, right.shape[2])
-    return BlockChannelMatrix(left @ right.conj().T, len(qs), len(ps), tag,
-                              factors=(left, right)).with_lattice(lattice)
+    return BlockChannelMatrix(left @ right.conj().T, len(qs), len(ps), tag).with_structure(
+        factors=(left, right), lattice=lattice)
 
 
 def _outers(a: np.ndarray, b: np.ndarray) -> np.ndarray:

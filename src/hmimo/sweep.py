@@ -30,7 +30,7 @@ import numpy as np
 from .capacity import SPEED_OF_LIGHT, PhysicalConfig, PPolicy, capacity, eigenchannel_decompose
 from .errors import ConfigError
 from .geometry import LinkGeometry, build_planar_surface, rayleigh_distance
-from .green import MODEL_VARIANTS, assemble_ocm
+from .green import MODEL_VARIANTS, PSCM_CODES, assemble_ocm
 from .metrics import nmse
 from .separable import assemble_fscm, assemble_pscm
 
@@ -56,6 +56,9 @@ __all__ = [
 EXPERIMENTS = ("distance", "tx-elements", "single-point")
 
 DEFAULT_N_LIST = (9, 13, 17, 21, 25, 29, 33, 37, 41)
+
+# The most points one distance sweep may visit.
+_MAX_DISTANCE_POINTS = 10**6
 
 _DEFAULT_D0 = {
     "distance": {"start": 0.25, "stop": 4.25, "step": 0.25},
@@ -219,8 +222,11 @@ def validate_spec(spec: SweepSpec) -> list[str]:
                 v.append(f"d0 range step must be positive, got {d0['step']}")
             if d0["stop"] < d0["start"]:
                 v.append("d0 range stop must be >= start")
-            elif d0["step"] > 0 and _grid_count(d0) is None:
-                v.append(f"d0 range {d0!r} holds too many points to count")
+            elif d0["step"] > 0:
+                try:
+                    _grid_count(d0)
+                except ValueError as exc:
+                    v.append(str(exc))
     elif spec.experiment in ("tx-elements", "single-point"):
         limit = 2 if spec.experiment == "tx-elements" else 1
         if not (isinstance(d0, tuple) and 1 <= len(d0) <= limit):
@@ -265,10 +271,15 @@ def validate_spec(spec: SweepSpec) -> list[str]:
     return v
 
 
-def _grid_count(rng: dict) -> int | None:
-    """Candidate points of a {start, stop, step} range; None when the count overflows."""
+def _grid_count(rng: dict) -> int:
+    """Candidate points of a {start, stop, step} range; ValueError past the cap or on overflow."""
     steps = (rng["stop"] - rng["start"]) / rng["step"]
-    return int(round(steps)) + 1 if math.isfinite(steps) else None
+    if not math.isfinite(steps):
+        raise ValueError(f"d0 range {rng!r} holds too many points to count")
+    count = int(round(steps)) + 1
+    if count > _MAX_DISTANCE_POINTS:
+        raise ValueError(f"d0 range {rng!r} holds {count} points, above {_MAX_DISTANCE_POINTS}")
+    return count
 
 
 def distance_grid(spec: SweepSpec) -> tuple[float, ...]:
@@ -282,13 +293,13 @@ def distance_grid(spec: SweepSpec) -> tuple[float, ...]:
     return tuple(points)
 
 
-_ASSEMBLERS = {
-    "OCM": lambda tx, rx, link, k0: assemble_ocm(tx, rx, link, k0),
-    "PSCM": lambda tx, rx, link, k0: assemble_pscm(tx, rx, link, k0, "1234"),
-    "PSCM123": lambda tx, rx, link, k0: assemble_pscm(tx, rx, link, k0, "123"),
-    "PSCM12": lambda tx, rx, link, k0: assemble_pscm(tx, rx, link, k0, "12"),
-    "FSCM": lambda tx, rx, link, k0: assemble_fscm(tx, rx, link, k0),
-}
+def _assemble(name, tx, rx, link, k0):
+    """One variant, through the module-level assembler names (looked up per call)."""
+    if name == "OCM":
+        return assemble_ocm(tx, rx, link, k0)
+    if name == "FSCM":
+        return assemble_fscm(tx, rx, link, k0)
+    return assemble_pscm(tx, rx, link, k0, PSCM_CODES[name])
 
 
 def _point_scale(spec: SweepSpec):
@@ -321,13 +332,13 @@ def _evaluate_point(spec: SweepSpec, tx_grid, d0_lambda: float, x_value, dump_k:
     # At most two dense variants are alive at once: the OCM reference,
     # which every NMSE needs, and the variant being scored and decomposed.
     order = sorted(spec.variants)
-    ref = _ASSEMBLERS["OCM"](tx, rx, link, k0) if "OCM" in order else None
+    ref = _assemble("OCM", tx, rx, link, k0) if "OCM" in order else None
     nmse_map = {}
     cap_map = {}
     sv_map = {}
     scale = float(np.sqrt(cfg.a_r * cfg.a_t))
     for name in order:
-        mat = ref if name == "OCM" else _ASSEMBLERS[name](tx, rx, link, k0)
+        mat = ref if name == "OCM" else _assemble(name, tx, rx, link, k0)
         if ref is not None and name != "OCM":
             nmse_map[name] = nmse(mat, ref)
         eigs = eigenchannel_decompose(mat, cfg, policy, patterns=False)

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from hmimo import (
+    PSCM_CODES,
     SPEED_OF_LIGHT,
     LinkGeometry,
     PhysicalConfig,
@@ -49,8 +50,6 @@ GRID = tuple(0.25 * i for i in range(1, 18))
 # from the first verified run of this battery
 RECORDED_AGREEMENT_WORST = 4.231719755803e-2
 
-_PSCM_VARIANTS = {"PSCM": "1234", "PSCM123": "123", "PSCM12": "12"}
-
 
 def _verdict(label: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {label}: {detail}")
@@ -67,7 +66,7 @@ def _assemble(tag, tx, rx, d0_lambda):
         return assemble_ocm(tx, rx, link, K0)
     if tag == "FSCM":
         return assemble_fscm(tx, rx, link, K0)
-    return assemble_pscm(tx, rx, link, K0, _PSCM_VARIANTS[tag])
+    return assemble_pscm(tx, rx, link, K0, PSCM_CODES[tag])
 
 
 @pytest.fixture(scope="session")
@@ -205,7 +204,7 @@ def test_assembler_pairwise_agreement():
                     elif tag == "FSCM":
                         ref = fscm_pref * theta_r[m] * np.conj(theta_t[n]) * projector
                     else:
-                        ref = pscm_pair(p, q, link.kappa, d0, 2 * np.pi, _PSCM_VARIANTS[tag])
+                        ref = pscm_pair(p, q, link.kappa, d0, 2 * np.pi, PSCM_CODES[tag])
                     dev = float(np.max(np.abs(mat.block(m, n) - ref)) / scale)
                     worst = max(worst, dev)
     ok = worst <= 1e-12
@@ -220,7 +219,7 @@ def _assemble_unit(tag, tx, rx, link):
         return assemble_ocm(tx, rx, link, 2 * np.pi)
     if tag == "FSCM":
         return assemble_fscm(tx, rx, link, 2 * np.pi)
-    return assemble_pscm(tx, rx, link, 2 * np.pi, _PSCM_VARIANTS[tag])
+    return assemble_pscm(tx, rx, link, 2 * np.pi, PSCM_CODES[tag])
 
 
 def test_truncation_error_ordering(truncation_norms):

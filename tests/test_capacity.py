@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hmimo import (
     FREE_SPACE_IMPEDANCE,
+    PSCM_CODES,
     SPEED_OF_LIGHT,
     BlockChannelMatrix,
     EigenchannelSet,
@@ -237,8 +238,10 @@ def test_spectrum_only_decomposition_rejects_a_non_finite_mirrored_matrix():
     for value in (np.nan, np.inf):
         matrix = G.matrix.copy()
         matrix[4, 7] = value
+        bad = replace(G, matrix=matrix).with_structure(mirror=G.mirror)
+        assert bad.mirror is not None
         with pytest.raises(NumericalError, match="NaN or inf"):
-            eigenchannel_decompose(replace(G, matrix=matrix), cfg, patterns=False)
+            eigenchannel_decompose(bad, cfg, patterns=False)
 
 
 @pytest.mark.parametrize("rx_shape,tx_shape", [((2, 1), (1, 2)), ((4, 1), (2, 2)),
@@ -264,7 +267,41 @@ def test_mirror_must_match_the_element_counts():
     assert G.mirror == ((1, 2), (2, 3))
     for bad in (((2, 2), (2, 3)), ((1, 2), (3, 3)), ((1, 1), (2, 3))):
         with pytest.raises(ValueError, match="mirror"):
-            replace(G, mirror=bad)
+            G.with_structure(mirror=bad)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+def test_a_rebuilt_matrix_carries_no_structure_claim(theta):
+    tx = build_planar_surface(3, 3, 0.05)
+    rx = build_planar_surface(2, 2, 0.05)
+    link = LinkGeometry.from_angles(0.8, theta=theta)
+    mats = [assemble_ocm(tx, rx, link, 2 * np.pi), assemble_fscm(tx, rx, link, 2 * np.pi),
+            *(assemble_pscm(tx, rx, link, 2 * np.pi, code) for code in PSCM_CODES.values())]
+    assert all(G.lattice is not None for G in mats) and mats[1].factors is not None
+    assert (mats[0].mirror is not None) == (theta == 0.0)
+    for G in mats:
+        for rebuilt in (replace(G, matrix=2.0 * G.matrix),
+                        BlockChannelMatrix(G.matrix, G.m_count, G.n_count, G.variant)):
+            assert rebuilt.factors is None and rebuilt.mirror is None and rebuilt.lattice is None
+
+
+@pytest.mark.parametrize("variant", ["OCM", "PSCM"])
+def test_spectrum_of_a_rebuilt_matrix_reads_its_new_entries(variant):
+    # block (0, 0) of a mirrored OCM or a factored PSCM scaled by 10: the
+    # spectrum-only route must see the new entries, not the old structure
+    cfg = _cfg()
+    tx = build_planar_surface(3, 3, 0.05 * cfg.wavelength)
+    rx = build_planar_surface(2, 2, 0.05 * cfg.wavelength)
+    link = LinkGeometry.from_angles(0.1)
+    assemble = assemble_ocm if variant == "OCM" else assemble_pscm
+    G = assemble(tx, rx, link, cfg.k0)
+    assert G.mirror is not None if variant == "OCM" else G.factors is not None
+    matrix = G.matrix.copy()
+    matrix[:3, :3] *= 10.0
+    fast = eigenchannel_decompose(replace(G, matrix=matrix), cfg, PPolicy.fixed(1), patterns=False)
+    want = np.sqrt(cfg.a_r * cfg.a_t) * np.linalg.svd(matrix, compute_uv=False)
+    assert fast.gains.shape == want.shape
+    assert np.max(np.abs(fast.gains - want)) <= 1e-12 * want[0]
 
 
 def test_tilted_and_rotated_links_carry_no_mirror():
@@ -282,7 +319,7 @@ def test_factors_must_match_the_block_shape():
     assert left.shape == (3, 3) and right.shape == (6, 3)
     for bad in ((right, right), (left, left), (left, right[:, :2]), (left[:, 0], right[:, 0])):
         with pytest.raises(ValueError, match="factors"):
-            BlockChannelMatrix(G.matrix, 1, 2, "FSCM", factors=bad)
+            BlockChannelMatrix(G.matrix, 1, 2, "FSCM").with_structure(factors=bad)
 
 
 def test_channel_scale_rescales_the_left_factor_only():
@@ -302,7 +339,7 @@ def test_full_decomposition_ignores_the_factors():
     cfg = _cfg()
     tx = build_planar_surface(2, 2, 0.05)
     G = assemble_fscm(tx, tx, LinkGeometry.from_angles(1.0), cfg.k0)
-    wrong = replace(G, factors=(2.0 * G.factors[0], G.factors[1]))
+    wrong = G.with_structure(factors=(2.0 * G.factors[0], G.factors[1]))
     dense = eigenchannel_decompose(G, cfg, PPolicy.fixed(2))
     kept = eigenchannel_decompose(wrong, cfg, PPolicy.fixed(2))
     np.testing.assert_array_equal(kept.gains, dense.gains)
@@ -321,7 +358,8 @@ def test_spectrum_only_decomposition_rejects_non_finite_factors():
             factors = [f.copy() for f in G.factors]
             factors[side][0, 0] = value
             with pytest.raises(NumericalError, match="factors"):
-                eigenchannel_decompose(replace(G, factors=tuple(factors)), cfg, patterns=False)
+                eigenchannel_decompose(G.with_structure(factors=tuple(factors)), cfg,
+                                       patterns=False)
 
 
 def _rotation(a, b, c):

@@ -191,6 +191,16 @@ def test_bad_config_values_fail_before_any_work(monkeypatch, tmp_path, capsys, c
     assert "invalid sweep config" in capsys.readouterr().err
 
 
+def test_huge_distance_count_fails_before_the_grid_is_built(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr("hmimo.cli.run_distance_sweep", _must_not_run)
+    monkeypatch.setattr("hmimo.sweep.distance_grid", _must_not_run)
+    path = tmp_path / "huge.json"
+    config = dict(_TINY_DISTANCE, d0_range_lambda={"start": 0.25, "stop": 1e15, "step": 1})
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["sweep-distance", "--config", str(path)]) == EXIT_CONFIG
+    assert "1000000000000001 points" in capsys.readouterr().err
+
+
 def test_missing_output_directory_fails_before_any_point(monkeypatch, tmp_path):
     monkeypatch.setattr("hmimo.cli.run_distance_sweep", _must_not_run)
     out = tmp_path / "missing" / "rows.csv"
@@ -271,7 +281,7 @@ def test_non_finite_channel_is_a_numerical_failure(monkeypatch, point_config, ca
         matrix[0, 0] = value
         return BlockChannelMatrix(matrix, rx.count, tx.count, "OCM")
 
-    monkeypatch.setitem(sweep_module._ASSEMBLERS, "OCM", poisoned)
+    monkeypatch.setattr(sweep_module, "assemble_ocm", poisoned)
     assert main(["point", "--config", point_config, "--variants", "OCM"]) == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
 
@@ -280,10 +290,10 @@ def test_non_finite_mirrored_channel_is_a_numerical_failure(monkeypatch, point_c
     def poisoned(tx, rx, link, k0):
         matrix = np.ones((3 * rx.count, 3 * tx.count), dtype=complex)
         matrix[5, 2] = np.nan
-        return BlockChannelMatrix(matrix, rx.count, tx.count, "OCM",
-                                  mirror=((rx.n_v, rx.n_h), (tx.n_v, tx.n_h)))
+        return BlockChannelMatrix(matrix, rx.count, tx.count, "OCM").with_structure(
+            mirror=((rx.n_v, rx.n_h), (tx.n_v, tx.n_h)))
 
-    monkeypatch.setitem(sweep_module._ASSEMBLERS, "OCM", poisoned)
+    monkeypatch.setattr(sweep_module, "assemble_ocm", poisoned)
     assert main(["point", "--config", point_config, "--variants", "OCM"]) == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
 

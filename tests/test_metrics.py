@@ -182,7 +182,7 @@ def test_lattice_nmse_weights_every_offset_by_its_pair_count():
         bumped[same] *= 1.5
         matrix = bumped.transpose(0, 2, 1, 3).reshape(ref.matrix.shape)
         want = 0.25 * np.sum(np.abs(blocks[same]) ** 2) / np.sum(np.abs(blocks) ** 2)
-        bumped = replace(ref, matrix=matrix).with_lattice(ref.lattice)
+        bumped = replace(ref, matrix=matrix).with_structure(lattice=ref.lattice)
         assert nmse(bumped, ref) == pytest.approx(want, rel=1e-13)
 
 
@@ -213,4 +213,4 @@ def test_scaling_a_channel_keeps_its_lattice():
 def test_lattice_grids_must_hold_the_element_counts():
     _, ref = _pair()
     with pytest.raises(ValueError, match="lattice grids"):
-        ref.with_lattice(((2, 2), (2, 2)))
+        ref.with_structure(lattice=((2, 2), (2, 2)))

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from hmimo import (
+    MODEL_VARIANTS,
+    PSCM_CODES,
     ConfigError,
     LinkGeometry,
     PhysicalConfig,
@@ -29,6 +31,7 @@ from hmimo import (
     spec_to_json_dict,
     validate_spec,
 )
+from hmimo import sweep as sweep_module
 
 DESK = dict(tx_grid=(9, 9), rx_grid=(5, 5), spacing_lambda=0.05)
 
@@ -228,6 +231,39 @@ def test_single_point_can_dump_singular_values():
     G = assemble_ocm(tx, rx, LinkGeometry.from_angles(1.0 * lam), 2 * np.pi / lam)
     top = np.linalg.svd(G.matrix, compute_uv=False)[0]
     assert svs[0] == pytest.approx(top, rel=1e-12)
+
+
+def test_each_variant_is_assembled_once_through_the_module_names(monkeypatch):
+    # stand-ins for the module-level names, as a tracer would install them
+    calls = []
+
+    def counting(name):
+        real = getattr(sweep_module, name)
+
+        def stand_in(tx, rx, link, k0, *code):
+            calls.append((name, *code))
+            return real(tx, rx, link, k0, *code)
+        return stand_in
+
+    for name in ("assemble_ocm", "assemble_pscm", "assemble_fscm"):
+        monkeypatch.setattr(sweep_module, name, counting(name))
+    spec = SweepSpec(experiment="single-point", tx_grid=(3, 3), rx_grid=(2, 2),
+                     spacing_lambda=0.05, d0_range_lambda=(1.0,))
+    row = run_single_point(spec)
+    want = [("assemble_ocm",), ("assemble_fscm",),
+            *(("assemble_pscm", code) for code in PSCM_CODES.values())]
+    assert sorted(calls) == sorted(want)
+    assert sorted(row.capacity) == sorted(MODEL_VARIANTS)
+
+
+def test_distance_count_is_capped_at_a_million_points():
+    at_cap = SweepSpec(experiment="distance",
+                       d0_range_lambda={"start": 1.0, "stop": 1e6, "step": 1.0})
+    assert validate_spec(at_cap) == []
+    over = SweepSpec(experiment="distance",
+                     d0_range_lambda={"start": 1.0, "stop": 1e6 + 1.0, "step": 1.0})
+    (violation,) = validate_spec(over)
+    assert "1000001 points" in violation
 
 
 def test_ocm_only_run_emits_no_nmse_columns():
