@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalError
-from .green import BlockChannelMatrix
+from .green import BlockChannelMatrix, _offset_blocks
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -137,8 +137,8 @@ class EigenchannelSet:
 def channel_from_green(green: BlockChannelMatrix, cfg: PhysicalConfig) -> BlockChannelMatrix:
     """Apply the physical scale eta/(2 lambda) * a_r * a_t to a Green-level matrix.
 
-    The scaled matrix carries the input's structure claims: ``mirror`` and
-    ``lattice`` unchanged, and ``factors`` with the scale in ``L`` only
+    The scaled matrix carries the input's structure claims: ``lattice``
+    and ``mirror`` unchanged, and ``factors`` with the scale in ``L`` only
     (``R`` is the same array).
     """
     if green.scale_applied:
@@ -146,7 +146,7 @@ def channel_from_green(green: BlockChannelMatrix, cfg: PhysicalConfig) -> BlockC
     scale = cfg.eta / (2.0 * cfg.wavelength) * cfg.a_r * cfg.a_t
     factors = None if green.factors is None else (scale * green.factors[0], green.factors[1])
     scaled = replace(green, matrix=scale * green.matrix, scale_applied=True)
-    return scaled.with_structure(factors, green.mirror, green.lattice)
+    return scaled.with_structure(factors, green.lattice, green.mirror)
 
 
 def select_p(singular_values: np.ndarray, policy: PPolicy) -> int:
@@ -171,70 +171,69 @@ def select_p(singular_values: np.ndarray, policy: PPolicy) -> int:
 # Sign of each polarization component under the x mirror, S = diag(-1, 1, 1),
 # and under the y mirror, S = diag(1, -1, 1).
 _MIRROR_SIGNS = ((-1, 1, 1), (1, -1, 1))
-_SQRT_HALF = np.sqrt(0.5)
 
 
-def _mirror_sectors(matrix: np.ndarray, mirror):
-    """The four parity sectors of a mirror-symmetric matrix, one at a time.
+def _parity_kernels(rx_n: int, tx_n: int) -> dict:
+    """Offset kernels of one grid axis in the even/odd bases, keyed by (RX, TX) parity.
 
-    A butterfly along each of the four grid axes (:func:`_butterfly`) is
-    an orthonormal change of basis on each side, so it keeps the
+    ``K[:, :, a] = B_r E_a B_t'`` with ``E_a`` the 0/1 matrix of grid
+    offset a (in :func:`~hmimo.green._offset_blocks` order) and ``B`` the
+    orthonormal butterfly of each side: rows (e_k + e_{n-1-k}) / sqrt(2),
+    then the centre e_k of an odd n (the even rows), then
+    (e_k - e_{n-1-k}) / sqrt(2) (the odd rows).  Returns
+    ``{(p_r, p_t): K[rows of parity p_r, columns of parity p_t]}``.
+    """
+    def butterfly(n):
+        eye, half = np.eye(n), n // 2
+        basis = np.sqrt(0.5) * np.vstack([(eye + eye[::-1])[: n - half], (eye - eye[::-1])[:half]])
+        if n % 2:
+            basis[half, half] = 1.0
+        return basis, {1: slice(0, n - half), -1: slice(n - half, n)}
+
+    (b_r, rows), (b_t, cols) = butterfly(rx_n), butterfly(tx_n)
+    i_r, i_t = np.indices((rx_n, tx_n))
+    offset = np.zeros((rx_n, tx_n, rx_n + tx_n - 1))
+    offset[i_r, i_t, i_r - i_t + tx_n - 1] = 1.0
+    kernel = np.einsum("tk,rka->rta", b_t, np.einsum("ri,ika->rka", b_r, offset))
+    return {(p_r, p_t): kernel[rows[p_r], cols[p_t]] for p_r in rows for p_t in cols}
+
+
+def _lattice_sectors(matrix: np.ndarray, lattice):
+    """The four parity sectors of a mirrored lattice matrix, one at a time.
+
+    The butterflies of :func:`_parity_kernels` along the four grid axes
+    are an orthonormal change of basis on each side, so they keep the
     spectrum.  Afterwards every row and column has an x and a y parity:
     the spatial parity of its element times the polarization's sign in
-    ``_MIRROR_SIGNS``.  The mirror symmetry makes every entry between
-    rows and columns of different parities exactly zero, so the spectrum
-    is the union of the (x, y) parity sectors' spectra.  Empty sectors
-    are skipped.
+    ``_MIRROR_SIGNS``, and the mirror symmetry leaves only the blocks
+    between rows and columns of equal parities, so the spectrum is the
+    union of the (x, y) parity sectors' spectra.  Polarization pair
+    (c, d) of a sector is ``K_v T_cd K_h'`` with ``T_cd`` the (A_v, A_h)
+    offset table of that pair, read from one block per grid-index
+    offset.  Empty sectors are skipped.
     """
-    (rx_v, rx_h), (tx_v, tx_h) = mirror
-    src = matrix.reshape(rx_v, rx_h, 3, tx_v, tx_h, 3)
-    folded = np.empty_like(src)
-    for axis in (4, 3, 1, 0):
-        _butterfly(src, folded, axis)
-        src = folded
-    folded = folded.reshape(matrix.shape)
+    (rx_v, rx_h), (tx_v, tx_h) = lattice
+    shape, index, _ = _offset_blocks(lattice)
+    table = matrix.reshape(shape)[index]
+    k_v, k_h = _parity_kernels(rx_v, tx_v), _parity_kernels(rx_h, tx_h)
     for ex in (1, -1):
         for ey in (1, -1):
-            rows = _sector_indices(rx_v, rx_h, ex, ey)
-            cols = _sector_indices(tx_v, tx_h, ex, ey)
-            if rows.size and cols.size:
-                yield folded[np.ix_(rows, cols)]
+            # (v parity, h parity) of each polarization's rows and columns
+            parity = [(ey * _MIRROR_SIGNS[1][c], ex * _MIRROR_SIGNS[0][c]) for c in range(3)]
+            pieces = [[_sector_piece(k_v[pv, qv], table[:, :, c, d], k_h[ph, qh])
+                       for d, (qv, qh) in enumerate(parity)]
+                      for c, (pv, ph) in enumerate(parity)]
+            sector = np.block(pieces)
+            if sector.size:
+                yield sector
 
 
-def _butterfly(src: np.ndarray, dst: np.ndarray, axis: int) -> None:
-    """Split one grid axis into even and odd parts, writing into ``dst``.
-
-    Index k and its mirror n-1-k become (a + b)/sqrt(2) at k and
-    (a - b)/sqrt(2) at n-1-k; a centre index is kept as is.  ``dst`` may
-    be ``src``; the even parts then pass through a half-size temporary.
-    """
-    n = src.shape[axis]
-    half = n // 2
-    lead = (slice(None),) * axis
-    low, high = lead + (slice(0, half),), lead + (slice(n - 1, n - 1 - half, -1),)
-    a, b = src[low], src[high]
-    even = a + b
-    np.subtract(a, b, out=dst[high])
-    dst[high] *= _SQRT_HALF
-    np.multiply(even, _SQRT_HALF, out=dst[low])
-    if n % 2 and dst is not src:
-        dst[lead + (half,)] = src[lead + (half,)]
-
-
-def _sector_indices(n_v: int, n_h: int, ex: int, ey: int) -> np.ndarray:
-    """Flat (element, polarization) indices of the folded grid in sector (ex, ey)."""
-    parts = []
-    for c in range(3):
-        ys = _parity_indices(n_v, ey * _MIRROR_SIGNS[1][c])
-        xs = _parity_indices(n_h, ex * _MIRROR_SIGNS[0][c])
-        parts.append(((ys[:, None] * n_h + xs) * 3 + c).ravel())
-    return np.concatenate(parts)
-
-
-def _parity_indices(n: int, parity: int) -> np.ndarray:
-    """Positions of the even (+1) or odd (-1) parts along an axis of length n."""
-    split = n - n // 2
-    return np.arange(split) if parity > 0 else np.arange(split, n)
+def _sector_piece(k_v: np.ndarray, table: np.ndarray, k_h: np.ndarray) -> np.ndarray:
+    """``sum_ab k_v[i, k, a] table[a, b] k_h[j, l, b]`` as an (i j) x (k l) matrix."""
+    (nr_v, nt_v, a_v), (nr_h, nt_h, a_h) = k_v.shape, k_h.shape
+    half = k_v.reshape(nr_v * nt_v, a_v) @ table
+    piece = (half @ k_h.reshape(nr_h * nt_h, a_h).T).reshape(nr_v, nt_v, nr_h, nt_h)
+    return piece.transpose(0, 2, 1, 3).reshape(nr_v * nr_h, nt_v * nt_h)
 
 
 # A block at least this many times as long in one dimension as in the other
@@ -274,12 +273,12 @@ def eigenchannel_decompose(
             Without them only the spectrum is computed, in one values-only
             step: each route supplies its blocks (the r x r core
             R_L R_R' of the economy QRs L = Q_L R_L, R = Q_R R_R when the
-            matrix carries thin factors, the four parity sectors when it
-            carries ``mirror``, otherwise the matrix itself); a block at
-            least 1.5 times as long one way as the other is reduced to
-            the QR triangle of its tall orientation first, and the
-            blocks' singular values are sorted once and padded with zeros
-            to min(3M, 3N).
+            matrix carries thin factors, the four parity sectors gathered
+            from its offset table when it carries ``mirror``, otherwise
+            the matrix itself); a block at least 1.5 times as long one
+            way as the other is reduced to the QR triangle of its tall
+            orientation first, and the blocks' singular values are
+            sorted once and padded with zeros to min(3M, 3N).
 
     Returns:
         EigenchannelSet with the full gain spectrum and, when ``patterns``
@@ -307,8 +306,8 @@ def eigenchannel_decompose(
             raise NumericalError("channel matrix holds NaN or inf entries")
         if patterns:
             u, s, vh = np.linalg.svd(green.matrix, full_matrices=False)
-        elif green.mirror is not None:
-            blocks = _mirror_sectors(green.matrix, green.mirror)
+        elif green.mirror:
+            blocks = _lattice_sectors(green.matrix, green.lattice)
         else:
             blocks = [green.matrix]
     if not patterns:

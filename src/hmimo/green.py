@@ -18,7 +18,6 @@ from .geometry import (
     LinkGeometry,
     SurfaceLayout,
     build_planar_surface,
-    global_rx_positions,
     pairwise_offsets,
 )
 
@@ -45,7 +44,7 @@ SIGN_TRANSVERSE = "transverse-projector"
 _EYE3 = np.eye(3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockChannelMatrix:
     """Dense complex channel matrix made of 3x3 polarization blocks.
 
@@ -58,26 +57,28 @@ class BlockChannelMatrix:
     trust them.  None is a constructor argument: they are attached only
     through :meth:`with_structure`, so neither ``BlockChannelMatrix(...)``
     nor ``dataclasses.replace`` ever carries one, and a matrix rebuilt
-    with new entries is read entry by entry.
+    with new entries is read entry by entry.  Equality is identity, since
+    the numpy fields have no single truth value.
 
     ``factors`` is a pair ``(L, R)`` of thin factors with
     ``matrix == L @ R.conj().T``: ``L`` is 3M x r and ``R`` is 3N x r.
     Assemblers attach it only where the matrix is exactly separable into
     TX and RX terms, so its spectrum follows from the two factors alone.
 
-    ``mirror`` is ``((rx_n_v, rx_n_h), (tx_n_v, tx_n_h))``, the grid
-    shapes of the j-major element order.  Reversing the i index of both
-    grids maps block (m, n) to ``S G(m, n) S`` with ``S = diag(-1, 1, 1)``,
-    and reversing the j index does the same with ``S = diag(1, -1, 1)``,
-    exactly, so the spectrum splits into four parity sectors.
-
-    ``lattice`` has the same form as ``mirror`` and records that both
-    grids are uniform with one spacing and parallel, so block (m, n)
-    depends only on the grid-index offset (v_r - v_t, h_r - h_t) of RX
-    element (v_r, h_r) and TX element (v_t, h_t): exactly in exact
-    arithmetic, within rounding in floating point.  The matrix then holds
+    ``lattice`` is ``((rx_n_v, rx_n_h), (tx_n_v, tx_n_h))``, the grid
+    shapes of the j-major element order, and records that both grids are
+    uniform with one spacing and parallel, so block (m, n) depends only
+    on the grid-index offset (v_r - v_t, h_r - h_t) of RX element
+    (v_r, h_r) and TX element (v_t, h_t): exactly in exact arithmetic,
+    within rounding in floating point.  The matrix then holds
     (rx_n_v + tx_n_v - 1)(rx_n_h + tx_n_h - 1) distinct blocks, and
     :func:`~hmimo.metrics.nmse` reads only one of each.
+
+    ``mirror`` is a flag on the lattice: the link is at boresight, so
+    reversing the i index of both grids maps block (m, n) to
+    ``S G(m, n) S`` with ``S = diag(-1, 1, 1)``, and reversing the j
+    index does the same with ``S = diag(1, -1, 1)``.  The spectrum then
+    splits into four parity sectors, read from the offset table.
     """
 
     matrix: np.ndarray
@@ -86,8 +87,8 @@ class BlockChannelMatrix:
     variant: str
     scale_applied: bool = False
     factors: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False)
-    mirror: tuple[tuple[int, int], tuple[int, int]] | None = field(default=None, init=False)
     lattice: tuple[tuple[int, int], tuple[int, int]] | None = field(default=None, init=False)
+    mirror: bool = field(default=False, init=False)
 
     def __post_init__(self):
         if self.variant not in MODEL_VARIANTS:
@@ -96,12 +97,12 @@ class BlockChannelMatrix:
         if self.matrix.shape != expected:
             raise ValueError(f"matrix shape {self.matrix.shape} does not match blocks {expected}")
 
-    def with_structure(self, factors=None, mirror=None, lattice=None) -> BlockChannelMatrix:
+    def with_structure(self, factors=None, lattice=None, mirror=False) -> BlockChannelMatrix:
         """A copy sharing the matrix array that carries exactly the claims given.
 
         Each claim is checked against the block shape: ``factors`` must be
-        3M x r and 3N x r with one common r, and the ``mirror`` and
-        ``lattice`` grids must hold the M RX and N TX elements.
+        3M x r and 3N x r with one common r, the ``lattice`` grids must
+        hold the M RX and N TX elements, and ``mirror`` needs a lattice.
         """
         rows, cols = self.matrix.shape
         if factors is not None:
@@ -112,12 +113,13 @@ class BlockChannelMatrix:
                     f"factors of shapes {left} and {right} do not match "
                     f"{rows} x r and {cols} x r"
                 )
-        for name, grids in (("mirror", mirror), ("lattice", lattice)):
-            if grids is not None and [v * h for v, h in grids] != [self.m_count, self.n_count]:
-                raise ValueError(f"{name} grids {grids} do not hold {self.m_count} RX "
-                                 f"and {self.n_count} TX elements")
+        if lattice is not None and [v * h for v, h in lattice] != [self.m_count, self.n_count]:
+            raise ValueError(f"lattice grids {lattice} do not hold {self.m_count} RX "
+                             f"and {self.n_count} TX elements")
+        if mirror and lattice is None:
+            raise ValueError("a mirror claim needs a lattice")
         tagged = replace(self)
-        for name, claim in (("factors", factors), ("mirror", mirror), ("lattice", lattice)):
+        for name, claim in (("factors", factors), ("lattice", lattice), ("mirror", mirror)):
             object.__setattr__(tagged, name, claim)
         return tagged
 
@@ -188,10 +190,11 @@ def assemble_ocm(
     """Exact coupled reference channel: one dyad per element pair.
 
     Equivalent to evaluating :func:`green_dyadic` at every pair
-    displacement, but vectorized over the whole grid.  At boresight
-    (kappa along z) with both grids mirror-symmetric in x and y the
-    result carries ``mirror``; with parallel uniform grids of one spacing
-    it carries ``lattice``.
+    displacement, but vectorized over the whole grid.  With parallel
+    uniform grids of one spacing the result carries ``lattice``, and at
+    boresight (kappa along z) also ``mirror``: the grid positions
+    :func:`~hmimo.geometry.build_planar_surface` gives are exact
+    negatives under index reversal.
     """
     if k0 <= 0:
         raise ValueError(f"wavenumber must be positive, got {k0}")
@@ -200,13 +203,10 @@ def assemble_ocm(
     if np.any(dist == 0.0):
         m, n = np.argwhere(dist == 0.0)[0]
         raise CoincidentPointsError(f"RX element {m} coincides with TX element {n}")
-    mirror = None
-    if (not link.kappa[:2].any() and _is_mirrored(tx, tx.positions)
-            and _is_mirrored(rx, global_rx_positions(link, rx))):
-        mirror = ((rx.n_v, rx.n_h), (tx.n_v, tx.n_h))
+    lattice = _grid_lattice(tx, rx, link)
     matrix = _dyad_dense(dvec, dist, link, k0)
     return BlockChannelMatrix(matrix, rx.count, tx.count, "OCM").with_structure(
-        mirror=mirror, lattice=_grid_lattice(tx, rx, link))
+        lattice=lattice, mirror=lattice is not None and not link.kappa[:2].any())
 
 
 def _weights(kd):
@@ -257,18 +257,6 @@ def _dyad_dense(
     return dense.reshape(3 * m_count, 3 * n_count)
 
 
-def _is_mirrored(layout: SurfaceLayout, positions: np.ndarray) -> bool:
-    """Whether reversing the grid's i (j) index maps x to -x (y to -y) exactly.
-
-    ``positions`` are the layout's element positions in the global frame,
-    one row per element in the layout's j-major order.
-    """
-    grid = positions.reshape(layout.n_v, layout.n_h, 3)
-    flip_x = grid[:, ::-1] * (-1.0, 1.0, 1.0)
-    flip_y = grid[::-1] * (1.0, -1.0, 1.0)
-    return bool(np.array_equal(flip_x, grid) and np.array_equal(flip_y, grid))
-
-
 def _grid_lattice(tx: SurfaceLayout, rx: SurfaceLayout, link: LinkGeometry):
     """``((rx_n_v, rx_n_h), (tx_n_v, tx_n_h))`` when blocks depend only on the index offset.
 
@@ -285,3 +273,24 @@ def _grid_lattice(tx: SurfaceLayout, rx: SurfaceLayout, link: LinkGeometry):
         if not np.array_equal(layout.positions, uniform):
             return None
     return ((rx.n_v, rx.n_h), (tx.n_v, tx.n_h))
+
+
+def _offsets(rx_n: int, tx_n: int):
+    """Per offset a = i_r - i_t along one axis: a representative (i_r, i_t) and its pair count."""
+    a = np.arange(1 - tx_n, rx_n)
+    i_t = np.maximum(0, -a)
+    return i_t + a, i_t, np.minimum(tx_n, rx_n - a) - i_t
+
+
+def _offset_blocks(lattice):
+    """Where to read one block per grid-index offset, and how many pairs share it.
+
+    Returns the (rx_n_v, rx_n_h, 3, tx_n_v, tx_n_h, 3) view shape of the
+    matrix, an index into that view giving an (A_v, A_h, 3, 3) array of
+    representative blocks, and the (A_v, A_h, 1, 1) pair counts.
+    """
+    (rx_v, rx_h), (tx_v, tx_h) = lattice
+    vr, vt, w_v = _offsets(rx_v, tx_v)
+    hr, ht, w_h = _offsets(rx_h, tx_h)
+    index = (vr[:, None], hr, slice(None), vt[:, None], ht, slice(None))
+    return (rx_v, rx_h, 3, tx_v, tx_h, 3), index, (w_v[:, None] * w_h)[:, :, None, None]

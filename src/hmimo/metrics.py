@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .green import BlockChannelMatrix
+from .green import BlockChannelMatrix, _offset_blocks
 
 __all__ = ["nmse"]
 
@@ -59,23 +59,3 @@ def nmse(candidate: BlockChannelMatrix, reference: BlockChannelMatrix) -> float:
         raise ValueError("degenerate reference: zero matrix")
     return float(num / den)
 
-
-def _offsets(rx_n: int, tx_n: int):
-    """Per offset a = i_r - i_t along one axis: a representative (i_r, i_t) and its pair count."""
-    a = np.arange(1 - tx_n, rx_n)
-    i_t = np.maximum(0, -a)
-    return i_t + a, i_t, np.minimum(tx_n, rx_n - a) - i_t
-
-
-def _offset_blocks(lattice):
-    """Where to read one block per grid-index offset, and how many pairs share it.
-
-    Returns the (rx_n_v, rx_n_h, 3, tx_n_v, tx_n_h, 3) view shape of the
-    matrix, an index into that view giving an (A_v, A_h, 3, 3) array of
-    representative blocks, and the (A_v, A_h, 1, 1) pair counts.
-    """
-    (rx_v, rx_h), (tx_v, tx_h) = lattice
-    vr, vt, w_v = _offsets(rx_v, tx_v)
-    hr, ht, w_h = _offsets(rx_h, tx_h)
-    index = (vr[:, None], hr, slice(None), vt[:, None], ht, slice(None))
-    return (rx_v, rx_h, 3, tx_v, tx_h, 3), index, (w_v[:, None] * w_h)[:, :, None, None]

@@ -28,7 +28,7 @@ from hmimo import (
     global_rx_positions,
     select_p,
 )
-from hmimo.capacity import _QR_FIRST_RATIO, _mirror_sectors
+from hmimo.capacity import _QR_FIRST_RATIO, _lattice_sectors
 
 
 def _cfg(**kw):
@@ -70,7 +70,7 @@ def test_channel_scale_applies_only_once():
     tx = build_planar_surface(1, 1, 0.01)
     G = assemble_ocm(tx, tx, LinkGeometry.from_angles(1.0), cfg.k0)
     scaled = channel_from_green(G, cfg)
-    assert scaled.mirror == G.mirror == ((1, 1), (1, 1))
+    assert (scaled.lattice, scaled.mirror) == (G.lattice, G.mirror) == (((1, 1), (1, 1)), True)
     with pytest.raises(ValueError):
         channel_from_green(scaled, cfg)
 
@@ -221,7 +221,7 @@ def test_threshold_one_counts_the_same_on_every_route(tx_side, d0_lambda):
     link = LinkGeometry.from_angles(d0_lambda * cfg.wavelength)
     mats = [assemble_ocm(tx, rx, link, cfg.k0), assemble_fscm(tx, rx, link, cfg.k0)]
     mats += [assemble_pscm(tx, rx, link, cfg.k0, v) for v in ("1234", "123", "12")]
-    assert mats[0].mirror is not None
+    assert mats[0].mirror
     assert all(G.factors is not None for G in mats[1:])
     policy = PPolicy.threshold(1.0)
     for G in mats:
@@ -234,12 +234,12 @@ def test_spectrum_only_decomposition_rejects_a_non_finite_mirrored_matrix():
     cfg = _cfg()
     tx = build_planar_surface(3, 2, 0.05)
     G = assemble_ocm(tx, build_planar_surface(2, 2, 0.05), LinkGeometry.from_angles(1.0), cfg.k0)
-    assert G.mirror is not None
+    assert G.mirror
     for value in (np.nan, np.inf):
         matrix = G.matrix.copy()
         matrix[4, 7] = value
-        bad = replace(G, matrix=matrix).with_structure(mirror=G.mirror)
-        assert bad.mirror is not None
+        bad = replace(G, matrix=matrix).with_structure(lattice=G.lattice, mirror=True)
+        assert bad.mirror
         with pytest.raises(NumericalError, match="NaN or inf"):
             eigenchannel_decompose(bad, cfg, patterns=False)
 
@@ -251,7 +251,7 @@ def test_sector_spectrum_is_padded_to_the_full_length(rx_shape, tx_shape):
     cfg = _cfg()
     G = assemble_ocm(build_planar_surface(*tx_shape, 0.05), build_planar_surface(*rx_shape, 0.05),
                      LinkGeometry.from_angles(0.7), 2 * np.pi)
-    assert G.mirror is not None
+    assert G.mirror
     length = 3 * min(G.m_count, G.n_count)
     dense = eigenchannel_decompose(G, cfg, PPolicy.fixed(length))
     fast = eigenchannel_decompose(G, cfg, PPolicy.fixed(length), patterns=False)
@@ -260,14 +260,17 @@ def test_sector_spectrum_is_padded_to_the_full_length(rx_shape, tx_shape):
     assert fast.gains[-1] == 0.0
 
 
-def test_mirror_must_match_the_element_counts():
+def test_mirror_needs_a_lattice():
     tx = build_planar_surface(3, 2, 0.05)
     rx = build_planar_surface(2, 1, 0.05)
     G = assemble_ocm(tx, rx, LinkGeometry.from_angles(1.0), 2 * np.pi)
-    assert G.mirror == ((1, 2), (2, 3))
+    assert (G.lattice, G.mirror) == (((1, 2), (2, 3)), True)
+    assert G.with_structure(lattice=G.lattice, mirror=True).mirror
+    with pytest.raises(ValueError, match="mirror claim needs a lattice"):
+        G.with_structure(mirror=True)
     for bad in (((2, 2), (2, 3)), ((1, 2), (3, 3)), ((1, 1), (2, 3))):
-        with pytest.raises(ValueError, match="mirror"):
-            G.with_structure(mirror=bad)
+        with pytest.raises(ValueError, match="lattice grids"):
+            G.with_structure(lattice=bad, mirror=True)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3])
@@ -278,11 +281,11 @@ def test_a_rebuilt_matrix_carries_no_structure_claim(theta):
     mats = [assemble_ocm(tx, rx, link, 2 * np.pi), assemble_fscm(tx, rx, link, 2 * np.pi),
             *(assemble_pscm(tx, rx, link, 2 * np.pi, code) for code in PSCM_CODES.values())]
     assert all(G.lattice is not None for G in mats) and mats[1].factors is not None
-    assert (mats[0].mirror is not None) == (theta == 0.0)
+    assert [G.mirror for G in mats] == [theta == 0.0, False, False, False, False]
     for G in mats:
         for rebuilt in (replace(G, matrix=2.0 * G.matrix),
                         BlockChannelMatrix(G.matrix, G.m_count, G.n_count, G.variant)):
-            assert rebuilt.factors is None and rebuilt.mirror is None and rebuilt.lattice is None
+            assert rebuilt.factors is None and rebuilt.lattice is None and not rebuilt.mirror
 
 
 @pytest.mark.parametrize("variant", ["OCM", "PSCM"])
@@ -295,7 +298,7 @@ def test_spectrum_of_a_rebuilt_matrix_reads_its_new_entries(variant):
     link = LinkGeometry.from_angles(0.1)
     assemble = assemble_ocm if variant == "OCM" else assemble_pscm
     G = assemble(tx, rx, link, cfg.k0)
-    assert G.mirror is not None if variant == "OCM" else G.factors is not None
+    assert G.mirror if variant == "OCM" else G.factors is not None
     matrix = G.matrix.copy()
     matrix[:3, :3] *= 10.0
     fast = eigenchannel_decompose(replace(G, matrix=matrix), cfg, PPolicy.fixed(1), patterns=False)
@@ -308,7 +311,7 @@ def test_tilted_and_rotated_links_carry_no_mirror():
     tx = build_planar_surface(3, 3, 0.05)
     for link in (LinkGeometry.from_angles(1.0, theta=0.2),
                  LinkGeometry.from_angles(1.0, rx_rotation=_rotation(0.3, 0.0, 0.0))):
-        assert assemble_ocm(tx, tx, link, 2 * np.pi).mirror is None
+        assert not assemble_ocm(tx, tx, link, 2 * np.pi).mirror
 
 
 def test_factors_must_match_the_block_shape():
@@ -376,12 +379,6 @@ def _mirror_maps(layout):
     return j * layout.n_h + (layout.n_h - 1 - i), (layout.n_v - 1 - j) * layout.n_h + i
 
 
-def _exactly_mirrored(layout, positions):
-    flip_i, flip_j = _mirror_maps(layout)
-    return (np.array_equal(positions[flip_i], positions * [-1.0, 1.0, 1.0])
-            and np.array_equal(positions[flip_j], positions * [1.0, -1.0, 1.0]))
-
-
 _side = st.integers(1, 7)
 _angle = st.floats(-np.pi, np.pi)
 # a rotation about z keeps a boresight RX surface perpendicular to kappa
@@ -394,7 +391,7 @@ _rotations = st.one_of(
     tx_shape=st.tuples(_side, _side),
     rx_shape=st.tuples(_side, _side),
     tx_spacing=st.floats(0.02, 0.1),
-    rx_spacing=st.floats(0.02, 0.1),
+    rx_spacing=st.one_of(st.none(), st.floats(0.02, 0.1)),
     d0=st.floats(1.0, 4.0),
     theta=st.one_of(st.just(0.0), st.floats(0.1, 0.4)),
     phi=st.floats(0.0, 2 * np.pi),
@@ -405,7 +402,9 @@ _rotations = st.one_of(
 def test_spectrum_only_decomposition_matches_the_dense_svd(
     tx_shape, rx_shape, tx_spacing, rx_spacing, d0, theta, phi, rotation, fixed
 ):
-    # wavelength 1: every pair offset stays below 0.85 < d0, so no geometry degenerates
+    # wavelength 1: every pair offset stays below 0.85 < d0, so no geometry degenerates;
+    # rx_spacing None shares the TX spacing
+    rx_spacing = tx_spacing if rx_spacing is None else rx_spacing
     cfg = PhysicalConfig(frequency=SPEED_OF_LIGHT, a_t=tx_spacing**2, a_r=rx_spacing**2)
     tx = build_planar_surface(*tx_shape, tx_spacing)
     rx = build_planar_surface(*rx_shape, rx_spacing)
@@ -426,12 +425,10 @@ def test_spectrum_only_decomposition_matches_the_dense_svd(
     factored = {G.variant: G.factors is not None for G in mats}
     assert factored == {"OCM": False, "PSCM": boresight, "PSCM123": boresight,
                         "PSCM12": boresight, "FSCM": True}
-    mirrored = (link.kappa[0] == 0.0 and link.kappa[1] == 0.0
-                and _exactly_mirrored(tx, tx.positions)
-                and _exactly_mirrored(rx, global_rx_positions(link, rx)))
-    assert [G.mirror is not None for G in mats] == [mirrored, False, False, False, False]
+    mirrored = theta == 0.0 and rotation is None and rx_spacing == tx_spacing
+    assert [G.mirror for G in mats] == [mirrored, False, False, False, False]
     if mirrored:
-        assert mats[0].mirror == ((rx.n_v, rx.n_h), (tx.n_v, tx.n_h))
+        assert mats[0].lattice == ((rx.n_v, rx.n_h), (tx.n_v, tx.n_h))
         blocks = mats[0].blocks
         signs = (np.array([-1.0, 1.0, 1.0]), np.array([1.0, -1.0, 1.0]))
         for rx_map, tx_map, sign in zip(_mirror_maps(rx), _mirror_maps(tx), signs):
@@ -453,7 +450,8 @@ def test_spectrum_only_decomposition_matches_the_dense_svd(
 
 
 @pytest.mark.parametrize("tx_side,rx_side,d0_lambda", [(41, 5, 0.25), (41, 5, 4.25),
-                                                       (21, 15, 0.75), (25, 15, 2.5)])
+                                                       (21, 15, 0.75), (25, 15, 2.5),
+                                                       (41, 15, 0.25), (41, 15, 4.25)])
 def test_qr_first_spectra_keep_p_used_at_every_threshold(tx_side, rx_side, d0_lambda):
     # built-in sweep geometries whose parity sectors are wide enough to go QR-first
     cfg = _cfg()
@@ -461,16 +459,28 @@ def test_qr_first_spectra_keep_p_used_at_every_threshold(tx_side, rx_side, d0_la
     tx = build_planar_surface(tx_side, tx_side, spacing)
     rx = build_planar_surface(rx_side, rx_side, spacing)
     G = assemble_ocm(tx, rx, LinkGeometry.from_angles(d0_lambda * cfg.wavelength), cfg.k0)
-    sectors = list(_mirror_sectors(G.matrix, G.mirror))
+    assert G.mirror
+    sectors = list(_lattice_sectors(G.matrix, G.lattice))
     assert all(max(b.shape) >= _QR_FIRST_RATIO * min(b.shape) for b in sectors)
+    scale = np.sqrt(cfg.a_r * cfg.a_t)
     direct = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for b in sectors]))[::-1]
-    direct *= np.sqrt(cfg.a_r * cfg.a_t)
+    dense = scale * np.linalg.svd(G.matrix, compute_uv=False)
     fast = eigenchannel_decompose(G, cfg, patterns=False)
     assert fast.p_used == select_p(fast.gains, PPolicy.threshold(1e-6))
-    assert np.max(np.abs(fast.gains[: direct.size] - direct)) <= 1e-12 * direct[0]
+    assert fast.gains.shape == dense.shape
+    assert np.max(np.abs(fast.gains[: direct.size] - scale * direct)) <= 1e-12 * dense[0]
+    assert np.max(np.abs(fast.gains - dense)) <= 1e-12 * dense[0]
     for k in range(120):
         policy = PPolicy.threshold(10 ** (-k / 10))
-        assert select_p(fast.gains, policy) == select_p(direct, policy), k
+        assert select_p(fast.gains, policy) == select_p(dense, policy), k
+
+
+def test_matrices_compare_by_identity_and_hash():
+    tx = build_planar_surface(2, 2, 0.05)
+    link = LinkGeometry.from_angles(1.0)
+    first, second = (assemble_ocm(tx, tx, link, 2 * np.pi) for _ in range(2))
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
 
 
 def _log_domain_capacity(gains, p_used, cfg):

@@ -291,7 +291,7 @@ def test_non_finite_mirrored_channel_is_a_numerical_failure(monkeypatch, point_c
         matrix = np.ones((3 * rx.count, 3 * tx.count), dtype=complex)
         matrix[5, 2] = np.nan
         return BlockChannelMatrix(matrix, rx.count, tx.count, "OCM").with_structure(
-            mirror=((rx.n_v, rx.n_h), (tx.n_v, tx.n_h)))
+            lattice=((rx.n_v, rx.n_h), (tx.n_v, tx.n_h)), mirror=True)
 
     monkeypatch.setattr(sweep_module, "assemble_ocm", poisoned)
     assert main(["point", "--config", point_config, "--variants", "OCM"]) == EXIT_NUMERICAL
