@@ -24,8 +24,6 @@ from .geometry import (
 __all__ = [
     "MODEL_VARIANTS",
     "PSCM_CODES",
-    "SIGN_AS_PRINTED",
-    "SIGN_TRANSVERSE",
     "BlockChannelMatrix",
     "green_dyadic",
     "green_dyadic_far",
@@ -37,9 +35,6 @@ MODEL_VARIANTS = ("OCM", "PSCM", "PSCM123", "PSCM12", "FSCM")
 
 #: The code of each separable variant: the amplitude blocks it keeps.
 PSCM_CODES = {"PSCM": "1234", "PSCM123": "123", "PSCM12": "12"}
-
-SIGN_AS_PRINTED = "as-printed"
-SIGN_TRANSVERSE = "transverse-projector"
 
 _EYE3 = np.eye(3)
 
@@ -157,13 +152,11 @@ def green_dyadic(d_vec: np.ndarray, k0: float) -> np.ndarray:
     return (-1j / (4.0 * np.pi * dist)) * np.exp(1j * kd) * (c1 * _EYE3 + c2 * np.outer(u, u))
 
 
-def green_dyadic_far(d_vec: np.ndarray, k0: float, sign_variant: str = SIGN_AS_PRINTED) -> np.ndarray:
-    """Leading-order point form of the dyad, two circulating sign conventions.
+def green_dyadic_far(d_vec: np.ndarray, k0: float) -> np.ndarray:
+    """Leading-order point form of the dyad: ``-i exp(i k0 r) / (4 pi r) (I3 - u u')``.
 
-    ``as-printed`` keeps the historical I3 + u u' form and is the default;
-    ``transverse-projector`` uses I3 - u u', which projects onto the plane
-    transverse to propagation and is the form the fully separable channel
-    assembler inherits.  The two differ only in that sign.
+    ``I3 - u u'`` projects onto the plane transverse to propagation, the
+    factor the fully separable channel assembler inherits.
     """
     d_vec = np.asarray(d_vec, dtype=float)
     dist = float(np.sqrt(d_vec @ d_vec))
@@ -172,16 +165,7 @@ def green_dyadic_far(d_vec: np.ndarray, k0: float, sign_variant: str = SIGN_AS_P
     if k0 <= 0:
         raise ValueError(f"wavenumber must be positive, got {k0}")
     u = d_vec / dist
-    if sign_variant == SIGN_AS_PRINTED:
-        dyad = _EYE3 + np.outer(u, u)
-    elif sign_variant == SIGN_TRANSVERSE:
-        dyad = _EYE3 - np.outer(u, u)
-    else:
-        raise ValueError(
-            f"unknown sign_variant {sign_variant!r}, expected "
-            f"{SIGN_AS_PRINTED!r} or {SIGN_TRANSVERSE!r}"
-        )
-    return (-1j * np.exp(1j * k0 * dist) / (4.0 * np.pi * dist)) * dyad
+    return (-1j * np.exp(1j * k0 * dist) / (4.0 * np.pi * dist)) * (_EYE3 - np.outer(u, u))
 
 
 def assemble_ocm(

@@ -1,9 +1,12 @@
 """Benchmark sweeps: distance grids, element-count grids, single points.
 
 A sweep is described by a :class:`SweepSpec` (JSON-serializable, strict
-schema).  Each sweep point assembles the requested model variants at the
-point's geometry, scores every non-OCM variant against the OCM reference
-by NMSE, and computes the uniform-power eigenchannel capacity of every
+schema).  Every experiment is a list of (TX grid, d0) points: a distance
+sweep visits each of the spec's distances with its TX grid, an element
+sweep every (N x N TX grid, d0) pair, a single point its one distance.
+Each point assembles the requested model variants at the point's
+geometry, scores every non-OCM variant against the OCM reference by
+NMSE, and computes the uniform-power eigenchannel capacity of every
 variant.  Rows come back in deterministic x-order regardless of the
 worker count, and the CSV/JSON writers format values reproducibly so
 identical specs yield byte-identical files.
@@ -44,7 +47,6 @@ __all__ = [
     "spec_to_json_dict",
     "load_spec",
     "validate_spec",
-    "distance_grid",
     "run_distance_sweep",
     "run_element_sweep",
     "run_single_point",
@@ -57,31 +59,33 @@ EXPERIMENTS = ("distance", "tx-elements", "single-point")
 
 DEFAULT_N_LIST = (9, 13, 17, 21, 25, 29, 33, 37, 41)
 
-# The most points one distance sweep may visit.
-_MAX_DISTANCE_POINTS = 10**6
-
+# The built-in distances, in the JSON form of d0_range_lambda.
 _DEFAULT_D0 = {
     "distance": {"start": 0.25, "stop": 4.25, "step": 0.25},
     "tx-elements": (0.75, 2.5),
     "single-point": (4.25,),
 }
 
+# The most distances each experiment may visit; every one visits at least one.
+_D0_COUNT = {"distance": 10**6, "tx-elements": 2, "single-point": 1}
+
 
 @dataclass(frozen=True)
 class SweepSpec:
     """Full description of one benchmark run.
 
-    ``d0_range_lambda`` is a {start, stop, step} mapping for distance
-    sweeps and a tuple of fixed distances (one or two for element sweeps,
-    exactly one for single points), all in wavelengths.  ``p_policy`` is
-    the textual form accepted by :meth:`PPolicy.parse`.
+    ``d0_range_lambda`` holds the distinct distances the run visits, in
+    wavelengths: up to 10**6 for distance sweeps, one or two for element
+    sweeps and exactly one for single points.  :func:`spec_from_json_dict`
+    expands a JSON {start, stop, step} range into it.  ``p_policy`` is the
+    textual form accepted by :meth:`PPolicy.parse`.
     """
 
     experiment: str
     tx_grid: tuple[int, int] = (41, 41)
     rx_grid: tuple[int, int] = (15, 15)
     spacing_lambda: float = 0.01
-    d0_range_lambda: object = None
+    d0_range_lambda: tuple[float, ...] = ()
     n_list: tuple[int, ...] = DEFAULT_N_LIST
     variants: tuple[str, ...] = MODEL_VARIANTS
     frequency: float = 2.4e9
@@ -105,9 +109,7 @@ class SweepResultRow:
 
 def default_spec(experiment: str) -> SweepSpec:
     """The built-in benchmark configuration for one experiment kind."""
-    if experiment not in EXPERIMENTS:
-        raise ConfigError([f"unknown experiment {experiment!r}, expected one of {EXPERIMENTS}"])
-    return SweepSpec(experiment=experiment, d0_range_lambda=_DEFAULT_D0[experiment])
+    return spec_from_json_dict({"experiment": experiment})
 
 
 def _is_real(value) -> bool:
@@ -121,22 +123,46 @@ def _as_float(value):
     return float(value) if _is_real(value) else value
 
 
-def _normalize_d0(value, experiment):
-    """Coerce the JSON form of d0_range_lambda into canonical shape."""
-    if value is None:
-        return _DEFAULT_D0.get(experiment)
-    if isinstance(value, dict):
-        return {k: _as_float(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return tuple(_as_float(v) for v in value)
-    return (_as_float(value),)
+def _d0_points(value, violations: list[str]) -> tuple | None:
+    """The distances a JSON ``d0_range_lambda`` names, finite reals as floats.
+
+    A {start, stop, step} object gives ``start + i * step`` for every i
+    whose value stays within ``stop + 1e-9 * step``; its point count is
+    checked against the cap before any point is built.  A faulty range
+    gives None, with its faults in ``violations``.  A list gives its
+    entries, a lone value itself.
+    """
+    if not isinstance(value, dict):
+        return tuple(_as_float(v) for v in (value if isinstance(value, (list, tuple)) else [value]))
+    if set(value) != {"start", "stop", "step"}:
+        violations.append(f"d0 range keys must be start, stop and step, got {list(value)}")
+        return None
+    if not all(_is_real(x) for x in value.values()):
+        violations.append(f"d0 range start, stop and step must be finite numbers, got {value!r}")
+        return None
+    start, stop, step = (float(value[k]) for k in ("start", "stop", "step"))
+    if step <= 0:
+        violations.append(f"d0 range step must be positive, got {step}")
+    if stop < start:
+        violations.append("d0 range stop must be >= start")
+    if step <= 0 or stop < start:
+        return None
+    steps = (stop - start) / step
+    count = int(round(steps)) + 1 if math.isfinite(steps) else math.inf
+    if count > _D0_COUNT["distance"]:
+        violations.append(f"d0 range {value!r} holds {count} points, above {_D0_COUNT['distance']}")
+        return None
+    points = (start + i * step for i in range(count))
+    return tuple(x for x in points if x <= stop + 1e-9 * step)
 
 
 def spec_from_json_dict(data: dict, experiment: str | None = None) -> SweepSpec:
     """Build a spec from a JSON object, rejecting unknown keys.
 
     ``experiment`` supplies the experiment kind when the object omits it
-    (e.g. when the CLI subcommand already determines it).
+    (e.g. when the CLI subcommand already determines it).  A missing
+    ``d0_range_lambda`` takes the experiment's built-in distances; a range
+    object is expanded here (:func:`_d0_points`).
     """
     if not isinstance(data, dict):
         raise ConfigError(["config root must be a JSON object"])
@@ -149,13 +175,18 @@ def spec_from_json_dict(data: dict, experiment: str | None = None) -> SweepSpec:
         if experiment is None:
             raise ConfigError(["config is missing the 'experiment' key"])
         merged["experiment"] = experiment
-    exp = merged["experiment"]
-    merged["d0_range_lambda"] = _normalize_d0(merged.get("d0_range_lambda"), exp)
+    d0 = merged.get("d0_range_lambda")
+    if d0 is None:
+        d0 = _DEFAULT_D0[merged["experiment"]] if merged["experiment"] in EXPERIMENTS else ()
+    violations = []
+    points = _d0_points(d0, violations)
+    # a faulty range stands alone: the rest is checked with one stand-in distance
+    merged["d0_range_lambda"] = (1.0,) if points is None else points
     for key in ("tx_grid", "rx_grid", "n_list", "variants"):
         if key in merged and isinstance(merged[key], list):
             merged[key] = tuple(merged[key])
     spec = SweepSpec(**merged)
-    violations = validate_spec(spec)
+    violations += validate_spec(spec)
     if violations:
         raise ConfigError(violations)
     return spec
@@ -210,32 +241,18 @@ def validate_spec(spec: SweepSpec) -> list[str]:
         v.append(f"snr_db {spec.snr_db!r} gives a total power that is not finite and positive")
 
     d0 = spec.d0_range_lambda
-    if spec.experiment == "distance":
-        if not (isinstance(d0, dict) and set(d0) == {"start", "stop", "step"}):
-            v.append("d0_range_lambda must be a {start, stop, step} object for distance sweeps")
-        elif not all(_is_real(x) for x in d0.values()):
-            v.append(f"d0 range start, stop and step must be finite numbers, got {d0!r}")
-        else:
-            if d0["start"] <= 0:
-                v.append(f"d0 range start must be positive, got {d0['start']}")
-            if d0["step"] <= 0:
-                v.append(f"d0 range step must be positive, got {d0['step']}")
-            if d0["stop"] < d0["start"]:
-                v.append("d0 range stop must be >= start")
-            elif d0["step"] > 0:
-                try:
-                    _grid_count(d0)
-                except ValueError as exc:
-                    v.append(str(exc))
-    elif spec.experiment in ("tx-elements", "single-point"):
-        limit = 2 if spec.experiment == "tx-elements" else 1
-        if not (isinstance(d0, tuple) and 1 <= len(d0) <= limit):
-            v.append(
-                f"d0_range_lambda must hold 1{'-2' if limit == 2 else ''} fixed "
-                f"distance(s) for {spec.experiment}, got {d0!r}"
-            )
-        elif not all(_is_real(x) and x > 0 for x in d0):
-            v.append(f"all fixed d0 values must be positive finite numbers, got {d0!r}")
+    if not isinstance(d0, tuple):
+        v.append(f"d0_range_lambda must be a tuple of distances, got {type(d0).__name__}")
+    else:
+        # `in` compares, so an unhashable experiment never reaches the table lookup
+        if spec.experiment in EXPERIMENTS and not 1 <= len(d0) <= _D0_COUNT[spec.experiment]:
+            v.append(f"d0_range_lambda must hold 1 to {_D0_COUNT[spec.experiment]} distance(s) "
+                     f"for {spec.experiment}, got {len(d0)}")
+        bad = [x for x in d0 if not (_is_real(x) and x > 0)]
+        if bad:
+            v.append(f"every d0 value must be a positive finite number, got {bad[0]!r}")
+        elif len(set(d0)) != len(d0):
+            v.append("d0 values must not repeat")
 
     if spec.experiment == "tx-elements":
         ok = (
@@ -245,9 +262,12 @@ def validate_spec(spec: SweepSpec) -> list[str]:
         )
         if not ok:
             v.append(f"n_list must be a non-empty list of integers >= 1, got {spec.n_list!r}")
+        elif len(set(spec.n_list)) != len(spec.n_list):
+            v.append("n_list must not repeat")
 
-    if not spec.variants:
-        v.append("variants must not be empty")
+    if not (isinstance(spec.variants, (list, tuple)) and spec.variants
+            and all(isinstance(x, str) for x in spec.variants)):
+        v.append(f"variants must be a non-empty list of strings, got {spec.variants!r}")
     else:
         unknown = [x for x in spec.variants if x not in MODEL_VARIANTS]
         for x in unknown:
@@ -269,28 +289,6 @@ def validate_spec(spec: SweepSpec) -> list[str]:
     if spec.output_format not in ("csv", "json"):
         v.append(f"output_format must be 'csv' or 'json', got {spec.output_format!r}")
     return v
-
-
-def _grid_count(rng: dict) -> int:
-    """Candidate points of a {start, stop, step} range; ValueError past the cap or on overflow."""
-    steps = (rng["stop"] - rng["start"]) / rng["step"]
-    if not math.isfinite(steps):
-        raise ValueError(f"d0 range {rng!r} holds too many points to count")
-    count = int(round(steps)) + 1
-    if count > _MAX_DISTANCE_POINTS:
-        raise ValueError(f"d0 range {rng!r} holds {count} points, above {_MAX_DISTANCE_POINTS}")
-    return count
-
-
-def distance_grid(spec: SweepSpec) -> tuple[float, ...]:
-    """The d0 grid (in wavelengths) a distance sweep will visit."""
-    rng = spec.d0_range_lambda
-    points = []
-    for i in range(_grid_count(rng)):
-        value = rng["start"] + i * rng["step"]
-        if value <= rng["stop"] + 1e-9 * rng["step"]:
-            points.append(value)
-    return tuple(points)
 
 
 def _assemble(name, tx, rx, link, k0):
@@ -356,46 +354,43 @@ def _evaluate_point(spec: SweepSpec, tx_grid, d0_lambda: float, x_value, dump_k:
     )
 
 
-def _run_points(point_args, workers: int):
-    """Evaluate points concurrently, preserving input order in the output."""
-    if workers <= 1:
-        return [_evaluate_point(*args) for args in point_args]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_evaluate_point, *args) for args in point_args]
-        return [f.result() for f in futures]
+def _run(spec: SweepSpec, experiment: str, workers: int = 1, dump_k: int = 0):
+    """Validate the spec, then evaluate its points in ascending order.
 
-
-def run_distance_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepResultRow]:
-    """One row per d0 grid point, ascending in d0."""
-    _require_valid(spec, "distance")
-    grid = distance_grid(spec)
-    args = [(spec, spec.tx_grid, d0, d0) for d0 in grid]
-    return _run_points(args, workers)
-
-
-def run_element_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepResultRow]:
-    """One row per (N, d0) pair, ordered by N then d0."""
-    _require_valid(spec, "tx-elements")
-    args = []
-    for side in sorted(spec.n_list):
-        for d0 in sorted(spec.d0_range_lambda):
-            args.append((spec, (side, side), d0, side * side))
-    return _run_points(args, workers)
-
-
-def run_single_point(spec: SweepSpec, dump_singular_values: int = 0) -> SweepResultRow:
-    """A single sweep point, optionally dumping the top singular values."""
-    _require_valid(spec, "single-point")
-    (d0,) = spec.d0_range_lambda
-    return _evaluate_point(spec, spec.tx_grid, d0, d0, dump_k=dump_singular_values)
-
-
-def _require_valid(spec: SweepSpec, experiment: str):
+    Element sweeps visit ((n, n), d0) for every n and d0 with x value n^2;
+    the other experiments visit (tx_grid, d0) with x value d0.  With
+    ``workers`` above 1 the points run on a thread pool; rows keep the
+    point order either way.
+    """
     if spec.experiment != experiment:
         raise ConfigError([f"spec experiment {spec.experiment!r} does not match {experiment!r}"])
     violations = validate_spec(spec)
     if violations:
         raise ConfigError(violations)
+    d0s = sorted(spec.d0_range_lambda)
+    if experiment == "tx-elements":
+        points = [((n, n), d0, n * n) for n in sorted(spec.n_list) for d0 in d0s]
+    else:
+        points = [(spec.tx_grid, d0, d0) for d0 in d0s]
+    if workers <= 1:
+        return [_evaluate_point(spec, *point, dump_k) for point in points]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda point: _evaluate_point(spec, *point, dump_k), points))
+
+
+def run_distance_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepResultRow]:
+    """One row per distance, ascending in d0."""
+    return _run(spec, "distance", workers)
+
+
+def run_element_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepResultRow]:
+    """One row per (N, d0) pair, ordered by N then d0."""
+    return _run(spec, "tx-elements", workers)
+
+
+def run_single_point(spec: SweepSpec, dump_singular_values: int = 0) -> SweepResultRow:
+    """A single sweep point, optionally dumping the top singular values."""
+    return _run(spec, "single-point", dump_k=dump_singular_values)[0]
 
 
 def _columns(rows, variants):

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, overrides, output handling."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,7 @@ def _must_not_run(*args, **kwargs):
 _TINY_POINT = dict(DESK_POINT, tx_grid=[3, 3], rx_grid=[2, 2])
 _TINY_DISTANCE = dict(_TINY_POINT, experiment="distance",
                       d0_range_lambda={"start": 0.5, "stop": 1.0, "step": 0.5})
+_TINY_ELEMENTS = dict(_TINY_POINT, experiment="tx-elements", n_list=[2, 3])
 
 
 @pytest.mark.parametrize("command,config,flags", [
@@ -174,7 +176,20 @@ _TINY_DISTANCE = dict(_TINY_POINT, experiment="distance",
     pytest.param("point", dict(_TINY_POINT, snr_db=-4000), [], id="snr-underflow"),
     pytest.param("sweep-distance", dict(_TINY_DISTANCE, d0_range_lambda={
         "start": 0.25, "stop": 1e300, "step": 1e-300}), [], id="d0-count-overflow"),
+    pytest.param("sweep-distance", dict(_TINY_DISTANCE, d0_range_lambda={
+        "start": 1.0, "stop": 0.5, "step": 0.5}), [], id="d0-stop-below-start"),
+    pytest.param("sweep-distance", dict(_TINY_DISTANCE, d0_range_lambda={
+        "start": 0.25, "stop": -1e300, "step": 1e-300}), [], id="d0-span-overflow"),
     pytest.param("point", dict(_TINY_POINT, output_path=7), [], id="output-path-int"),
+    pytest.param("sweep-distance", {"experiment": ["distance"]}, [], id="experiment-list"),
+    pytest.param("point", {"experiment": {"kind": "single-point"}}, [], id="experiment-object"),
+    pytest.param("point", dict(_TINY_POINT, variants=[["OCM"]]), [], id="variants-nested"),
+    pytest.param("point", dict(_TINY_POINT, variants="OCM"), [], id="variants-string"),
+    pytest.param("sweep-elements", dict(_TINY_ELEMENTS, n_list=[2, 2]), [], id="n-list-repeat"),
+    pytest.param("sweep-elements", dict(_TINY_ELEMENTS, d0_range_lambda=[1.0, 1.0]), [],
+                 id="d0-repeat"),
+    pytest.param("sweep-distance", dict(_TINY_DISTANCE, d0_range_lambda=[0.5, 0.5]), [],
+                 id="d0-list-repeat"),
     pytest.param("point", b'{"experiment": "single-point", "p_policy": "fixed(1)\xff"}', [],
                  id="not-utf8"),
 ])
@@ -193,11 +208,16 @@ def test_bad_config_values_fail_before_any_work(monkeypatch, tmp_path, capsys, c
 
 def test_huge_distance_count_fails_before_the_grid_is_built(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr("hmimo.cli.run_distance_sweep", _must_not_run)
-    monkeypatch.setattr("hmimo.sweep.distance_grid", _must_not_run)
     path = tmp_path / "huge.json"
     config = dict(_TINY_DISTANCE, d0_range_lambda={"start": 0.25, "stop": 1e15, "step": 1})
     path.write_text(json.dumps(config), encoding="utf-8")
-    assert main(["sweep-distance", "--config", str(path)]) == EXIT_CONFIG
+    tracemalloc.start()
+    try:
+        assert main(["sweep-distance", "--config", str(path)]) == EXIT_CONFIG
+        # a list of even the 10**6 capped points would take tens of MiB
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
     assert "1000000000000001 points" in capsys.readouterr().err
 
 

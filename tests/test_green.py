@@ -1,12 +1,10 @@
-"""Exact dyadic kernel, its far-field point forms, and the dense reference assembler."""
+"""Exact dyadic kernel, its far-field point form, and the dense reference assembler."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hmimo import (
-    SIGN_AS_PRINTED,
-    SIGN_TRANSVERSE,
     BlockChannelMatrix,
     CoincidentPointsError,
     LinkGeometry,
@@ -84,15 +82,8 @@ def test_far_forms_on_axis():
     d = np.array([0.0, 0.0, 7.0])
     scale = -1j * np.exp(1j * 2 * np.pi * 7.0) / (4 * np.pi * 7.0)
     np.testing.assert_allclose(
-        green_dyadic_far(d, 2 * np.pi, SIGN_AS_PRINTED), scale * np.diag([1.0, 1.0, 2.0]),
-        atol=1e-15,
+        green_dyadic_far(d, 2 * np.pi), scale * np.diag([1.0, 1.0, 0.0]), atol=1e-15,
     )
-    np.testing.assert_allclose(
-        green_dyadic_far(d, 2 * np.pi, SIGN_TRANSVERSE), scale * np.diag([1.0, 1.0, 0.0]),
-        atol=1e-15,
-    )
-    with pytest.raises(ValueError):
-        green_dyadic_far(d, 2 * np.pi, "mystery")
 
 
 def test_only_the_projector_form_reproduces_the_exact_limit():
@@ -100,11 +91,8 @@ def test_only_the_projector_form_reproduces_the_exact_limit():
     k0 = 2 * np.pi
     d = np.array([60.0, 0.0, 80.0])
     exact = green_dyadic(d, k0)
-    transverse = green_dyadic_far(d, k0, SIGN_TRANSVERSE)
-    as_printed = green_dyadic_far(d, k0, SIGN_AS_PRINTED)
+    transverse = green_dyadic_far(d, k0)
     assert np.linalg.norm(transverse - exact) / np.linalg.norm(exact) < 1e-2
-    # the as-printed sign flips the dyad term and does not converge to the kernel
-    assert np.linalg.norm(as_printed - exact) / np.linalg.norm(exact) > 0.5
 
 
 # Pair geometries for the property test: grid sides 1-7, element spacings,
@@ -233,7 +221,7 @@ def test_far_point_form_ladder_converges():
         for m in range(rx.count):
             for n in range(tx.count):
                 d = pair_displacement(link, tx.positions[n], rx.positions[m])
-                far = green_dyadic_far(d, 2 * np.pi, SIGN_TRANSVERSE)
+                far = green_dyadic_far(d, 2 * np.pi)
                 worst = max(worst, np.linalg.norm(G.block(m, n) - far) / np.linalg.norm(far))
         ratios.append(worst)
     assert all(b < a for a, b in zip(ratios, ratios[1:]))

@@ -1,15 +1,19 @@
 """Benchmark sweep layer: spec handling, runners, and deterministic output."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hmimo import (
+    EXPERIMENTS,
     MODEL_VARIANTS,
     PSCM_CODES,
     ConfigError,
     LinkGeometry,
+    NumericalError,
     PhysicalConfig,
     PPolicy,
     SweepSpec,
@@ -18,7 +22,6 @@ from hmimo import (
     build_planar_surface,
     capacity,
     default_spec,
-    distance_grid,
     eigenchannel_decompose,
     load_spec,
     nmse,
@@ -40,7 +43,7 @@ DESK = dict(tx_grid=(9, 9), rx_grid=(5, 5), spacing_lambda=0.05)
 def desk_distance_rows():
     spec = SweepSpec(
         experiment="distance",
-        d0_range_lambda={"start": 0.5, "stop": 2.0, "step": 0.5},
+        d0_range_lambda=(0.5, 1.0, 1.5, 2.0),
         **DESK,
     )
     return spec, run_distance_sweep(spec)
@@ -54,16 +57,56 @@ def test_default_specs_validate():
 
 
 def test_default_distance_grid_has_seventeen_points():
-    grid = distance_grid(default_spec("distance"))
+    grid = default_spec("distance").d0_range_lambda
     assert len(grid) == 17
     assert grid[0] == pytest.approx(0.25)
     assert grid[-1] == pytest.approx(4.25)
+    # the range rule start + i * step, bit for bit
+    assert grid == tuple(0.25 + i * 0.25 for i in range(17))
 
 
 def test_spec_json_round_trip():
-    spec = default_spec("tx-elements")
-    again = spec_from_json_dict(json.loads(json.dumps(spec_to_json_dict(spec))))
-    assert again == spec
+    for experiment in ("distance", "tx-elements", "single-point"):
+        spec = default_spec(experiment)
+        again = spec_from_json_dict(json.loads(json.dumps(spec_to_json_dict(spec))))
+        assert again == spec
+
+
+def test_readme_config_example_is_the_default_distance_spec():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert spec_from_json_dict(json.loads(example)) == default_spec("distance")
+
+
+def test_range_and_list_forms_load_for_every_experiment():
+    for experiment, count in (("distance", 3), ("tx-elements", 2), ("single-point", 1)):
+        step = 0.5 if count > 1 else 1.0
+        ranged = spec_from_json_dict({"experiment": experiment, "d0_range_lambda": {
+            "start": 0.5, "stop": 0.5 + (count - 1) * step, "step": step}})
+        listed = spec_from_json_dict({"experiment": experiment,
+                                      "d0_range_lambda": list(ranged.d0_range_lambda)})
+        assert ranged == listed
+        assert len(ranged.d0_range_lambda) == count
+
+
+def test_each_experiment_visits_its_count_of_distances():
+    for experiment in ("distance", "tx-elements", "single-point"):
+        assert any("got 0" in v for v in validate_spec(SweepSpec(experiment=experiment)))
+    for experiment, most in (("tx-elements", 2), ("single-point", 1)):
+        over = SweepSpec(experiment=experiment, d0_range_lambda=(1.0, 2.0, 3.0)[:most + 1])
+        assert any(f"got {most + 1}" in v for v in validate_spec(over))
+    assert any("tuple" in v for v in validate_spec(SweepSpec(
+        experiment="distance", d0_range_lambda={"start": 0.5, "stop": 1.0, "step": 0.5})))
+
+
+def test_variants_must_be_a_list_of_strings():
+    for value in ("OCM", [["OCM"]]):
+        with pytest.raises(ConfigError) as err:
+            spec_from_json_dict({"experiment": "single-point", "variants": value})
+        (violation,) = err.value.violations
+        assert "list of strings" in violation
+    spec = SweepSpec(experiment="single-point", d0_range_lambda=(1.0,), variants=["OCM"])
+    assert validate_spec(spec) == []
 
 
 def test_unknown_config_keys_are_rejected():
@@ -77,7 +120,7 @@ def test_validation_collects_every_violation():
         experiment="distance",
         tx_grid=(0, 9),
         spacing_lambda=-1.0,
-        d0_range_lambda={"start": 0.25, "stop": 4.25, "step": 0.25},
+        d0_range_lambda=default_spec("distance").d0_range_lambda,
         variants=("PSCM", "PSCM"),
         p_policy="median(3)",
         output_format="xml",
@@ -154,10 +197,30 @@ def test_workers_do_not_change_the_rows(desk_distance_rows):
     assert rows_to_csv(threaded, spec.variants) == rows_to_csv(rows, spec.variants)
 
 
+def test_a_failed_point_cancels_the_points_not_yet_started(monkeypatch):
+    spec = spec_from_json_dict({"experiment": "distance", "tx_grid": [3, 3], "rx_grid": [2, 2],
+                                "spacing_lambda": 0.05,
+                                "d0_range_lambda": {"start": 0.5, "stop": 100.0, "step": 0.5}})
+    real = sweep_module._evaluate_point
+    calls = []
+
+    def failing_first(spec, tx_grid, d0, x_value, dump_k=0):
+        calls.append(d0)
+        if d0 == 0.5:
+            raise NumericalError("the first point fails")
+        return real(spec, tx_grid, d0, x_value, dump_k)
+
+    monkeypatch.setattr(sweep_module, "_evaluate_point", failing_first)
+    with pytest.raises(NumericalError):
+        run_distance_sweep(spec, workers=2)
+    # of the 200 points, only those already running when the failure is seen may finish
+    assert len(calls) < 100
+
+
 def test_element_sweep_ordering_and_trends():
     spec = SweepSpec(
         experiment="tx-elements", rx_grid=(5, 5), spacing_lambda=0.05,
-        d0_range_lambda=(0.75, 2.5), n_list=(13, 5, 9),
+        d0_range_lambda=(2.5, 0.75), n_list=(13, 5, 9),
     )
     rows = run_element_sweep(spec)
     assert [(r.x_value, r.d0_lambda) for r in rows] == [
@@ -202,11 +265,7 @@ def test_json_output_mirrors_the_rows(desk_distance_rows):
 
 def test_single_point_row_matches_the_distance_row():
     pspec = SweepSpec(experiment="single-point", d0_range_lambda=(1.5,), **DESK)
-    dspec = SweepSpec(
-        experiment="distance",
-        d0_range_lambda={"start": 1.5, "stop": 1.5, "step": 0.25},
-        **DESK,
-    )
+    dspec = SweepSpec(experiment="distance", d0_range_lambda=(1.5,), **DESK)
     point = run_single_point(pspec)
     row = run_distance_sweep(dspec)[0]
     assert rows_to_csv([point], pspec.variants) == rows_to_csv([row], dspec.variants)
@@ -257,13 +316,38 @@ def test_each_variant_is_assembled_once_through_the_module_names(monkeypatch):
 
 
 def test_distance_count_is_capped_at_a_million_points():
-    at_cap = SweepSpec(experiment="distance",
-                       d0_range_lambda={"start": 1.0, "stop": 1e6, "step": 1.0})
-    assert validate_spec(at_cap) == []
-    over = SweepSpec(experiment="distance",
-                     d0_range_lambda={"start": 1.0, "stop": 1e6 + 1.0, "step": 1.0})
-    (violation,) = validate_spec(over)
+    at_cap = spec_from_json_dict({"experiment": "distance",
+                                  "d0_range_lambda": {"start": 1.0, "stop": 1e6, "step": 1.0}})
+    assert len(at_cap.d0_range_lambda) == 10**6
+    with pytest.raises(ConfigError) as err:
+        spec_from_json_dict({"experiment": "distance",
+                             "d0_range_lambda": {"start": 1.0, "stop": 1e6 + 1.0, "step": 1.0}})
+    (violation,) = err.value.violations
     assert "1000001 points" in violation
+
+
+@pytest.mark.parametrize("d0,message", [
+    ({"start": 1.0, "stop": 2.0}, "keys must be start, stop and step"),
+    ({"start": 1.0, "stop": "2", "step": 1.0}, "must be finite numbers"),
+    ({"start": 1.0, "stop": 2.0, "step": 0.0}, "step must be positive"),
+    ({"start": 2.0, "stop": 1.0, "step": 0.5}, "stop must be >= start"),
+    ({"start": 0.25, "stop": -1e300, "step": 1e-300}, "stop must be >= start"),
+])
+def test_a_range_fault_is_the_only_violation(d0, message):
+    for experiment in EXPERIMENTS:
+        with pytest.raises(ConfigError) as err:
+            spec_from_json_dict({"experiment": experiment, "d0_range_lambda": d0})
+        (violation,) = err.value.violations
+        assert message in violation
+
+
+def test_a_range_fault_is_reported_with_the_other_violations():
+    with pytest.raises(ConfigError) as err:
+        spec_from_json_dict({"experiment": "distance", "snr_db": "x",
+                             "d0_range_lambda": {"start": 1.0, "stop": 2.0, "step": -1.0}})
+    assert len(err.value.violations) == 2
+    assert "step must be positive" in err.value.violations[0]
+    assert "snr_db" in err.value.violations[1]
 
 
 def test_ocm_only_run_emits_no_nmse_columns():
