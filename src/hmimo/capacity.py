@@ -1,15 +1,16 @@
 """Physical link configuration, eigenchannel decomposition and capacity.
 
-The channel matrix decomposed here is the raw Green-level matrix; the
-physical scale eta/(2 lambda) * a_r * a_t enters the capacity expression
-through the element areas and the mu = eta^2/(4 lambda^2) factor, so the
-SVD itself always runs on the unscaled matrix.
+The channel matrix decomposed here holds raw dyad values.  The physical
+scale eta/(2 lambda) * a_r * a_t enters only here: through the element
+areas of :class:`PhysicalConfig` and its mu = eta^2/(4 lambda^2) factor
+in the capacity expression, so the SVD always runs on the raw matrix.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +23,6 @@ __all__ = [
     "PhysicalConfig",
     "PPolicy",
     "EigenchannelSet",
-    "channel_from_green",
     "select_p",
     "eigenchannel_decompose",
     "capacity",
@@ -40,9 +40,10 @@ class PhysicalConfig:
     """Carrier, impedance, element areas and the power/noise budget.
 
     Wavelength and wavenumber are always derived from ``frequency`` so
-    they can never go stale.  ``noise_var`` is the per-polarization noise
-    variance at each RX element; ``total_power`` is the transmit power
-    split uniformly over the eigenchannels in use.
+    they can never go stale.  Every field, and ``mu``, must be positive
+    and finite.  ``noise_var`` is the per-polarization noise variance at
+    each RX element; ``total_power`` is the transmit power split uniformly
+    over the eigenchannels in use.
     """
 
     frequency: float
@@ -55,8 +56,15 @@ class PhysicalConfig:
     def __post_init__(self):
         for name in ("frequency", "a_t", "a_r", "noise_var", "total_power", "eta"):
             value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        try:
+            mu = self.mu
+        except ArithmeticError:  # a square in mu overflows, or 1 / lambda^2 does
+            mu = 0.0
+        if not 0 < mu < math.inf:
+            raise ValueError(f"frequency {self.frequency} and eta {self.eta} give a "
+                             "mu = eta^2 / (4 lambda^2) that is not positive and finite")
 
     @property
     def wavelength(self) -> float:
@@ -118,35 +126,21 @@ class PPolicy:
         return cls.fixed(int(arg))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenchannelSet:
-    """SVD of an unscaled channel matrix, in physical units.
+    """SVD of a raw channel matrix, in physical units.
 
     ``gains`` holds sqrt(a_r * a_t) * sigma_p for the full spectrum in
     descending order; ``tx_patterns``/``rx_patterns`` hold the first
     ``p_used`` right/left singular vectors scaled by 1/sqrt(a_t) and
     1/sqrt(a_r), or None when the decomposition ran without patterns.
+    Equality is identity.
     """
 
     gains: np.ndarray
     p_used: int
     tx_patterns: np.ndarray | None
     rx_patterns: np.ndarray | None
-
-
-def channel_from_green(green: BlockChannelMatrix, cfg: PhysicalConfig) -> BlockChannelMatrix:
-    """Apply the physical scale eta/(2 lambda) * a_r * a_t to a Green-level matrix.
-
-    The scaled matrix carries the input's structure claims: ``lattice``
-    and ``mirror`` unchanged, and ``factors`` with the scale in ``L`` only
-    (``R`` is the same array).
-    """
-    if green.scale_applied:
-        raise ValueError("channel scale already applied to this matrix")
-    scale = cfg.eta / (2.0 * cfg.wavelength) * cfg.a_r * cfg.a_t
-    factors = None if green.factors is None else (scale * green.factors[0], green.factors[1])
-    scaled = replace(green, matrix=scale * green.matrix, scale_applied=True)
-    return scaled.with_structure(factors, green.lattice, green.mirror)
 
 
 def select_p(singular_values: np.ndarray, policy: PPolicy) -> int:
@@ -263,10 +257,10 @@ def eigenchannel_decompose(
     policy: PPolicy = PPolicy.threshold(1e-6),
     patterns: bool = True,
 ) -> EigenchannelSet:
-    """Decompose an unscaled channel matrix into its eigenchannels.
+    """Decompose a raw channel matrix into its eigenchannels.
 
     Args:
-        green: block channel matrix with ``scale_applied`` False.
+        green: block channel matrix of raw dyad values.
         cfg: physical configuration supplying the element areas.
         policy: eigenchannel count policy.
         patterns: compute the transmit/receive patterns with a full SVD.
@@ -288,8 +282,6 @@ def eigenchannel_decompose(
     Raises:
         NumericalError: the matrix or its spectrum is not finite.
     """
-    if green.scale_applied:
-        raise ValueError("decomposition expects the unscaled Green-level matrix")
     if green.matrix.size == 0:
         raise ValueError("empty channel matrix")
     tx_patterns = rx_patterns = None

@@ -12,7 +12,9 @@ All functions here are pure and purely geometric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -32,61 +34,75 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfaceLayout:
     """Uniform rectangular element grid centered at the local origin.
 
-    ``positions`` holds one row per element (meters, local frame, z = 0),
-    ordered row-major over (vertical index, horizontal index).
-    ``aperture_diag`` is the diagonal of the n_h*spacing by n_v*spacing
-    rectangle the grid covers.
+    ``SurfaceLayout(n_h, n_v, spacing, positions)``: ``positions`` holds
+    one row per element (meters, local frame, z = 0), ordered row-major
+    over (vertical index, horizontal index).  Element area and aperture
+    diagonal are derived from the spacing, so they never go stale.
+    Equality is identity.
     """
 
     n_h: int
     n_v: int
     spacing: float
     positions: np.ndarray
-    element_area: float
-    aperture_diag: float
 
     @property
     def count(self) -> int:
         return self.n_h * self.n_v
 
+    @property
+    def element_area(self) -> float:
+        return float(self.spacing) ** 2
 
-@dataclass(frozen=True)
+    @property
+    def aperture_diag(self) -> float:
+        """Diagonal of the n_h*spacing by n_v*spacing rectangle the grid covers."""
+        return float(np.hypot(self.n_h * self.spacing, self.n_v * self.spacing))
+
+
+@dataclass(frozen=True, eq=False)
 class LinkGeometry:
     """Center-to-center link: distance ``d0`` along the unit vector ``kappa``.
 
-    ``kappa`` points from the TX surface center toward the RX surface center
-    and is built from the elevation/azimuth pair via :func:`wavevector`.
-    ``rx_rotation``, when given, maps RX-local element offsets into the
-    global frame; when absent the two surfaces are parallel.
+    ``LinkGeometry(d0, theta, phi, rx_rotation=None)``.  ``kappa`` points
+    from the TX surface center toward the RX surface center; it is always
+    derived from the elevation/azimuth pair via :func:`wavevector`, so it
+    never goes stale.  ``rx_rotation``, when given, maps RX-local element
+    offsets into the global frame; when absent the two surfaces are
+    parallel.  Equality is identity.
     """
 
     d0: float
     theta: float
     phi: float
-    kappa: np.ndarray
     rx_rotation: np.ndarray | None = None
+    kappa: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        d0, theta, phi = float(self.d0), float(self.theta), float(self.phi)
+        if not 0 < d0 < math.inf:
+            raise DegenerateGeometryError(f"link distance must be positive and finite, got {d0}")
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise ValueError(f"link angles must be finite, got theta={theta}, phi={phi}")
+        rotation = self.rx_rotation
+        if rotation is not None:
+            rotation = np.array(rotation, dtype=float)
+            if rotation.shape != (3, 3):
+                raise ValueError("rx_rotation must be a 3x3 matrix")
+            rotation.setflags(write=False)
+        for name, value in (("d0", d0), ("theta", theta), ("phi", phi),
+                            ("rx_rotation", rotation), ("kappa", wavevector(theta, phi))):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def from_angles(
-        cls,
-        d0: float,
-        theta: float = 0.0,
-        phi: float = 0.0,
-        rx_rotation: np.ndarray | None = None,
-    ) -> "LinkGeometry":
+    def from_angles(cls, d0: float, theta: float = 0.0, phi: float = 0.0,
+                    rx_rotation: np.ndarray | None = None) -> LinkGeometry:
         """Construct a link at distance ``d0`` toward direction (theta, phi)."""
-        if d0 <= 0:
-            raise DegenerateGeometryError(f"link distance must be positive, got {d0}")
-        if rx_rotation is not None:
-            rx_rotation = np.asarray(rx_rotation, dtype=float)
-            if rx_rotation.shape != (3, 3):
-                raise ValueError("rx_rotation must be a 3x3 matrix")
-            rx_rotation.setflags(write=False)
-        return cls(float(d0), float(theta), float(phi), wavevector(theta, phi), rx_rotation)
+        return cls(d0, theta, phi, rx_rotation)
 
 
 def build_planar_surface(n_h: int, n_v: int, spacing: float) -> SurfaceLayout:
@@ -97,23 +113,18 @@ def build_planar_surface(n_h: int, n_v: int, spacing: float) -> SurfaceLayout:
     element order runs j-major (all of row j before row j+1).  Element
     area is ``spacing**2``.
     """
+    if not all(isinstance(n, Integral) and not isinstance(n, bool) for n in (n_h, n_v)):
+        raise ValueError(f"element counts must be integers, got {n_h!r} x {n_v!r}")
     if n_h < 1 or n_v < 1:
         raise ValueError(f"element counts must be >= 1, got {n_h} x {n_v}")
-    if spacing <= 0:
-        raise ValueError(f"element spacing must be positive, got {spacing}")
+    if not 0 < spacing < math.inf:
+        raise ValueError(f"element spacing must be positive and finite, got {spacing}")
     xs = (np.arange(n_h) - (n_h - 1) / 2.0) * spacing
     ys = (np.arange(n_v) - (n_v - 1) / 2.0) * spacing
     gx, gy = np.meshgrid(xs, ys)
     positions = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(n_h * n_v)])
     positions.setflags(write=False)
-    return SurfaceLayout(
-        n_h=int(n_h),
-        n_v=int(n_v),
-        spacing=float(spacing),
-        positions=positions,
-        element_area=float(spacing) ** 2,
-        aperture_diag=float(np.hypot(n_h * spacing, n_v * spacing)),
-    )
+    return SurfaceLayout(n_h=int(n_h), n_v=int(n_v), spacing=float(spacing), positions=positions)
 
 
 def wavevector(theta: float, phi: float) -> np.ndarray:

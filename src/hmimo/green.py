@@ -43,10 +43,12 @@ _EYE3 = np.eye(3)
 class BlockChannelMatrix:
     """Dense complex channel matrix made of 3x3 polarization blocks.
 
-    Block (m, n) couples RX element m to TX element n and occupies dense
-    rows ``3m..3m+2`` and columns ``3n..3n+2``.  ``scale_applied`` records
-    whether the physical channel scale has been multiplied in; entries are
-    raw dyad values while it is False.
+    ``BlockChannelMatrix(matrix, variant)``: block (m, n) couples RX
+    element m to TX element n and occupies dense rows ``3m..3m+2`` and
+    columns ``3n..3n+2``, so the element counts ``m_count`` and
+    ``n_count`` are read off the matrix shape.  Entries are raw dyad
+    values; the physical scale enters only through
+    :class:`~hmimo.capacity.PhysicalConfig`.
 
     Three optional structure claims describe the entries; fast routes
     trust them.  None is a constructor argument: they are attached only
@@ -77,10 +79,7 @@ class BlockChannelMatrix:
     """
 
     matrix: np.ndarray
-    m_count: int
-    n_count: int
     variant: str
-    scale_applied: bool = False
     factors: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False)
     lattice: tuple[tuple[int, int], tuple[int, int]] | None = field(default=None, init=False)
     mirror: bool = field(default=False, init=False)
@@ -88,9 +87,17 @@ class BlockChannelMatrix:
     def __post_init__(self):
         if self.variant not in MODEL_VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {MODEL_VARIANTS}")
-        expected = (3 * self.m_count, 3 * self.n_count)
-        if self.matrix.shape != expected:
-            raise ValueError(f"matrix shape {self.matrix.shape} does not match blocks {expected}")
+        shape = self.matrix.shape
+        if len(shape) != 2 or shape[0] % 3 or shape[1] % 3:
+            raise ValueError(f"matrix shape {shape} is not made of 3x3 blocks")
+
+    @property
+    def m_count(self) -> int:
+        return self.matrix.shape[0] // 3
+
+    @property
+    def n_count(self) -> int:
+        return self.matrix.shape[1] // 3
 
     def with_structure(self, factors=None, lattice=None, mirror=False) -> BlockChannelMatrix:
         """A copy sharing the matrix array that carries exactly the claims given.
@@ -189,7 +196,7 @@ def assemble_ocm(
         raise CoincidentPointsError(f"RX element {m} coincides with TX element {n}")
     lattice = _grid_lattice(tx, rx, link)
     matrix = _dyad_dense(dvec, dist, link, k0)
-    return BlockChannelMatrix(matrix, rx.count, tx.count, "OCM").with_structure(
+    return BlockChannelMatrix(matrix, "OCM").with_structure(
         lattice=lattice, mirror=lattice is not None and not link.kappa[:2].any())
 
 

@@ -18,10 +18,9 @@ _CHUNK = 1 << 18
 def nmse(candidate: BlockChannelMatrix, reference: BlockChannelMatrix) -> float:
     """Normalized mean squared error |C - R|_F^2 / |R|_F^2.
 
-    Both matrices must have identical block dimensions and the same
-    scaling state; the squared-magnitude sums accumulate in extended
-    precision.  Scaling both matrices by a common factor leaves the
-    result unchanged.
+    Both matrices must have identical block dimensions; the
+    squared-magnitude sums accumulate in extended precision.  Scaling
+    both matrices by a common factor leaves the result unchanged.
 
     When both carry the same ``lattice``, every block is a function of
     its grid-index offset (a, b) alone, so the sums run over one block
@@ -38,8 +37,6 @@ def nmse(candidate: BlockChannelMatrix, reference: BlockChannelMatrix) -> float:
             f"dimension mismatch: candidate {candidate.matrix.shape} "
             f"vs reference {reference.matrix.shape}"
         )
-    if candidate.scale_applied != reference.scale_applied:
-        raise ValueError("mixed scaling: candidate and reference differ in scale_applied")
     if reference.lattice is not None and candidate.lattice == reference.lattice:
         shape, index, weight = _offset_blocks(reference.lattice)
         cand = candidate.matrix.reshape(shape)[index]

@@ -194,7 +194,7 @@ def assemble_pscm(
             f"projection factor is not positive for RX element {m}, TX element {n}"
         )
     matrix = _dyad_dense(dvec, dist, link, k0, keep)
-    return BlockChannelMatrix(matrix, rx.count, tx.count, tag).with_structure(lattice=lattice)
+    return BlockChannelMatrix(matrix, tag).with_structure(lattice=lattice)
 
 
 def _pscm_factors(ps, qs, link, k0, keep, weights, tag, lattice) -> BlockChannelMatrix:
@@ -241,7 +241,7 @@ def _pscm_factors(ps, qs, link, k0, keep, weights, tag, lattice) -> BlockChannel
     left = np.concatenate(lefts, axis=2)
     right = np.concatenate(rights, axis=2)
     left, right = left.reshape(-1, left.shape[2]), right.reshape(-1, right.shape[2])
-    return BlockChannelMatrix(left @ right.conj().T, len(qs), len(ps), tag).with_structure(
+    return BlockChannelMatrix(left @ right.conj().T, tag).with_structure(
         factors=(left, right), lattice=lattice)
 
 

@@ -235,9 +235,19 @@ def validate_spec(spec: SweepSpec) -> list[str]:
         if not (_is_real(value) and value > 0):
             v.append(f"{name} must be a positive finite number, got {value!r}")
             scale_ok = False
+    if scale_ok:
+        try:
+            PhysicalConfig(frequency=spec.frequency, a_t=1.0, a_r=1.0)
+        except ValueError as exc:
+            v.append(str(exc))
+            scale_ok = False
+    if scale_ok and not 0.0 < _point_scale(spec)[2] < math.inf:
+        v.append(f"spacing_lambda {spec.spacing_lambda!r} at frequency {spec.frequency!r} "
+                 "gives an element area that is not finite and positive")
+        scale_ok = False
     if not _is_real(spec.snr_db):
         v.append(f"snr_db must be a finite real number, got {spec.snr_db!r}")
-    elif scale_ok and not 0.0 < _point_scale(spec)[2] < math.inf:
+    elif scale_ok and not 0.0 < _total_power(spec, _point_scale(spec)[2]) < math.inf:
         v.append(f"snr_db {spec.snr_db!r} gives a total power that is not finite and positive")
 
     d0 = spec.d0_range_lambda
@@ -301,19 +311,23 @@ def _assemble(name, tx, rx, link, k0):
 
 
 def _point_scale(spec: SweepSpec):
-    """Wavelength, element spacing and total power 10^(snr_db/10) * area (inf on overflow)."""
+    """Wavelength, element spacing and element area."""
     lam = SPEED_OF_LIGHT / spec.frequency
     spacing = spec.spacing_lambda * lam
+    return lam, spacing, spacing * spacing
+
+
+def _total_power(spec: SweepSpec, area: float) -> float:
+    """Total power 10^(snr_db/10) * area, inf on overflow."""
     try:
-        return lam, spacing, 10.0 ** (spec.snr_db / 10.0) * (spacing * spacing)
+        return 10.0 ** (spec.snr_db / 10.0) * area
     except OverflowError:
-        return lam, spacing, math.inf
+        return math.inf
 
 
 def _evaluate_point(spec: SweepSpec, tx_grid, d0_lambda: float, x_value, dump_k: int = 0):
     """Assemble, score and decompose every requested variant at one point."""
-    lam, spacing, power = _point_scale(spec)
-    area = spacing * spacing
+    lam, spacing, area = _point_scale(spec)
     tx = build_planar_surface(tx_grid[0], tx_grid[1], spacing)
     rx = build_planar_surface(spec.rx_grid[0], spec.rx_grid[1], spacing)
     link = LinkGeometry.from_angles(d0_lambda * lam)
@@ -322,7 +336,7 @@ def _evaluate_point(spec: SweepSpec, tx_grid, d0_lambda: float, x_value, dump_k:
         a_t=area,
         a_r=area,
         noise_var=1.0,
-        total_power=power,
+        total_power=_total_power(spec, area),
     )
     policy = PPolicy.parse(spec.p_policy)
     k0 = cfg.k0

@@ -18,12 +18,12 @@ from hmimo import (
     NumericalError,
     PhysicalConfig,
     PPolicy,
+    SurfaceLayout,
     assemble_fscm,
     assemble_ocm,
     assemble_pscm,
     build_planar_surface,
     capacity,
-    channel_from_green,
     eigenchannel_decompose,
     global_rx_positions,
     select_p,
@@ -46,8 +46,16 @@ def test_config_derives_wavelength_and_mu():
 
 @pytest.mark.parametrize("field", ["frequency", "a_t", "a_r", "noise_var", "total_power", "eta"])
 def test_config_rejects_nonpositive_values(field):
-    with pytest.raises(ValueError):
-        _cfg(**{field: 0.0})
+    for value in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=field):
+            _cfg(**{field: value})
+
+
+@pytest.mark.parametrize("frequency", [1e-300, 1e300])
+def test_config_rejects_a_frequency_whose_mu_is_not_finite(frequency):
+    # 1e-300 Hz gives an infinite wavelength; at 1e300 Hz its square underflows
+    with pytest.raises(ValueError, match="mu"):
+        _cfg(frequency=frequency)
 
 
 def test_channel_scale_matches_reference_value(goldens):
@@ -55,24 +63,9 @@ def test_channel_scale_matches_reference_value(goldens):
     cfg = PhysicalConfig(
         frequency=SPEED_OF_LIGHT / lam, a_t=(0.01 * lam) ** 2, a_r=(0.01 * lam) ** 2, eta=376.73
     )
-    tx = build_planar_surface(2, 1, 0.01 * lam)
-    rx = build_planar_surface(1, 1, 0.01 * lam)
-    G = assemble_ocm(tx, rx, LinkGeometry.from_angles(0.5 * lam), cfg.k0)
-    scaled = channel_from_green(G, cfg)
-    assert scaled.scale_applied
-    ratio = scaled.matrix[0, 0] / G.matrix[0, 0]
-    assert ratio.imag == pytest.approx(0.0, abs=1e-20)
-    assert ratio.real == pytest.approx(goldens["channel_scale"], rel=1e-9)
-
-
-def test_channel_scale_applies_only_once():
-    cfg = _cfg()
-    tx = build_planar_surface(1, 1, 0.01)
-    G = assemble_ocm(tx, tx, LinkGeometry.from_angles(1.0), cfg.k0)
-    scaled = channel_from_green(G, cfg)
-    assert (scaled.lattice, scaled.mirror) == (G.lattice, G.mirror) == (((1, 1), (1, 1)), True)
-    with pytest.raises(ValueError):
-        channel_from_green(scaled, cfg)
+    # the physical scale eta / (2 lambda) * a_r * a_t lives in the config alone
+    scale = np.sqrt(cfg.mu) * cfg.a_r * cfg.a_t
+    assert scale == pytest.approx(goldens["channel_scale"], rel=1e-9)
 
 
 def test_select_p_threshold_and_fixed():
@@ -152,14 +145,6 @@ def test_gains_ignore_a_global_phase():
     b = eigenchannel_decompose(rotated, cfg).gains
     # spectrum-scale agreement; trailing values are numerically null
     assert np.max(np.abs(a - b)) <= 1e-12 * a[0]
-
-
-def test_decompose_rejects_scaled_matrices():
-    cfg = _cfg()
-    tx = build_planar_surface(1, 1, 0.01)
-    G = assemble_ocm(tx, tx, LinkGeometry.from_angles(1.0), cfg.k0)
-    with pytest.raises(ValueError):
-        eigenchannel_decompose(channel_from_green(G, cfg), cfg)
 
 
 def test_capacity_closed_form_for_the_smallest_link():
@@ -284,7 +269,7 @@ def test_a_rebuilt_matrix_carries_no_structure_claim(theta):
     assert [G.mirror for G in mats] == [theta == 0.0, False, False, False, False]
     for G in mats:
         for rebuilt in (replace(G, matrix=2.0 * G.matrix),
-                        BlockChannelMatrix(G.matrix, G.m_count, G.n_count, G.variant)):
+                        BlockChannelMatrix(G.matrix, G.variant)):
             assert rebuilt.factors is None and rebuilt.lattice is None and not rebuilt.mirror
 
 
@@ -322,19 +307,7 @@ def test_factors_must_match_the_block_shape():
     assert left.shape == (3, 3) and right.shape == (6, 3)
     for bad in ((right, right), (left, left), (left, right[:, :2]), (left[:, 0], right[:, 0])):
         with pytest.raises(ValueError, match="factors"):
-            BlockChannelMatrix(G.matrix, 1, 2, "FSCM").with_structure(factors=bad)
-
-
-def test_channel_scale_rescales_the_left_factor_only():
-    cfg = _cfg()
-    tx = build_planar_surface(2, 2, 0.05)
-    G = assemble_fscm(tx, tx, LinkGeometry.from_angles(1.0), cfg.k0)
-    scaled = channel_from_green(G, cfg)
-    ratio = scaled.matrix[0, 0] / G.matrix[0, 0]
-    np.testing.assert_allclose(scaled.factors[0], ratio * G.factors[0], rtol=1e-14)
-    assert scaled.factors[1] is G.factors[1]
-    left, right = scaled.factors
-    np.testing.assert_allclose(left @ right.conj().T, scaled.matrix, rtol=1e-14)
+            BlockChannelMatrix(G.matrix, "FSCM").with_structure(factors=bad)
 
 
 def test_full_decomposition_ignores_the_factors():
@@ -476,11 +449,22 @@ def test_qr_first_spectra_keep_p_used_at_every_threshold(tx_side, rx_side, d0_la
 
 
 def test_matrices_compare_by_identity_and_hash():
+    # every value type holding numpy arrays: == would otherwise raise, hash too
     tx = build_planar_surface(2, 2, 0.05)
     link = LinkGeometry.from_angles(1.0)
-    first, second = (assemble_ocm(tx, tx, link, 2 * np.pi) for _ in range(2))
-    assert first == first and first != second
-    assert len({first, second, first}) == 2
+    cfg = _cfg()
+    makers = (
+        lambda: assemble_ocm(tx, tx, link, 2 * np.pi),
+        lambda: build_planar_surface(2, 2, 0.05),
+        lambda: LinkGeometry.from_angles(1.0, rx_rotation=np.eye(3)),
+        lambda: eigenchannel_decompose(assemble_ocm(tx, tx, link, cfg.k0), cfg),
+    )
+    kinds = [BlockChannelMatrix, SurfaceLayout, LinkGeometry, EigenchannelSet]
+    for make, kind in zip(makers, kinds):
+        first, second = make(), make()
+        assert type(first) is kind
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
 
 
 def _log_domain_capacity(gains, p_used, cfg):

@@ -192,6 +192,10 @@ _TINY_ELEMENTS = dict(_TINY_POINT, experiment="tx-elements", n_list=[2, 3])
                  id="d0-list-repeat"),
     pytest.param("point", b'{"experiment": "single-point", "p_policy": "fixed(1)\xff"}', [],
                  id="not-utf8"),
+    pytest.param("point", dict(_TINY_POINT, frequency=1e-300), [], id="frequency-tiny"),
+    pytest.param("point", dict(_TINY_POINT, frequency=1e300), [], id="frequency-huge"),
+    pytest.param("point", dict(_TINY_POINT, spacing_lambda=1e200), [], id="area-overflow"),
+    pytest.param("point", dict(_TINY_POINT, spacing_lambda=1e-200), [], id="area-underflow"),
 ])
 def test_bad_config_values_fail_before_any_work(monkeypatch, tmp_path, capsys, command, config,
                                                 flags):
@@ -203,7 +207,11 @@ def test_bad_config_values_fail_before_any_work(monkeypatch, tmp_path, capsys, c
     else:
         path.write_text(json.dumps(config), encoding="utf-8")
     assert main([command, "--config", str(path), *flags]) == EXIT_CONFIG
-    assert "invalid sweep config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid sweep config" in err
+    if "snr" not in repr((config, flags)):
+        # a fault elsewhere is not blamed on the default SNR
+        assert "snr_db" not in err
 
 
 def test_huge_distance_count_fails_before_the_grid_is_built(monkeypatch, tmp_path, capsys):
@@ -299,7 +307,7 @@ def test_non_finite_channel_is_a_numerical_failure(monkeypatch, point_config, ca
     def poisoned(tx, rx, link, k0):
         matrix = np.ones((3 * rx.count, 3 * tx.count), dtype=complex)
         matrix[0, 0] = value
-        return BlockChannelMatrix(matrix, rx.count, tx.count, "OCM")
+        return BlockChannelMatrix(matrix, "OCM")
 
     monkeypatch.setattr(sweep_module, "assemble_ocm", poisoned)
     assert main(["point", "--config", point_config, "--variants", "OCM"]) == EXIT_NUMERICAL
@@ -310,7 +318,7 @@ def test_non_finite_mirrored_channel_is_a_numerical_failure(monkeypatch, point_c
     def poisoned(tx, rx, link, k0):
         matrix = np.ones((3 * rx.count, 3 * tx.count), dtype=complex)
         matrix[5, 2] = np.nan
-        return BlockChannelMatrix(matrix, rx.count, tx.count, "OCM").with_structure(
+        return BlockChannelMatrix(matrix, "OCM").with_structure(
             lattice=((rx.n_v, rx.n_h), (tx.n_v, tx.n_h)), mirror=True)
 
     monkeypatch.setattr(sweep_module, "assemble_ocm", poisoned)

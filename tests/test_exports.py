@@ -1,5 +1,6 @@
 """The package namespace: every submodule's public names, one object each."""
 
+import dataclasses
 import importlib
 
 import hmimo
@@ -21,3 +22,16 @@ def test_every_public_name_is_the_object_of_its_module():
 def test_the_package_capacity_name_is_the_function():
     assert hmimo.capacity is importlib.import_module("hmimo.capacity").capacity
     assert callable(hmimo.capacity)
+
+
+def test_array_holding_dataclasses_compare_by_identity():
+    # the generated __eq__ over numpy fields raises instead of answering
+    for module_name in _MODULES:
+        module = importlib.import_module(f"hmimo.{module_name}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if not dataclasses.is_dataclass(obj) or not isinstance(obj, type):
+                continue
+            # annotations are strings under `from __future__ import annotations`
+            if any("ndarray" in str(f.type) for f in dataclasses.fields(obj)):
+                assert not obj.__dataclass_params__.eq, f"{name} needs eq=False"

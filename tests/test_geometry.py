@@ -1,5 +1,7 @@
 """Surface builders, link geometry and the pair-distance factorization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,10 +57,18 @@ def test_positions_are_read_only():
 
 
 def test_surface_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        build_planar_surface(0, 1, 0.1)
-    with pytest.raises(ValueError):
-        build_planar_surface(1, 1, 0.0)
+    for n_h, n_v, spacing in ((0, 1, 0.1), (1, 1, 0.0), (1, 1, np.nan), (1, 1, np.inf),
+                              (1, 1, -np.inf), (True, 1, 0.1), (1, True, 0.1), (2.0, 1, 0.1)):
+        with pytest.raises(ValueError):
+            build_planar_surface(n_h, n_v, spacing)
+
+
+def test_surface_area_and_diagonal_follow_the_spacing():
+    layout = build_planar_surface(3, 2, 0.1)
+    assert layout.element_area == 0.1**2
+    wider = replace(layout, spacing=0.2)
+    assert wider.element_area == pytest.approx(0.04, rel=1e-15)
+    assert wider.aperture_diag == pytest.approx(np.hypot(0.6, 0.4), rel=1e-15)
 
 
 def test_wavevector_directions():
@@ -68,10 +78,26 @@ def test_wavevector_directions():
 
 
 def test_link_rejects_nonpositive_distance():
+    for d0 in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(DegenerateGeometryError):
+            LinkGeometry.from_angles(d0)
     with pytest.raises(DegenerateGeometryError):
-        LinkGeometry.from_angles(0.0)
+        LinkGeometry(-1.0, 0.0, 0.0)
     with pytest.raises(DegenerateGeometryError):
-        LinkGeometry.from_angles(-1.0)
+        replace(LinkGeometry.from_angles(1.0), d0=0.0)
+    for theta, phi in ((np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0)):
+        with pytest.raises(ValueError, match="angles"):
+            LinkGeometry.from_angles(1.0, theta, phi)
+
+
+def test_link_direction_follows_its_angles():
+    link = LinkGeometry.from_angles(1.0)
+    np.testing.assert_array_equal(link.kappa, wavevector(0.0, 0.0))
+    tilted = replace(link, theta=0.3)
+    np.testing.assert_array_equal(tilted.kappa, wavevector(0.3, 0.0))
+    np.testing.assert_array_equal(LinkGeometry(2.0, 0.4, 1.1).kappa, wavevector(0.4, 1.1))
+    with pytest.raises(ValueError):
+        tilted.kappa[0] = 1.0
 
 
 def test_alpha_for_perpendicular_offset():
@@ -150,6 +176,8 @@ def test_rx_rotation_maps_local_offsets():
 def test_rotation_must_be_3x3():
     with pytest.raises(ValueError):
         LinkGeometry.from_angles(1.0, rx_rotation=np.eye(2))
+    with pytest.raises(ValueError):
+        replace(LinkGeometry.from_angles(1.0), rx_rotation=np.eye(2))
 
 
 def test_pairwise_offsets_shape_and_content():

@@ -129,7 +129,6 @@ def test_assembled_reference_matches_the_pairwise_kernel(tx_sides, rx_sides, tx_
     qs = global_rx_positions(link, rx)
     G = assemble_ocm(tx, rx, link, 2 * np.pi)
     assert G.variant == "OCM"
-    assert not G.scale_applied
     scale = np.max(np.abs(G.matrix))
     for m in range(rx.count):
         for n in range(tx.count):
@@ -142,11 +141,7 @@ def test_assembly_is_permutation_equivariant():
     rx = build_planar_surface(2, 2, 0.05)
     link = LinkGeometry.from_angles(0.9, theta=0.2, phi=0.4)
     G = assemble_ocm(tx, rx, link, 2 * np.pi)
-    reversed_tx = SurfaceLayout(
-        n_h=tx.n_h, n_v=tx.n_v, spacing=tx.spacing,
-        positions=tx.positions[::-1].copy(),
-        element_area=tx.element_area, aperture_diag=tx.aperture_diag,
-    )
+    reversed_tx = SurfaceLayout(tx.n_h, tx.n_v, tx.spacing, tx.positions[::-1].copy())
     G_rev = assemble_ocm(reversed_tx, rx, link, 2 * np.pi)
     for m in range(rx.count):
         for n in range(tx.count):
@@ -175,24 +170,23 @@ def test_full_size_assembly_shape():
 def test_coincident_elements_are_reported():
     # an RX element offset that exactly cancels the link vector lands on a TX element
     tx = build_planar_surface(1, 1, 0.1)
-    rx_off = SurfaceLayout(
-        n_h=1, n_v=1, spacing=0.1,
-        positions=np.array([[0.0, 0.0, -1.0]]),
-        element_area=0.01, aperture_diag=0.1 * np.sqrt(2),
-    )
+    rx_off = SurfaceLayout(n_h=1, n_v=1, spacing=0.1, positions=np.array([[0.0, 0.0, -1.0]]))
     with pytest.raises(CoincidentPointsError):
         assemble_ocm(tx, rx_off, LinkGeometry.from_angles(1.0), 2 * np.pi)
 
 
 def test_matrix_wrapper_validates_shape_and_variant():
-    with pytest.raises(ValueError):
-        BlockChannelMatrix(np.zeros((3, 3), dtype=complex), 1, 1, "XYZ")
-    with pytest.raises(ValueError):
-        BlockChannelMatrix(np.zeros((3, 4), dtype=complex), 1, 1, "OCM")
+    G = BlockChannelMatrix(np.zeros((6, 9), dtype=complex), "OCM")
+    assert (G.m_count, G.n_count) == (2, 3) and G.blocks.shape == (2, 3, 3, 3)
+    with pytest.raises(ValueError, match="unknown variant"):
+        BlockChannelMatrix(np.zeros((3, 3), dtype=complex), "XYZ")
+    for shape in ((6, 8), (3, 4), (4, 3), (9,), (3, 3, 3)):
+        with pytest.raises(ValueError, match="3x3 blocks"):
+            BlockChannelMatrix(np.zeros(shape, dtype=complex), "OCM")
 
 
 def test_structure_claims_are_checked_against_the_block_shape():
-    G = BlockChannelMatrix(np.zeros((6, 9), dtype=complex), 2, 3, "OCM")
+    G = BlockChannelMatrix(np.zeros((6, 9), dtype=complex), "OCM")
     left, right = np.zeros((6, 2)), np.zeros((9, 2))
     tagged = G.with_structure(factors=(left, right), lattice=((2, 1), (1, 3)), mirror=True)
     assert tagged.matrix is G.matrix and tagged.factors[0] is left and tagged.factors[1] is right
