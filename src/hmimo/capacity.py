@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -231,24 +231,40 @@ def _sector_piece(k_v: np.ndarray, table: np.ndarray, k_h: np.ndarray) -> np.nda
 
 
 # A block at least this many times as long in one dimension as in the other
-# is reduced to its QR triangle before the values-only SVD.  Measured on the
-# built-in mirror sectors (OpenBLAS, 2 cores): 1.5x faster at 176 x 341,
+# is reduced to its QR triangle before the SVD.  Measured on the built-in
+# mirror sectors (OpenBLAS, 2 cores), values only: 1.5x faster at 176 x 341,
 # 2.5-4x at 176 x 1281 and 21 x 1281, but 1.1x slower at 176 x 225 and
-# 176 x 133; random 169 x 253 blocks gain 1.2x.
+# 176 x 133; random 169 x 253 blocks gain 1.2x.  With vectors, on the
+# 243 x 867 tilted-link matrices: about 50 ms against 95 ms.
 _QR_FIRST_RATIO = 1.5
 
 
-def _block_values(block: np.ndarray) -> np.ndarray:
-    """Singular values of one block, through its QR triangle when clearly non-square.
+def _block_svd(block: np.ndarray, vectors: bool):
+    """SVD of one block, through its QR triangle when clearly non-square.
 
     With the tall orientation T = Q R (T is the block or its transpose),
-    R is square and has the block's singular values; LAPACK's values-only
-    SVD is much slower on the wide block itself.
+    R is square and has the block's singular values; LAPACK's SVD is much
+    slower on the wide block itself (Chan's R-SVD, ACM TOMS 8, 1982).
+    Without ``vectors`` this returns the singular values.  With them it
+    returns ``(left, u, s, vh, right)`` with ``block = left u diag(s) vh
+    right``: ``left`` is Q of a tall block, ``right`` is Q' of a wide one,
+    and the other (both, below the ratio) is None, the identity, so the
+    caller lifts only the singular vectors it keeps.
     """
     rows, cols = block.shape
-    if max(rows, cols) >= _QR_FIRST_RATIO * min(rows, cols):
-        block = np.linalg.qr(block.T if rows < cols else block, mode="r")
-    return np.linalg.svd(block, compute_uv=False)
+    wide = rows < cols
+    qr_first = max(rows, cols) >= _QR_FIRST_RATIO * min(rows, cols)
+    if not vectors:
+        if qr_first:
+            block = np.linalg.qr(block.T if wide else block, mode="r")
+        return np.linalg.svd(block, compute_uv=False)
+    if not qr_first:
+        return (None, *np.linalg.svd(block, full_matrices=False), None)
+    if wide:  # block' = Q R, so block = R' Q'
+        q, r = np.linalg.qr(block.T)
+        return (None, *np.linalg.svd(r.T), q.T)
+    q, r = np.linalg.qr(block)
+    return (q, *np.linalg.svd(r), None)
 
 
 def eigenchannel_decompose(
@@ -263,16 +279,19 @@ def eigenchannel_decompose(
         green: block channel matrix of raw dyad values.
         cfg: physical configuration supplying the element areas.
         policy: eigenchannel count policy.
-        patterns: compute the transmit/receive patterns with a full SVD.
-            Without them only the spectrum is computed, in one values-only
-            step: each route supplies its blocks (the r x r core
-            R_L R_R' of the economy QRs L = Q_L R_L, R = Q_R R_R when the
-            matrix carries thin factors, the four parity sectors gathered
-            from its offset table when it carries ``mirror``, otherwise
-            the matrix itself); a block at least 1.5 times as long one
+        patterns: also return the transmit/receive patterns.  Each route
+            supplies its blocks: the r x r core R_L R_R' of the economy
+            QRs L = Q_L R_L, R = Q_R R_R when the matrix carries thin
+            factors; without patterns, the four parity sectors gathered
+            from its offset table when it carries ``mirror``; otherwise
+            the matrix itself.  A block at least 1.5 times as long one
             way as the other is reduced to the QR triangle of its tall
-            orientation first, and the blocks' singular values are
-            sorted once and padded with zeros to min(3M, 3N).
+            orientation first.  Without patterns the blocks' singular
+            values are sorted once; with them the one block's singular
+            vectors are lifted by the QR bases (U = Q_L U_c, V' = V_c'
+            Q_R' on the factors), only the ``p_used`` kept.  A policy
+            that keeps more channels than r falls back to the matrix
+            itself.  The spectrum is padded with zeros to min(3M, 3N).
 
     Returns:
         EigenchannelSet with the full gain spectrum and, when ``patterns``
@@ -284,34 +303,49 @@ def eigenchannel_decompose(
     """
     if green.matrix.size == 0:
         raise ValueError("empty channel matrix")
-    tx_patterns = rx_patterns = None
-    if not patterns and green.factors is not None:
+    outer = (None, None)
+    if green.factors is not None:
         # LAPACK can stall on inf entries, so reject them before the QRs run.
         if not all(np.isfinite(f).all() for f in green.factors):
             raise NumericalError("channel factors hold NaN or inf entries")
-        left, right = green.factors
-        blocks = [np.linalg.qr(left, mode="r") @ np.linalg.qr(right, mode="r").conj().T]
+        if patterns:
+            (q_l, r_l), (q_r, r_r) = (np.linalg.qr(f) for f in green.factors)
+            outer = (q_l, q_r.conj().T)
+        else:
+            r_l, r_r = (np.linalg.qr(f, mode="r") for f in green.factors)
+        blocks = [r_l @ r_r.conj().T]
     else:
         # On inf entries LAPACK's full SVD does not return and the values-only
         # one stalls before giving NaN, so reject them before either runs.
         if not np.isfinite(green.matrix).all():
             raise NumericalError("channel matrix holds NaN or inf entries")
-        if patterns:
-            u, s, vh = np.linalg.svd(green.matrix, full_matrices=False)
-        elif green.mirror:
+        if green.mirror and not patterns:
             blocks = _lattice_sectors(green.matrix, green.lattice)
         else:
             blocks = [green.matrix]
-    if not patterns:
-        values = np.sort(np.concatenate([_block_values(b) for b in blocks]))
-        s = np.zeros(3 * min(green.m_count, green.n_count))
-        s[: values.size] = values[::-1]
+    if patterns:
+        left, u, values, vh, right = _block_svd(blocks[0], True)
+    else:
+        values = np.concatenate([_block_svd(b, False) for b in blocks])
+    s = np.zeros(3 * min(green.m_count, green.n_count))
+    s[: values.size] = np.sort(values)[::-1]
     p_used = select_p(s, policy)
+    if patterns and p_used > values.size:
+        # the factors' bases end after r vectors: decompose the entries instead
+        return eigenchannel_decompose(replace(green, matrix=green.matrix), cfg, policy)
     gains = np.sqrt(cfg.a_r * cfg.a_t) * s
     gains.setflags(write=False)
+    tx_patterns = rx_patterns = None
     if patterns:
-        tx_patterns = vh[:p_used].conj().T / np.sqrt(cfg.a_t)
-        rx_patterns = u[:, :p_used] / np.sqrt(cfg.a_r)
+        u, vh = u[:, :p_used], vh[:p_used]
+        for basis in (left, outer[0]):
+            if basis is not None:
+                u = basis @ u
+        for basis in (right, outer[1]):
+            if basis is not None:
+                vh = vh @ basis
+        tx_patterns = vh.conj().T / np.sqrt(cfg.a_t)
+        rx_patterns = u / np.sqrt(cfg.a_r)
     return EigenchannelSet(gains, p_used, tx_patterns, rx_patterns)
 
 

@@ -263,6 +263,12 @@ def validate_spec(spec: SweepSpec) -> list[str]:
             v.append(f"every d0 value must be a positive finite number, got {bad[0]!r}")
         elif len(set(d0)) != len(d0):
             v.append("d0 values must not repeat")
+        if scale_ok and not bad:
+            lam = _point_scale(spec)[0]
+            off = [x for x in d0 if not (0.0 < x * lam < math.inf and 1.0 / (x * lam) < math.inf)]
+            if off:
+                v.append(f"d0_range_lambda {off[0]!r} at frequency {spec.frequency!r} gives a "
+                         "link distance or inverse distance that is not finite and positive")
 
     if spec.experiment == "tx-elements":
         ok = (

@@ -310,19 +310,32 @@ def test_factors_must_match_the_block_shape():
             BlockChannelMatrix(G.matrix, "FSCM").with_structure(factors=bad)
 
 
-def test_full_decomposition_ignores_the_factors():
-    # deliberately wrong factors change the spectrum-only result, not the dense one
+def test_both_modes_trust_the_factors():
+    # deliberately wrong factors change the patterns route and the spectrum-only
+    # route alike; the same matrix without the claim is read entry by entry
     cfg = _cfg()
     tx = build_planar_surface(2, 2, 0.05)
     G = assemble_fscm(tx, tx, LinkGeometry.from_angles(1.0), cfg.k0)
     wrong = G.with_structure(factors=(2.0 * G.factors[0], G.factors[1]))
-    dense = eigenchannel_decompose(G, cfg, PPolicy.fixed(2))
-    kept = eigenchannel_decompose(wrong, cfg, PPolicy.fixed(2))
-    np.testing.assert_array_equal(kept.gains, dense.gains)
-    np.testing.assert_array_equal(kept.tx_patterns, dense.tx_patterns)
-    fast = eigenchannel_decompose(wrong, cfg, PPolicy.fixed(2), patterns=False)
-    assert fast.tx_patterns is None and fast.rx_patterns is None
-    np.testing.assert_allclose(fast.gains[:2], 2.0 * dense.gains[:2], rtol=1e-12)
+    scale = np.sqrt(cfg.a_r * cfg.a_t)
+    sigma = np.linalg.svd(G.matrix, compute_uv=False)
+    assert sigma[2] <= 1e-12 * sigma[0]  # rank 2, so two channels rebuild the matrix
+    for claimed, target in ((wrong, 2.0 * G.matrix), (replace(wrong, matrix=wrong.matrix), G.matrix)):
+        full = eigenchannel_decompose(claimed, cfg, PPolicy.fixed(2))
+        fast = eigenchannel_decompose(claimed, cfg, PPolicy.fixed(2), patterns=False)
+        want = scale * np.linalg.svd(target, compute_uv=False)
+        for eigs in (full, fast):
+            assert np.max(np.abs(eigs.gains - want)) <= 1e-12 * want[0]
+        assert fast.tx_patterns is None and fast.rx_patterns is None
+        left = np.sqrt(cfg.a_r) * full.rx_patterns
+        right = np.sqrt(cfg.a_t) * full.tx_patterns
+        recon = (left * full.gains[:2] / scale) @ right.conj().T
+        assert np.linalg.norm(recon - target) <= 1e-12 * np.linalg.norm(target)
+    # more channels than the factors' rank 3: the entries are decomposed instead
+    past = eigenchannel_decompose(wrong, cfg, PPolicy.fixed(4))
+    want = scale * np.linalg.svd(G.matrix, compute_uv=False)
+    assert past.tx_patterns.shape == (3 * tx.count, 4)
+    assert np.max(np.abs(past.gains - want)) <= 1e-12 * want[0]
 
 
 def test_spectrum_only_decomposition_rejects_non_finite_factors():
@@ -417,9 +430,22 @@ def test_spectrum_only_decomposition_matches_the_dense_svd(
             full = eigenchannel_decompose(G, cfg, policy)
             fast = eigenchannel_decompose(G, cfg, policy, patterns=False)
             assert fast.tx_patterns is None and fast.rx_patterns is None
-            assert fast.gains.shape == dense.shape == (3 * min(rx.count, tx.count),)
-            assert np.max(np.abs(fast.gains - dense)) <= 1e-12 * dense[0], G.variant
-            assert fast.p_used == full.p_used, (G.variant, policy)
+            p_used = select_p(dense, policy)
+            for eigs in (fast, full):
+                assert eigs.gains.shape == dense.shape == (3 * min(rx.count, tx.count),)
+                assert np.max(np.abs(eigs.gains - dense)) <= 1e-12 * dense[0], G.variant
+                assert eigs.p_used == p_used, (G.variant, policy)
+            # sigma_1 = sigma_2 on FSCM: hold the vectors by residual and
+            # orthonormality, never entry by entry
+            assert full.tx_patterns.shape == (3 * tx.count, p_used)
+            assert full.rx_patterns.shape == (3 * rx.count, p_used)
+            right = np.sqrt(cfg.a_t) * full.tx_patterns
+            left = np.sqrt(cfg.a_r) * full.rx_patterns
+            for basis in (left, right):
+                assert np.max(np.abs(basis.conj().T @ basis - np.eye(p_used))) <= 1e-12
+            sigma = full.gains[:p_used] / np.sqrt(cfg.a_r * cfg.a_t)
+            residual = np.abs(G.matrix @ right - left * sigma)
+            assert np.max(residual) <= 1e-12 * sigma[0], (G.variant, policy)
 
 
 @pytest.mark.parametrize("tx_side,rx_side,d0_lambda", [(41, 5, 0.25), (41, 5, 4.25),
@@ -446,6 +472,47 @@ def test_qr_first_spectra_keep_p_used_at_every_threshold(tx_side, rx_side, d0_la
     for k in range(120):
         policy = PPolicy.threshold(10 ** (-k / 10))
         assert select_p(fast.gains, policy) == select_p(dense, policy), k
+
+
+@pytest.mark.parametrize("tx_shape,rx_shape", [
+    pytest.param((5, 5), (3, 3), id="wide"),                  # 27 x 75
+    pytest.param((3, 3), (5, 5), id="tall"),                  # 75 x 27
+    pytest.param((6, 4), (4, 4), id="wide-at-the-ratio"),     # 48 x 72
+    pytest.param((2, 11), (3, 5), id="wide-under-the-ratio"),  # 45 x 66
+    pytest.param((3, 5), (2, 11), id="tall-under-the-ratio"),  # 66 x 45
+])
+def test_qr_first_rule_holds_in_both_orientations(monkeypatch, tx_shape, rx_shape):
+    # a tilted link with a rotated RX carries no structure claim, so the
+    # matrix itself is the one block, with or without patterns
+    cfg = _cfg()
+    tx = build_planar_surface(*tx_shape, 0.05)
+    rx = build_planar_surface(*rx_shape, 0.05)
+    link = LinkGeometry.from_angles(0.9, 0.3, 1.1, rx_rotation=_rotation(0.0, 0.0, 0.3))
+    G = assemble_ocm(tx, rx, link, 2 * np.pi)
+    assert G.factors is None and not G.mirror
+    rows, cols = G.matrix.shape
+    rank = min(rows, cols)
+    qr_first = max(rows, cols) >= _QR_FIRST_RATIO * min(rows, cols)
+    assert qr_first == (max(rows, cols) / min(rows, cols) >= 1.5)
+    want = np.sqrt(cfg.a_r * cfg.a_t) * np.linalg.svd(G.matrix, compute_uv=False)
+    # the SVD runs on the square QR triangle, or on the block itself below the ratio
+    seen, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    fast = eigenchannel_decompose(G, cfg, PPolicy.fixed(rank), patterns=False)
+    full = eigenchannel_decompose(G, cfg, PPolicy.fixed(rank))
+    monkeypatch.undo()
+    assert seen == 2 * [(rank, rank) if qr_first else (rows, cols)]
+    for eigs in (fast, full):
+        assert np.max(np.abs(eigs.gains - want)) <= 1e-12 * want[0]
+    left = np.sqrt(cfg.a_r) * full.rx_patterns
+    right = np.sqrt(cfg.a_t) * full.tx_patterns
+    recon = (left * full.gains / np.sqrt(cfg.a_r * cfg.a_t)) @ right.conj().T
+    assert np.linalg.norm(recon - G.matrix) <= 1e-12 * np.linalg.norm(G.matrix)
 
 
 def test_matrices_compare_by_identity_and_hash():

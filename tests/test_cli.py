@@ -196,6 +196,10 @@ _TINY_ELEMENTS = dict(_TINY_POINT, experiment="tx-elements", n_list=[2, 3])
     pytest.param("point", dict(_TINY_POINT, frequency=1e300), [], id="frequency-huge"),
     pytest.param("point", dict(_TINY_POINT, spacing_lambda=1e200), [], id="area-overflow"),
     pytest.param("point", dict(_TINY_POINT, spacing_lambda=1e-200), [], id="area-underflow"),
+    pytest.param("point", dict(_TINY_POINT, frequency=1e8, d0_range_lambda=[1e308]), [],
+                 id="d0-overflow"),
+    pytest.param("point", dict(_TINY_POINT, frequency=1e8, d0_range_lambda=[1e-320]), [],
+                 id="d0-underflow"),
 ])
 def test_bad_config_values_fail_before_any_work(monkeypatch, tmp_path, capsys, command, config,
                                                 flags):
