@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalError
-from .green import BlockChannelMatrix, _offset_blocks
+from .green import BlockChannelMatrix, _offset_table
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -171,7 +171,7 @@ def _parity_kernels(rx_n: int, tx_n: int) -> dict:
     """Offset kernels of one grid axis in the even/odd bases, keyed by (RX, TX) parity.
 
     ``K[:, :, a] = B_r E_a B_t'`` with ``E_a`` the 0/1 matrix of grid
-    offset a (in :func:`~hmimo.green._offset_blocks` order) and ``B`` the
+    offset a (in :func:`~hmimo.green._offset_table` order) and ``B`` the
     orthonormal butterfly of each side: rows (e_k + e_{n-1-k}) / sqrt(2),
     then the centre e_k of an odd n (the even rows), then
     (e_k - e_{n-1-k}) / sqrt(2) (the odd rows).  Returns
@@ -192,7 +192,7 @@ def _parity_kernels(rx_n: int, tx_n: int) -> dict:
     return {(p_r, p_t): kernel[rows[p_r], cols[p_t]] for p_r in rows for p_t in cols}
 
 
-def _lattice_sectors(matrix: np.ndarray, lattice):
+def _lattice_sectors(green: BlockChannelMatrix):
     """The four parity sectors of a mirrored lattice matrix, one at a time.
 
     The butterflies of :func:`_parity_kernels` along the four grid axes
@@ -203,12 +203,11 @@ def _lattice_sectors(matrix: np.ndarray, lattice):
     between rows and columns of equal parities, so the spectrum is the
     union of the (x, y) parity sectors' spectra.  Polarization pair
     (c, d) of a sector is ``K_v T_cd K_h'`` with ``T_cd`` the (A_v, A_h)
-    offset table of that pair, read from one block per grid-index
-    offset.  Empty sectors are skipped.
+    offset table of that pair (:func:`~hmimo.green._offset_table`).
+    Empty sectors are skipped.
     """
-    (rx_v, rx_h), (tx_v, tx_h) = lattice
-    shape, index, _ = _offset_blocks(lattice)
-    table = matrix.reshape(shape)[index]
+    (rx_v, rx_h), (tx_v, tx_h) = green.lattice
+    table, _ = _offset_table(green)
     k_v, k_h = _parity_kernels(rx_v, tx_v), _parity_kernels(rx_h, tx_h)
     for ex in (1, -1):
         for ey in (1, -1):
@@ -320,7 +319,7 @@ def eigenchannel_decompose(
         if not np.isfinite(green.matrix).all():
             raise NumericalError("channel matrix holds NaN or inf entries")
         if green.mirror and not patterns:
-            blocks = _lattice_sectors(green.matrix, green.lattice)
+            blocks = _lattice_sectors(green)
         else:
             blocks = [green.matrix]
     if patterns:

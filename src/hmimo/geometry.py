@@ -38,17 +38,36 @@ __all__ = [
 class SurfaceLayout:
     """Uniform rectangular element grid centered at the local origin.
 
-    ``SurfaceLayout(n_h, n_v, spacing, positions)``: ``positions`` holds
-    one row per element (meters, local frame, z = 0), ordered row-major
-    over (vertical index, horizontal index).  Element area and aperture
-    diagonal are derived from the spacing, so they never go stale.
-    Equality is identity.
+    ``SurfaceLayout(n_h, n_v, spacing)``: element (i, j), both indices
+    0-based, sits at ``((i - (n_h-1)/2)*spacing, (j - (n_v-1)/2)*spacing, 0)``
+    in the local frame (meters).  ``positions`` holds one row per element
+    in j-major order (all of row j before row j+1); it, the element area
+    and the aperture diagonal are derived from the inputs, which are
+    checked on every construction, ``replace`` included, so they never go
+    stale.  Equality is identity.
     """
 
     n_h: int
     n_v: int
     spacing: float
-    positions: np.ndarray
+    positions: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        n_h, n_v, spacing = self.n_h, self.n_v, self.spacing
+        if not all(isinstance(n, Integral) and not isinstance(n, bool) for n in (n_h, n_v)):
+            raise ValueError(f"element counts must be integers, got {n_h!r} x {n_v!r}")
+        if n_h < 1 or n_v < 1:
+            raise ValueError(f"element counts must be >= 1, got {n_h} x {n_v}")
+        if not 0 < spacing < math.inf:
+            raise ValueError(f"element spacing must be positive and finite, got {spacing}")
+        xs = (np.arange(n_h) - (n_h - 1) / 2.0) * spacing
+        ys = (np.arange(n_v) - (n_v - 1) / 2.0) * spacing
+        gx, gy = np.meshgrid(xs, ys)
+        positions = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(n_h * n_v)])
+        positions.setflags(write=False)
+        for name, value in (("n_h", int(n_h)), ("n_v", int(n_v)), ("spacing", float(spacing)),
+                            ("positions", positions)):
+            object.__setattr__(self, name, value)
 
     @property
     def count(self) -> int:
@@ -71,9 +90,9 @@ class LinkGeometry:
     ``LinkGeometry(d0, theta, phi, rx_rotation=None)``.  ``kappa`` points
     from the TX surface center toward the RX surface center; it is always
     derived from the elevation/azimuth pair via :func:`wavevector`, so it
-    never goes stale.  ``rx_rotation``, when given, maps RX-local element
-    offsets into the global frame; when absent the two surfaces are
-    parallel.  Equality is identity.
+    never goes stale.  ``rx_rotation``, when given, is a finite 3x3 matrix
+    that maps RX-local element offsets into the global frame; when absent
+    the two surfaces are parallel.  Equality is identity.
     """
 
     d0: float
@@ -93,6 +112,8 @@ class LinkGeometry:
             rotation = np.array(rotation, dtype=float)
             if rotation.shape != (3, 3):
                 raise ValueError("rx_rotation must be a 3x3 matrix")
+            if not np.isfinite(rotation).all():
+                raise ValueError("rx_rotation entries must be finite")
             rotation.setflags(write=False)
         for name, value in (("d0", d0), ("theta", theta), ("phi", phi),
                             ("rx_rotation", rotation), ("kappa", wavevector(theta, phi))):
@@ -106,25 +127,8 @@ class LinkGeometry:
 
 
 def build_planar_surface(n_h: int, n_v: int, spacing: float) -> SurfaceLayout:
-    """Build a centered ``n_h`` x ``n_v`` grid with the given element spacing.
-
-    Element (i, j), both indices 0-based, sits at
-    ``((i - (n_h-1)/2)*spacing, (j - (n_v-1)/2)*spacing, 0)``; the flat
-    element order runs j-major (all of row j before row j+1).  Element
-    area is ``spacing**2``.
-    """
-    if not all(isinstance(n, Integral) and not isinstance(n, bool) for n in (n_h, n_v)):
-        raise ValueError(f"element counts must be integers, got {n_h!r} x {n_v!r}")
-    if n_h < 1 or n_v < 1:
-        raise ValueError(f"element counts must be >= 1, got {n_h} x {n_v}")
-    if not 0 < spacing < math.inf:
-        raise ValueError(f"element spacing must be positive and finite, got {spacing}")
-    xs = (np.arange(n_h) - (n_h - 1) / 2.0) * spacing
-    ys = (np.arange(n_v) - (n_v - 1) / 2.0) * spacing
-    gx, gy = np.meshgrid(xs, ys)
-    positions = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(n_h * n_v)])
-    positions.setflags(write=False)
-    return SurfaceLayout(n_h=int(n_h), n_v=int(n_v), spacing=float(spacing), positions=positions)
+    """The centered ``n_h`` x ``n_v`` :class:`SurfaceLayout` grid at the given spacing."""
+    return SurfaceLayout(n_h, n_v, spacing)
 
 
 def wavevector(theta: float, phi: float) -> np.ndarray:

@@ -14,12 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import CoincidentPointsError
-from .geometry import (
-    LinkGeometry,
-    SurfaceLayout,
-    build_planar_surface,
-    pairwise_offsets,
-)
+from .geometry import LinkGeometry, SurfaceLayout, pairwise_offsets
 
 __all__ = [
     "MODEL_VARIANTS",
@@ -63,19 +58,21 @@ class BlockChannelMatrix:
     TX and RX terms, so its spectrum follows from the two factors alone.
 
     ``lattice`` is ``((rx_n_v, rx_n_h), (tx_n_v, tx_n_h))``, the grid
-    shapes of the j-major element order, and records that both grids are
-    uniform with one spacing and parallel, so block (m, n) depends only
-    on the grid-index offset (v_r - v_t, h_r - h_t) of RX element
-    (v_r, h_r) and TX element (v_t, h_t): exactly in exact arithmetic,
-    within rounding in floating point.  The matrix then holds
+    shapes of the j-major element order, and records that the two
+    uniform grids share one spacing and are parallel, so block (m, n)
+    depends only on the grid-index offset (v_r - v_t, h_r - h_t) of RX
+    element (v_r, h_r) and TX element (v_t, h_t): exactly in exact
+    arithmetic, within rounding in floating point.  The matrix then holds
     (rx_n_v + tx_n_v - 1)(rx_n_h + tx_n_h - 1) distinct blocks, and
-    :func:`~hmimo.metrics.nmse` reads only one of each.
+    :func:`~hmimo.metrics.nmse` reads only their table, one block per
+    offset (``_offset_table``).
 
-    ``mirror`` is a flag on the lattice: the link is at boresight, so
+    ``mirror`` is a flag on the lattice: the link is at boresight and
+    every grid's positions are exact negatives under index reversal, so
     reversing the i index of both grids maps block (m, n) to
     ``S G(m, n) S`` with ``S = diag(-1, 1, 1)``, and reversing the j
     index does the same with ``S = diag(1, -1, 1)``.  The spectrum then
-    splits into four parity sectors, read from the offset table.
+    splits into four parity sectors, gathered from the same offset table.
     """
 
     matrix: np.ndarray
@@ -182,10 +179,8 @@ def assemble_ocm(
 
     Equivalent to evaluating :func:`green_dyadic` at every pair
     displacement, but vectorized over the whole grid.  With parallel
-    uniform grids of one spacing the result carries ``lattice``, and at
-    boresight (kappa along z) also ``mirror``: the grid positions
-    :func:`~hmimo.geometry.build_planar_surface` gives are exact
-    negatives under index reversal.
+    grids of one spacing the result carries ``lattice``, and at
+    boresight (kappa along z) also ``mirror``.
     """
     if k0 <= 0:
         raise ValueError(f"wavenumber must be positive, got {k0}")
@@ -251,18 +246,12 @@ def _dyad_dense(
 def _grid_lattice(tx: SurfaceLayout, rx: SurfaceLayout, link: LinkGeometry):
     """``((rx_n_v, rx_n_h), (tx_n_v, tx_n_h))`` when blocks depend only on the index offset.
 
-    That holds when the RX surface is not rotated, both grids share one
-    spacing and each grid's positions are exactly those
-    :func:`~hmimo.geometry.build_planar_surface` gives; the tilt of the
-    link does not matter, since every variant sees the pair only through
-    q - p.  Otherwise None.
+    That holds when the RX surface is not rotated and both grids share one
+    spacing; the tilt of the link does not matter, since every variant
+    sees the pair only through q - p.  Otherwise None.
     """
-    if link.rx_rotation is not None or tx.spacing != rx.spacing or not tx.spacing > 0:
+    if link.rx_rotation is not None or tx.spacing != rx.spacing:
         return None
-    for layout in (tx, rx):
-        uniform = build_planar_surface(layout.n_h, layout.n_v, layout.spacing).positions
-        if not np.array_equal(layout.positions, uniform):
-            return None
     return ((rx.n_v, rx.n_h), (tx.n_v, tx.n_h))
 
 
@@ -273,15 +262,16 @@ def _offsets(rx_n: int, tx_n: int):
     return i_t + a, i_t, np.minimum(tx_n, rx_n - a) - i_t
 
 
-def _offset_blocks(lattice):
-    """Where to read one block per grid-index offset, and how many pairs share it.
+def _offset_table(green: BlockChannelMatrix):
+    """One block per grid-index offset of a lattice matrix, and how many pairs share it.
 
-    Returns the (rx_n_v, rx_n_h, 3, tx_n_v, tx_n_h, 3) view shape of the
-    matrix, an index into that view giving an (A_v, A_h, 3, 3) array of
-    representative blocks, and the (A_v, A_h, 1, 1) pair counts.
+    Returns the (A_v, A_h, 3, 3) table whose entry (a, b) is the block of
+    offset (a + 1 - tx_n_v, b + 1 - tx_n_h), read from one representative
+    pair, and the (A_v, A_h, 1, 1) pair counts.  This is the only place
+    that reads a matrix through its lattice view.
     """
-    (rx_v, rx_h), (tx_v, tx_h) = lattice
+    (rx_v, rx_h), (tx_v, tx_h) = green.lattice
     vr, vt, w_v = _offsets(rx_v, tx_v)
     hr, ht, w_h = _offsets(rx_h, tx_h)
-    index = (vr[:, None], hr, slice(None), vt[:, None], ht, slice(None))
-    return (rx_v, rx_h, 3, tx_v, tx_h, 3), index, (w_v[:, None] * w_h)[:, :, None, None]
+    view = green.matrix.reshape(rx_v, rx_h, 3, tx_v, tx_h, 3)
+    return view[vr[:, None], hr, :, vt[:, None], ht, :], (w_v[:, None] * w_h)[:, :, None, None]

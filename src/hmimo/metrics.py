@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .green import BlockChannelMatrix, _offset_blocks
+from .green import BlockChannelMatrix, _offset_table
 
 __all__ = ["nmse"]
 
@@ -38,9 +38,8 @@ def nmse(candidate: BlockChannelMatrix, reference: BlockChannelMatrix) -> float:
             f"vs reference {reference.matrix.shape}"
         )
     if reference.lattice is not None and candidate.lattice == reference.lattice:
-        shape, index, weight = _offset_blocks(reference.lattice)
-        cand = candidate.matrix.reshape(shape)[index]
-        ref = reference.matrix.reshape(shape)[index]
+        cand, _ = _offset_table(candidate)
+        ref, weight = _offset_table(reference)
         den = np.sum(weight * np.abs(ref) ** 2, dtype=np.longdouble)
         num = np.sum(weight * np.abs(cand - ref) ** 2, dtype=np.longdouble)
     else:

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateGeometryError
-from .geometry import LinkGeometry, SurfaceLayout, global_rx_positions
+from .geometry import LinkGeometry, SurfaceLayout, global_rx_positions, pairwise_offsets
 from .green import PSCM_CODES, BlockChannelMatrix, _dyad_dense, _grid_lattice, _weights
 
 __all__ = [
@@ -186,7 +186,7 @@ def assemble_pscm(
     if not (ps @ link.kappa).any() and not (qs @ link.kappa).any():
         return _pscm_factors(ps, qs, link, k0, keep, omega_pair(k0, 1.0, link.d0), tag, lattice)
 
-    dvec = link.d0 * link.kappa + (qs[:, None, :] - ps[None, :, :])  # (M, N, 3)
+    dvec = link.d0 * link.kappa + pairwise_offsets(tx, rx, link)  # (M, N, 3)
     dist = dvec @ link.kappa  # gamma * d0
     if np.any(dist <= 0.0):
         m, n = np.argwhere(dist <= 0.0)[0]

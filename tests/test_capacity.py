@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from hmimo import (
@@ -384,7 +384,7 @@ _rotations = st.one_of(
     rotation=_rotations,
     fixed=st.integers(1, 160),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 def test_spectrum_only_decomposition_matches_the_dense_svd(
     tx_shape, rx_shape, tx_spacing, rx_spacing, d0, theta, phi, rotation, fixed
 ):
@@ -459,7 +459,7 @@ def test_qr_first_spectra_keep_p_used_at_every_threshold(tx_side, rx_side, d0_la
     rx = build_planar_surface(rx_side, rx_side, spacing)
     G = assemble_ocm(tx, rx, LinkGeometry.from_angles(d0_lambda * cfg.wavelength), cfg.k0)
     assert G.mirror
-    sectors = list(_lattice_sectors(G.matrix, G.lattice))
+    sectors = list(_lattice_sectors(G))
     assert all(max(b.shape) >= _QR_FIRST_RATIO * min(b.shape) for b in sectors)
     scale = np.sqrt(cfg.a_r * cfg.a_t)
     direct = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for b in sectors]))[::-1]

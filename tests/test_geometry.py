@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hmimo import (
     DegenerateGeometryError,
     LinkGeometry,
+    SurfaceLayout,
     alpha_factor,
     build_planar_surface,
     gamma_factor,
@@ -57,10 +58,15 @@ def test_positions_are_read_only():
 
 
 def test_surface_rejects_bad_inputs():
+    good = build_planar_surface(2, 2, 0.1)
     for n_h, n_v, spacing in ((0, 1, 0.1), (1, 1, 0.0), (1, 1, np.nan), (1, 1, np.inf),
                               (1, 1, -np.inf), (True, 1, 0.1), (1, True, 0.1), (2.0, 1, 0.1)):
         with pytest.raises(ValueError):
             build_planar_surface(n_h, n_v, spacing)
+        with pytest.raises(ValueError):
+            SurfaceLayout(n_h, n_v, spacing)
+        with pytest.raises(ValueError):
+            replace(good, n_h=n_h, n_v=n_v, spacing=spacing)
 
 
 def test_surface_area_and_diagonal_follow_the_spacing():
@@ -69,6 +75,11 @@ def test_surface_area_and_diagonal_follow_the_spacing():
     wider = replace(layout, spacing=0.2)
     assert wider.element_area == pytest.approx(0.04, rel=1e-15)
     assert wider.aperture_diag == pytest.approx(np.hypot(0.6, 0.4), rel=1e-15)
+    # the positions are derived too, so replace() never leaves them stale
+    np.testing.assert_array_equal(wider.positions, build_planar_surface(3, 2, 0.2).positions)
+    longer = replace(layout, n_h=5)
+    assert longer.count == 10
+    np.testing.assert_array_equal(longer.positions, build_planar_surface(5, 2, 0.1).positions)
 
 
 def test_wavevector_directions():
@@ -178,6 +189,16 @@ def test_rotation_must_be_3x3():
         LinkGeometry.from_angles(1.0, rx_rotation=np.eye(2))
     with pytest.raises(ValueError):
         replace(LinkGeometry.from_angles(1.0), rx_rotation=np.eye(2))
+
+
+def test_rotation_must_be_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        rotation = np.eye(3)
+        rotation[1, 2] = bad
+        with pytest.raises(ValueError, match="rx_rotation"):
+            LinkGeometry.from_angles(1.0, rx_rotation=rotation)
+        with pytest.raises(ValueError, match="rx_rotation"):
+            replace(LinkGeometry.from_angles(1.0), rx_rotation=rotation)
 
 
 def test_pairwise_offsets_shape_and_content():
