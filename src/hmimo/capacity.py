@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -94,25 +95,37 @@ class PPolicy:
     """How many eigenchannels to keep.
 
     ``threshold(eps)`` keeps every singular value >= eps * sigma_1, with
-    1e-12 < eps <= 1 (a lower cut would keep the exact zeros that pad a
-    spectrum); ``fixed(P)`` keeps exactly P channels (capped at the
-    spectrum length).
+    eps a real number in (1e-12, 1] (a lower cut would keep the exact
+    zeros that pad a spectrum); ``fixed(P)`` keeps exactly P channels
+    (capped at the spectrum length), with P an integer >= 1.  Both are
+    checked on every construction, ``replace`` included, and the value
+    is stored as a float or an int.
     """
 
     kind: str
-    value: float
+    value: float | int
+
+    def __post_init__(self):
+        value = self.value
+        if self.kind == "threshold":
+            if isinstance(value, bool) or not isinstance(value, Real) or not _TIE < value <= 1:
+                raise ValueError(f"threshold must lie in ({_TIE:g}, 1] as a real number, "
+                                 f"got {value!r}")
+            object.__setattr__(self, "value", float(value))
+        elif self.kind == "fixed":
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"fixed channel count must be >= 1 and an integer, got {value!r}")
+            object.__setattr__(self, "value", int(value))
+        else:
+            raise ValueError(f"unknown policy kind {self.kind!r}, expected 'threshold' or 'fixed'")
 
     @classmethod
     def threshold(cls, epsilon: float = 1e-6) -> "PPolicy":
-        if not _TIE < epsilon <= 1:
-            raise ValueError(f"threshold must lie in ({_TIE:g}, 1], got {epsilon}")
-        return cls("threshold", float(epsilon))
+        return cls("threshold", epsilon)
 
     @classmethod
     def fixed(cls, count: int) -> "PPolicy":
-        if count < 1:
-            raise ValueError(f"fixed channel count must be >= 1, got {count}")
-        return cls("fixed", int(count))
+        return cls("fixed", count)
 
     @classmethod
     def parse(cls, text: str) -> "PPolicy":
@@ -157,9 +170,7 @@ def select_p(singular_values: np.ndarray, policy: PPolicy) -> int:
         raise ValueError("zero channel: spectrum has no positive singular value")
     if policy.kind == "threshold":
         return int(np.count_nonzero(s >= (policy.value - _TIE) * s[0]))
-    if policy.kind == "fixed":
-        return min(int(policy.value), s.size)
-    raise ValueError(f"unknown policy kind {policy.kind!r}")
+    return min(policy.value, s.size)
 
 
 # Sign of each polarization component under the x mirror, S = diag(-1, 1, 1),
@@ -280,7 +291,7 @@ def eigenchannel_decompose(
         policy: eigenchannel count policy.
         patterns: also return the transmit/receive patterns.  Each route
             supplies its blocks: the r x r core R_L R_R' of the economy
-            QRs L = Q_L R_L, R = Q_R R_R when the matrix carries thin
+            QRs L = Q_L R_L, R = Q_R R_R when the matrix is stored as
             factors; without patterns, the four parity sectors gathered
             from its offset table when it carries ``mirror``; otherwise
             the matrix itself.  A block at least 1.5 times as long one
@@ -289,8 +300,8 @@ def eigenchannel_decompose(
             values are sorted once; with them the one block's singular
             vectors are lifted by the QR bases (U = Q_L U_c, V' = V_c'
             Q_R' on the factors), only the ``p_used`` kept.  A policy
-            that keeps more channels than r falls back to the matrix
-            itself.  The spectrum is padded with zeros to min(3M, 3N).
+            that keeps more channels than r falls back to the dense
+            matrix.  The spectrum is padded with zeros to min(3M, 3N).
 
     Returns:
         EigenchannelSet with the full gain spectrum and, when ``patterns``
@@ -300,7 +311,7 @@ def eigenchannel_decompose(
     Raises:
         NumericalError: the matrix or its spectrum is not finite.
     """
-    if green.matrix.size == 0:
+    if green.m_count == 0 or green.n_count == 0:
         raise ValueError("empty channel matrix")
     outer = (None, None)
     if green.factors is not None:
@@ -331,7 +342,7 @@ def eigenchannel_decompose(
     p_used = select_p(s, policy)
     if patterns and p_used > values.size:
         # the factors' bases end after r vectors: decompose the entries instead
-        return eigenchannel_decompose(replace(green, matrix=green.matrix), cfg, policy)
+        return eigenchannel_decompose(replace(green, entries=green.matrix), cfg, policy)
     gains = np.sqrt(cfg.a_r * cfg.a_t) * s
     gains.setflags(write=False)
     tx_patterns = rx_patterns = None

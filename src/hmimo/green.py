@@ -10,6 +10,7 @@ measured.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -36,26 +37,24 @@ _EYE3 = np.eye(3)
 
 @dataclass(frozen=True, eq=False)
 class BlockChannelMatrix:
-    """Dense complex channel matrix made of 3x3 polarization blocks.
+    """Complex channel matrix made of 3x3 polarization blocks.
 
-    ``BlockChannelMatrix(matrix, variant)``: block (m, n) couples RX
-    element m to TX element n and occupies dense rows ``3m..3m+2`` and
-    columns ``3n..3n+2``, so the element counts ``m_count`` and
-    ``n_count`` are read off the matrix shape.  Entries are raw dyad
-    values; the physical scale enters only through
+    ``BlockChannelMatrix(entries, variant)``: block (m, n) couples RX
+    element m to TX element n and occupies rows ``3m..3m+2`` and columns
+    ``3n..3n+2`` of ``matrix``.  ``entries`` is the one stored form: the
+    dense array, or thin factors ``(L, R)``, L 3M x r and R 3N x r, that
+    define ``matrix = L @ R.conj().T``; ``factors`` returns that pair and
+    ``matrix`` forms the product on first read.  Assemblers store factors
+    where the matrix is exactly separable into TX and RX terms.  Entries
+    are raw dyad values; the physical scale enters only through
     :class:`~hmimo.capacity.PhysicalConfig`.
 
-    Three optional structure claims describe the entries; fast routes
-    trust them.  None is a constructor argument: they are attached only
+    Two optional structure claims describe the entries; fast routes trust
+    them.  Neither is a constructor argument: they are attached only
     through :meth:`with_structure`, so neither ``BlockChannelMatrix(...)``
     nor ``dataclasses.replace`` ever carries one, and a matrix rebuilt
-    with new entries is read entry by entry.  Equality is identity, since
-    the numpy fields have no single truth value.
-
-    ``factors`` is a pair ``(L, R)`` of thin factors with
-    ``matrix == L @ R.conj().T``: ``L`` is 3M x r and ``R`` is 3N x r.
-    Assemblers attach it only where the matrix is exactly separable into
-    TX and RX terms, so its spectrum follows from the two factors alone.
+    with ``replace(G, entries=m)`` is read entry by entry.  Equality is
+    identity, since the numpy fields have no single truth value.
 
     ``lattice`` is ``((rx_n_v, rx_n_h), (tx_n_v, tx_n_h))``, the grid
     shapes of the j-major element order, and records that the two
@@ -75,62 +74,59 @@ class BlockChannelMatrix:
     splits into four parity sectors, gathered from the same offset table.
     """
 
-    matrix: np.ndarray
+    entries: np.ndarray | tuple[np.ndarray, np.ndarray]
     variant: str
-    factors: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False)
     lattice: tuple[tuple[int, int], tuple[int, int]] | None = field(default=None, init=False)
     mirror: bool = field(default=False, init=False)
 
     def __post_init__(self):
         if self.variant not in MODEL_VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {MODEL_VARIANTS}")
-        shape = self.matrix.shape
-        if len(shape) != 2 or shape[0] % 3 or shape[1] % 3:
-            raise ValueError(f"matrix shape {shape} is not made of 3x3 blocks")
+        if self.factors is None:
+            shape = self.entries.shape
+            if len(shape) != 2 or shape[0] % 3 or shape[1] % 3:
+                raise ValueError(f"matrix shape {shape} is not made of 3x3 blocks")
+            return
+        left, right = (np.shape(f) for f in self.factors)
+        if len(left) != 2 or len(right) != 2 or left[0] % 3 or right[0] % 3 or left[1] != right[1]:
+            raise ValueError(f"factors of shapes {left} and {right} are not 3M x r and 3N x r")
+
+    @property
+    def factors(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The stored pair ``(L, R)``, or None when the entries are dense."""
+        return self.entries if isinstance(self.entries, tuple) else None
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense (3M, 3N) entries: the stored array, or ``L @ R.conj().T`` formed once."""
+        if self.factors is None:
+            return self.entries
+        left, right = self.factors
+        return left @ right.conj().T
 
     @property
     def m_count(self) -> int:
-        return self.matrix.shape[0] // 3
+        return len(self.entries if self.factors is None else self.factors[0]) // 3
 
     @property
     def n_count(self) -> int:
-        return self.matrix.shape[1] // 3
+        return (self.entries.shape[1] if self.factors is None else len(self.factors[1])) // 3
 
-    def with_structure(self, factors=None, lattice=None, mirror=False) -> BlockChannelMatrix:
-        """A copy sharing the matrix array that carries exactly the claims given.
+    def with_structure(self, lattice=None, mirror=False) -> BlockChannelMatrix:
+        """A copy sharing the stored entries that carries exactly the claims given.
 
-        Each claim is checked against the block shape: ``factors`` must be
-        3M x r and 3N x r with one common r, the ``lattice`` grids must
-        hold the M RX and N TX elements, and ``mirror`` needs a lattice.
+        The ``lattice`` grids must hold the M RX and N TX elements, and
+        ``mirror`` needs a lattice.
         """
-        rows, cols = self.matrix.shape
-        if factors is not None:
-            left, right = (np.shape(f) for f in factors)
-            if (len(left) != 2 or len(right) != 2 or left[0] != rows
-                    or right[0] != cols or left[1] != right[1]):
-                raise ValueError(
-                    f"factors of shapes {left} and {right} do not match "
-                    f"{rows} x r and {cols} x r"
-                )
         if lattice is not None and [v * h for v, h in lattice] != [self.m_count, self.n_count]:
             raise ValueError(f"lattice grids {lattice} do not hold {self.m_count} RX "
                              f"and {self.n_count} TX elements")
         if mirror and lattice is None:
             raise ValueError("a mirror claim needs a lattice")
         tagged = replace(self)
-        for name, claim in (("factors", factors), ("lattice", lattice), ("mirror", mirror)):
+        for name, claim in (("lattice", lattice), ("mirror", mirror)):
             object.__setattr__(tagged, name, claim)
         return tagged
-
-    def block(self, m: int, n: int) -> np.ndarray:
-        """The 3x3 block coupling RX element m to TX element n."""
-        return self.matrix[3 * m : 3 * m + 3, 3 * n : 3 * n + 3]
-
-    @property
-    def blocks(self) -> np.ndarray:
-        """View of the matrix as an (M, N, 3, 3) block array."""
-        m, n = self.m_count, self.n_count
-        return self.matrix.reshape(m, 3, n, 3).transpose(0, 2, 1, 3)
 
 
 def green_dyadic(d_vec: np.ndarray, k0: float) -> np.ndarray:
@@ -267,11 +263,19 @@ def _offset_table(green: BlockChannelMatrix):
 
     Returns the (A_v, A_h, 3, 3) table whose entry (a, b) is the block of
     offset (a + 1 - tx_n_v, b + 1 - tx_n_h), read from one representative
-    pair, and the (A_v, A_h, 1, 1) pair counts.  This is the only place
-    that reads a matrix through its lattice view.
+    pair, and the (A_v, A_h, 1, 1) pair counts.  A factored matrix gives
+    the table as ``L[rx reps] @ R[tx reps]'`` without forming ``matrix``
+    (``@`` keeps the bits of the dense read; ``einsum`` does not).  This is
+    the only place that reads a matrix through its lattice view.
     """
     (rx_v, rx_h), (tx_v, tx_h) = green.lattice
     vr, vt, w_v = _offsets(rx_v, tx_v)
     hr, ht, w_h = _offsets(rx_h, tx_h)
-    view = green.matrix.reshape(rx_v, rx_h, 3, tx_v, tx_h, 3)
-    return view[vr[:, None], hr, :, vt[:, None], ht, :], (w_v[:, None] * w_h)[:, :, None, None]
+    counts = (w_v[:, None] * w_h)[:, :, None, None]
+    if green.factors is None:
+        view = green.matrix.reshape(rx_v, rx_h, 3, tx_v, tx_h, 3)
+        return view[vr[:, None], hr, :, vt[:, None], ht, :], counts
+    left, right = green.factors
+    left = left.reshape(rx_v, rx_h, 3, -1)[vr[:, None], hr]
+    right = right.reshape(tx_v, tx_h, 3, -1)[vt[:, None], ht]
+    return left @ right.conj().swapaxes(2, 3), counts

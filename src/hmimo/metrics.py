@@ -27,16 +27,14 @@ def nmse(candidate: BlockChannelMatrix, reference: BlockChannelMatrix) -> float:
     per offset weighted by the number of pairs that share it,
     w(a, b) = w_v(a) w_h(b) with w_v(a) = min(tx_n_v, rx_n_v - a)
     - max(0, -a): sum w |c - r|^2 / sum w |r|^2.  This agrees with the
-    full sums to rounding (about 1e-15 relative).  Otherwise (a matrix
-    rebuilt with ``dataclasses.replace`` carries no lattice) the sums run
-    over every entry, chunk by chunk, so no temporary is larger than a
-    chunk.
+    full sums to rounding (about 1e-15 relative), and a factored matrix
+    gives its table from its factors.  Otherwise (a matrix rebuilt with
+    ``dataclasses.replace`` carries no lattice) the sums run over every
+    entry, chunk by chunk, so no temporary is larger than a chunk.
     """
-    if candidate.matrix.shape != reference.matrix.shape:
-        raise ValueError(
-            f"dimension mismatch: candidate {candidate.matrix.shape} "
-            f"vs reference {reference.matrix.shape}"
-        )
+    sizes = [(g.m_count, g.n_count) for g in (candidate, reference)]
+    if sizes[0] != sizes[1]:
+        raise ValueError(f"dimension mismatch: candidate {sizes[0]} vs reference {sizes[1]} blocks")
     if reference.lattice is not None and candidate.lattice == reference.lattice:
         cand, _ = _offset_table(candidate)
         ref, weight = _offset_table(reference)

@@ -10,7 +10,7 @@ everything onto a rank-2 transverse projector (tag ``FSCM``).
 
 Two construction routes are provided and must agree: :func:`pscm_pair`
 builds one 3x3 block at a time, while :func:`assemble_pscm` builds the
-whole dense matrix.  With gamma*d0 = d'kappa, the projection of the pair
+whole matrix.  With gamma*d0 = d'kappa, the projection of the pair
 displacement d = d0 kappa + q - p on the link axis, and u = d / (gamma d0),
 a1 = omega1 I3 and a2 + a3 + a4 = omega2 u u', where a3 is the part of
 u u' linear in q - p and a4 the quadratic part.  The separable block is
@@ -23,10 +23,10 @@ When both surfaces lie in the plane through their centers perpendicular
 to kappa (every p'kappa and q'kappa exactly 0), gamma is 1 on every pair,
 omega1 and omega2 are constants and A is a polynomial of degree <= 2 in
 q - p.  The matrix is then exactly ``L R'`` with thin factors of 3, 6 or
-16 columns (PSCM12, PSCM123, PSCM), and the assembler builds it as that
-one product and records the factors.  FSCM is the same factor builder
-with two blocks and the far-field weights omega1 = 1, omega2 = -1, so it
-is always ``L R'`` with three columns.
+16 columns (PSCM12, PSCM123, PSCM), and the assembler stores only the
+two factors.  FSCM is the same factor builder with two blocks and the
+far-field weights omega1 = 1, omega2 = -1, so it is always ``L R'`` with
+three columns.
 """
 
 from __future__ import annotations
@@ -167,13 +167,13 @@ def assemble_pscm(
     k0: float,
     variant: str = "1234",
 ) -> BlockChannelMatrix:
-    """Dense separable channel for all pairs at once.
+    """Separable channel for all pairs at once.
 
     Matches the pairwise route blockwise: block (m, n) equals
     ``pscm_pair(p_n, q_m, kappa, d0, k0, variant)``.  Any pair with a
     non-positive projection factor makes the whole configuration
     degenerate and is rejected.  When every p'kappa and q'kappa is
-    exactly 0 the matrix is built as ``L R'`` and carries its factors.
+    exactly 0 the matrix is stored as its thin factors ``(L, R)`` alone.
     Parallel uniform grids of one spacing make it carry ``lattice``.
     """
     tag = _variant_tag(variant)
@@ -198,7 +198,7 @@ def assemble_pscm(
 
 
 def _pscm_factors(ps, qs, link, k0, keep, weights, tag, lattice) -> BlockChannelMatrix:
-    """The separable matrix as ``L R'`` with gamma = 1 on every pair, carrying (L, R).
+    """The separable matrix stored as its factors (L, R), with gamma = 1 on every pair.
 
     Block (m, n) is c theta_r[m] conj(theta_t[n]) A(q_m - p_n) with
     c = -i exp(i k0 d0) / (4 pi d0), and A, with ``weights`` = (w1, w2),
@@ -212,8 +212,9 @@ def _pscm_factors(ps, qs, link, k0, keep, weights, tag, lattice) -> BlockChannel
       p q' (entry (i, j) = sum_ab [i == a] q[b] * p[a] [j == b]).
 
     Only the first ``keep`` amplitude blocks enter.  Each factor is flat:
-    L is 3M x r and R is 3N x r.  ``lattice`` is passed through to the
-    result.
+    L is 3M x r and R is 3N x r.  The product ``L R'`` is not formed here;
+    the result's ``matrix`` forms it if something reads it.  ``lattice``
+    is passed through to the result.
     """
     kappa, d0 = link.kappa, link.d0
     w1, w2 = weights
@@ -241,8 +242,7 @@ def _pscm_factors(ps, qs, link, k0, keep, weights, tag, lattice) -> BlockChannel
     left = np.concatenate(lefts, axis=2)
     right = np.concatenate(rights, axis=2)
     left, right = left.reshape(-1, left.shape[2]), right.reshape(-1, right.shape[2])
-    return BlockChannelMatrix(left @ right.conj().T, tag).with_structure(
-        factors=(left, right), lattice=lattice)
+    return BlockChannelMatrix((left, right), tag).with_structure(lattice=lattice)
 
 
 def _outers(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -260,9 +260,9 @@ def assemble_fscm(
     I3 - kappa kappa'.  Block (m, n) is that projector scaled by
     (-i exp(i k0 d0) / (4 pi d0)) and the pair phase
     theta_r[m] * conj(theta_t[n]), built by the shared factor builder
-    with ``keep = 2`` and the weights (1, -1): ``L = c theta_r (x)
-    (I3 - kappa kappa')`` and ``R = theta_t (x) I3`` (r = 3).  It
-    carries ``lattice`` as :func:`assemble_pscm` does.
+    with ``keep = 2`` and the weights (1, -1), and stored as the factors
+    ``L = c theta_r (x) (I3 - kappa kappa')`` and ``R = theta_t (x) I3``
+    (r = 3).  It carries ``lattice`` as :func:`assemble_pscm` does.
     """
     if k0 <= 0:
         raise ValueError(f"wavenumber must be positive, got {k0}")

@@ -347,8 +347,6 @@ def _evaluate_point(spec: SweepSpec, tx_grid, d0_lambda: float, x_value, dump_k:
     policy = PPolicy.parse(spec.p_policy)
     k0 = cfg.k0
 
-    # At most two dense variants are alive at once: the OCM reference,
-    # which every NMSE needs, and the variant being scored and decomposed.
     order = sorted(spec.variants)
     ref = _assemble("OCM", tx, rx, link, k0) if "OCM" in order else None
     nmse_map = {}
@@ -360,7 +358,6 @@ def _evaluate_point(spec: SweepSpec, tx_grid, d0_lambda: float, x_value, dump_k:
         if ref is not None and name != "OCM":
             nmse_map[name] = nmse(mat, ref)
         eigs = eigenchannel_decompose(mat, cfg, policy, patterns=False)
-        del mat
         cap_map[name] = capacity(eigs, cfg)
         if dump_k > 0:
             sv_map[name] = tuple(float(g) / scale for g in eigs.gains[:dump_k])

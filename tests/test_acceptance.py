@@ -196,6 +196,7 @@ def test_assembler_pairwise_agreement():
                  ("OCM", "PSCM", "PSCM123", "PSCM12", "FSCM")}
         for tag, mat in built.items():
             scale = np.max(np.abs(mat.matrix))
+            blocks = mat.matrix.reshape(rx.count, 3, tx.count, 3)
             for m in range(rx.count):
                 for n in range(tx.count):
                     p, q = tx.positions[n], rx.positions[m]
@@ -205,7 +206,7 @@ def test_assembler_pairwise_agreement():
                         ref = fscm_pref * theta_r[m] * np.conj(theta_t[n]) * projector
                     else:
                         ref = pscm_pair(p, q, link.kappa, d0, 2 * np.pi, PSCM_CODES[tag])
-                    dev = float(np.max(np.abs(mat.block(m, n) - ref)) / scale)
+                    dev = float(np.max(np.abs(blocks[m, :, n] - ref)) / scale)
                     worst = max(worst, dev)
     ok = worst <= 1e-12
     _verdict(
@@ -313,7 +314,8 @@ def test_smallest_link_closed_form(benchmark_cfg):
 def test_transverse_block_rank(benchmark_surfaces):
     tx, rx = benchmark_surfaces
     G = _assemble("FSCM", tx, rx, 4.25)
-    spectra = np.linalg.svd(np.ascontiguousarray(G.blocks), compute_uv=False)
+    blocks = G.matrix.reshape(G.m_count, 3, G.n_count, 3).transpose(0, 2, 1, 3)
+    spectra = np.linalg.svd(np.ascontiguousarray(blocks), compute_uv=False)
     worst = float(np.max(spectra[..., 2] / spectra[..., 0]))
     ok = worst <= 1e-12
     _verdict(

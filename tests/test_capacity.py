@@ -1,6 +1,7 @@
 """Physical configuration, eigenchannel decomposition and capacity."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -94,6 +95,33 @@ def test_policy_parsing():
             PPolicy.parse(bad)
 
 
+@pytest.mark.parametrize("kind,bad,match", [
+    *(("threshold", v, "threshold must lie in") for v in
+      (0.0, 1e-12, 1.5, -0.5, float("nan"), True, "0.5", None)),
+    *(("fixed", v, "fixed channel count must be >= 1") for v in (0, -2, 2.5, 2.0, True, "3", None)),
+])
+def test_policy_values_are_checked_on_every_construction(kind, bad, match):
+    make = PPolicy.threshold if kind == "threshold" else PPolicy.fixed
+    good = make(0.5 if kind == "threshold" else 2)
+    for build in (lambda: PPolicy(kind, bad), lambda: make(bad), lambda: replace(good, value=bad)):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            build()
+
+
+def test_policy_kinds_are_checked_and_values_normalized():
+    for build in (lambda: PPolicy("bogus", 1), lambda: replace(PPolicy.fixed(2), kind="bogus")):
+        with pytest.raises(ValueError, match="unknown policy kind"):
+            build()
+    # switching the kind alone re-checks the value against the new kind
+    with pytest.raises(ValueError, match="threshold must lie in"):
+        replace(PPolicy.fixed(2), kind="threshold")
+    with pytest.raises(ValueError, match="fixed channel count"):
+        replace(PPolicy.threshold(0.5), kind="fixed")
+    for policy, value in ((PPolicy("threshold", 1), 1.0), (PPolicy.threshold(np.float32(0.5)), 0.5),
+                          (PPolicy("fixed", np.int64(3)), 3), (replace(PPolicy.fixed(2), value=5), 5)):
+        assert policy.value == value and type(policy.value) is type(value)
+
+
 def test_smallest_link_has_two_equal_gains():
     # single TX and RX element, fully separable model: the transverse
     # projector leaves exactly two eigenchannels of strength 1/(4 pi d0)
@@ -140,7 +168,7 @@ def test_gains_ignore_a_global_phase():
     cfg = _cfg()
     tx = build_planar_surface(2, 2, 0.05)
     G = assemble_ocm(tx, tx, LinkGeometry.from_angles(1.2), 2 * np.pi)
-    rotated = replace(G, matrix=np.exp(0.7j) * G.matrix)
+    rotated = replace(G, entries=np.exp(0.7j) * G.matrix)
     a = eigenchannel_decompose(G, cfg).gains
     b = eigenchannel_decompose(rotated, cfg).gains
     # spectrum-scale agreement; trailing values are numerically null
@@ -186,7 +214,7 @@ def test_full_decomposition_rejects_non_finite_entries():
         matrix = G.matrix.copy()
         matrix[0, 0] = value
         with pytest.raises(NumericalError):
-            eigenchannel_decompose(replace(G, matrix=matrix), cfg)
+            eigenchannel_decompose(replace(G, entries=matrix), cfg)
 
 
 def test_select_p_counts_a_degenerate_pair_whatever_its_rounding():
@@ -223,7 +251,7 @@ def test_spectrum_only_decomposition_rejects_a_non_finite_mirrored_matrix():
     for value in (np.nan, np.inf):
         matrix = G.matrix.copy()
         matrix[4, 7] = value
-        bad = replace(G, matrix=matrix).with_structure(lattice=G.lattice, mirror=True)
+        bad = replace(G, entries=matrix).with_structure(lattice=G.lattice, mirror=True)
         assert bad.mirror
         with pytest.raises(NumericalError, match="NaN or inf"):
             eigenchannel_decompose(bad, cfg, patterns=False)
@@ -268,7 +296,7 @@ def test_a_rebuilt_matrix_carries_no_structure_claim(theta):
     assert all(G.lattice is not None for G in mats) and mats[1].factors is not None
     assert [G.mirror for G in mats] == [theta == 0.0, False, False, False, False]
     for G in mats:
-        for rebuilt in (replace(G, matrix=2.0 * G.matrix),
+        for rebuilt in (replace(G, entries=2.0 * G.matrix),
                         BlockChannelMatrix(G.matrix, G.variant)):
             assert rebuilt.factors is None and rebuilt.lattice is None and not rebuilt.mirror
 
@@ -286,7 +314,7 @@ def test_spectrum_of_a_rebuilt_matrix_reads_its_new_entries(variant):
     assert G.mirror if variant == "OCM" else G.factors is not None
     matrix = G.matrix.copy()
     matrix[:3, :3] *= 10.0
-    fast = eigenchannel_decompose(replace(G, matrix=matrix), cfg, PPolicy.fixed(1), patterns=False)
+    fast = eigenchannel_decompose(replace(G, entries=matrix), cfg, PPolicy.fixed(1), patterns=False)
     want = np.sqrt(cfg.a_r * cfg.a_t) * np.linalg.svd(matrix, compute_uv=False)
     assert fast.gains.shape == want.shape
     assert np.max(np.abs(fast.gains - want)) <= 1e-12 * want[0]
@@ -305,35 +333,39 @@ def test_factors_must_match_the_block_shape():
     G = assemble_fscm(tx, rx, LinkGeometry.from_angles(1.0), 2 * np.pi)
     left, right = G.factors
     assert left.shape == (3, 3) and right.shape == (6, 3)
-    for bad in ((right, right), (left, left), (left, right[:, :2]), (left[:, 0], right[:, 0])):
+    np.testing.assert_array_equal(BlockChannelMatrix((left, right), "FSCM").matrix,
+                                  left @ right.conj().T)
+    for bad in ((left, right[:, :2]), (left[:, 0], right[:, 0])):
         with pytest.raises(ValueError, match="factors"):
-            BlockChannelMatrix(G.matrix, "FSCM").with_structure(factors=bad)
+            BlockChannelMatrix(bad, "FSCM")
+    # well-formed factors of another block shape fail this matrix's lattice
+    for bad in ((right, right), (left, left)):
+        with pytest.raises(ValueError, match="lattice grids"):
+            BlockChannelMatrix(bad, "FSCM").with_structure(lattice=G.lattice)
 
 
 def test_both_modes_trust_the_factors():
-    # deliberately wrong factors change the patterns route and the spectrum-only
-    # route alike; the same matrix without the claim is read entry by entry
+    # the factors define the entries: both modes decompose them as they
+    # decompose the same entries stored dense
     cfg = _cfg()
     tx = build_planar_surface(2, 2, 0.05)
     G = assemble_fscm(tx, tx, LinkGeometry.from_angles(1.0), cfg.k0)
-    wrong = G.with_structure(factors=(2.0 * G.factors[0], G.factors[1]))
     scale = np.sqrt(cfg.a_r * cfg.a_t)
     sigma = np.linalg.svd(G.matrix, compute_uv=False)
     assert sigma[2] <= 1e-12 * sigma[0]  # rank 2, so two channels rebuild the matrix
-    for claimed, target in ((wrong, 2.0 * G.matrix), (replace(wrong, matrix=wrong.matrix), G.matrix)):
-        full = eigenchannel_decompose(claimed, cfg, PPolicy.fixed(2))
-        fast = eigenchannel_decompose(claimed, cfg, PPolicy.fixed(2), patterns=False)
-        want = scale * np.linalg.svd(target, compute_uv=False)
+    want = scale * sigma
+    for stored in (G, replace(G, entries=G.matrix)):
+        full = eigenchannel_decompose(stored, cfg, PPolicy.fixed(2))
+        fast = eigenchannel_decompose(stored, cfg, PPolicy.fixed(2), patterns=False)
         for eigs in (full, fast):
             assert np.max(np.abs(eigs.gains - want)) <= 1e-12 * want[0]
         assert fast.tx_patterns is None and fast.rx_patterns is None
         left = np.sqrt(cfg.a_r) * full.rx_patterns
         right = np.sqrt(cfg.a_t) * full.tx_patterns
         recon = (left * full.gains[:2] / scale) @ right.conj().T
-        assert np.linalg.norm(recon - target) <= 1e-12 * np.linalg.norm(target)
+        assert np.linalg.norm(recon - G.matrix) <= 1e-12 * np.linalg.norm(G.matrix)
     # more channels than the factors' rank 3: the entries are decomposed instead
-    past = eigenchannel_decompose(wrong, cfg, PPolicy.fixed(4))
-    want = scale * np.linalg.svd(G.matrix, compute_uv=False)
+    past = eigenchannel_decompose(G, cfg, PPolicy.fixed(4))
     assert past.tx_patterns.shape == (3 * tx.count, 4)
     assert np.max(np.abs(past.gains - want)) <= 1e-12 * want[0]
 
@@ -347,7 +379,7 @@ def test_spectrum_only_decomposition_rejects_non_finite_factors():
             factors = [f.copy() for f in G.factors]
             factors[side][0, 0] = value
             with pytest.raises(NumericalError, match="factors"):
-                eigenchannel_decompose(G.with_structure(factors=tuple(factors)), cfg,
+                eigenchannel_decompose(BlockChannelMatrix(tuple(factors), G.variant), cfg,
                                        patterns=False)
 
 
@@ -415,7 +447,7 @@ def test_spectrum_only_decomposition_matches_the_dense_svd(
     assert [G.mirror for G in mats] == [mirrored, False, False, False, False]
     if mirrored:
         assert mats[0].lattice == ((rx.n_v, rx.n_h), (tx.n_v, tx.n_h))
-        blocks = mats[0].blocks
+        blocks = mats[0].matrix.reshape(rx.count, 3, tx.count, 3).transpose(0, 2, 1, 3)
         signs = (np.array([-1.0, 1.0, 1.0]), np.array([1.0, -1.0, 1.0]))
         for rx_map, tx_map, sign in zip(_mirror_maps(rx), _mirror_maps(tx), signs):
             np.testing.assert_array_equal(blocks[rx_map][:, tx_map],

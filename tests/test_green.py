@@ -1,5 +1,7 @@
 """Exact dyadic kernel, its far-field point form, and the dense reference assembler."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +10,9 @@ from hmimo import (
     BlockChannelMatrix,
     CoincidentPointsError,
     LinkGeometry,
+    assemble_fscm,
     assemble_ocm,
+    assemble_pscm,
     build_planar_surface,
     global_rx_positions,
     green_dyadic,
@@ -16,6 +20,7 @@ from hmimo import (
     pair_displacement,
     rayleigh_distance,
 )
+from hmimo.green import _offset_table
 
 WAVELENGTH = 299792458.0 / 2.4e9
 K0 = 2 * np.pi / WAVELENGTH
@@ -129,21 +134,11 @@ def test_assembled_reference_matches_the_pairwise_kernel(tx_sides, rx_sides, tx_
     G = assemble_ocm(tx, rx, link, 2 * np.pi)
     assert G.variant == "OCM"
     scale = np.max(np.abs(G.matrix))
+    blocks = G.matrix.reshape(rx.count, 3, tx.count, 3)
     for m in range(rx.count):
         for n in range(tx.count):
             ref = green_dyadic(pair_displacement(link, tx.positions[n], qs[m]), 2 * np.pi)
-            assert np.max(np.abs(G.block(m, n) - ref)) <= 1e-13 * scale
-
-
-def test_block_accessors_agree():
-    tx = build_planar_surface(3, 1, 0.1)
-    rx = build_planar_surface(2, 1, 0.1)
-    G = assemble_ocm(tx, rx, LinkGeometry.from_angles(1.1), 2 * np.pi)
-    blocks = G.blocks
-    assert blocks.shape == (2, 3, 3, 3)
-    for m in range(2):
-        for n in range(3):
-            np.testing.assert_array_equal(blocks[m, n], G.block(m, n))
+            assert np.max(np.abs(blocks[m, :, n] - ref)) <= 1e-13 * scale
 
 
 def test_full_size_assembly_shape():
@@ -167,7 +162,7 @@ def test_coincident_elements_are_reported():
 
 def test_matrix_wrapper_validates_shape_and_variant():
     G = BlockChannelMatrix(np.zeros((6, 9), dtype=complex), "OCM")
-    assert (G.m_count, G.n_count) == (2, 3) and G.blocks.shape == (2, 3, 3, 3)
+    assert (G.m_count, G.n_count) == (2, 3) and G.factors is None and G.matrix is G.entries
     with pytest.raises(ValueError, match="unknown variant"):
         BlockChannelMatrix(np.zeros((3, 3), dtype=complex), "XYZ")
     for shape in ((6, 8), (3, 4), (4, 3), (9,), (3, 3, 3)):
@@ -178,18 +173,48 @@ def test_matrix_wrapper_validates_shape_and_variant():
 def test_structure_claims_are_checked_against_the_block_shape():
     G = BlockChannelMatrix(np.zeros((6, 9), dtype=complex), "OCM")
     left, right = np.zeros((6, 2)), np.zeros((9, 2))
-    tagged = G.with_structure(factors=(left, right), lattice=((2, 1), (1, 3)), mirror=True)
-    assert tagged.matrix is G.matrix and tagged.factors[0] is left and tagged.factors[1] is right
+    factored = BlockChannelMatrix((left, right), "OCM")
+    assert (factored.m_count, factored.n_count) == (2, 3) and "matrix" not in vars(factored)
+    tagged = factored.with_structure(lattice=((2, 1), (1, 3)), mirror=True)
+    assert tagged.factors[0] is left and tagged.factors[1] is right
     assert (tagged.lattice, tagged.mirror) == (((2, 1), (1, 3)), True)
     bare = tagged.with_structure(lattice=((2, 1), (1, 3)))
-    assert bare.factors is None and not bare.mirror and bare.lattice == ((2, 1), (1, 3))
-    for bad in ((right, right), (left, left), (left, right[:, :1]), (left[:, 0], right[:, 0]),
-                (left[None], right)):
+    assert bare.factors is tagged.factors and not bare.mirror and bare.lattice == ((2, 1), (1, 3))
+    assert G.with_structure(lattice=((2, 1), (1, 3))).matrix is G.matrix
+    for bad in ((left, right[:, :1]), (left[:, 0], right[:, 0]), (left[None], right),
+                (left[:4], right), (left, right[:7])):
         with pytest.raises(ValueError, match="factors"):
-            G.with_structure(factors=bad)
+            BlockChannelMatrix(bad, "OCM")
+    for bad in ((right, right), (left, left)):
+        with pytest.raises(ValueError, match="lattice grids"):
+            BlockChannelMatrix(bad, "OCM").with_structure(lattice=((2, 1), (1, 3)))
     for bad in (((2, 2), (3, 1)), ((1, 2), (2, 2)), ((1, 1), (1, 1)), ((1, 2), (3, 1), (1, 1))):
         with pytest.raises(ValueError, match="lattice grids"):
             G.with_structure(lattice=bad)
+
+
+@pytest.mark.parametrize("tx_shape,rx_shape,d0_lambda,theta,phi", [
+    ((41, 41), (15, 15), 0.25, 0.0, 0.0), ((41, 41), (15, 15), 4.25, 0.0, 0.0),
+    ((13, 5), (3, 11), 1.5, 0.0, 0.0), ((9, 7), (5, 6), 1.5, 0.3, 0.4),
+])
+def test_factored_offset_table_matches_the_dense_read(tx_shape, rx_shape, d0_lambda, theta, phi):
+    # the table read from the thin factors, without forming L R', against the
+    # table read out of the dense product
+    spacing = 0.01 * WAVELENGTH
+    tx = build_planar_surface(*tx_shape, spacing)
+    rx = build_planar_surface(*rx_shape, spacing)
+    link = LinkGeometry.from_angles(d0_lambda * WAVELENGTH, theta=theta, phi=phi)
+    mats = [assemble_fscm(tx, rx, link, K0)]
+    mats += [assemble_pscm(tx, rx, link, K0, code) for code in ("1234", "123", "12")]
+    factored = [G for G in mats if G.factors is not None]
+    assert len(factored) == (4 if theta == 0.0 else 1)
+    for G in factored:
+        table, counts = _offset_table(G)
+        assert "matrix" not in vars(G)
+        dense = replace(G, entries=G.matrix).with_structure(lattice=G.lattice)
+        want, want_counts = _offset_table(dense)
+        assert table.shape == want.shape and np.array_equal(counts, want_counts)
+        assert np.max(np.abs(table - want)) <= 1e-15 * np.max(np.abs(want)), G.variant
 
 
 def test_far_point_form_ladder_converges():
@@ -206,6 +231,7 @@ def test_far_point_form_ladder_converges():
             for n in range(tx.count):
                 d = pair_displacement(link, tx.positions[n], rx.positions[m])
                 far = green_dyadic_far(d, 2 * np.pi)
-                worst = max(worst, np.linalg.norm(G.block(m, n) - far) / np.linalg.norm(far))
+                block = G.matrix[3 * m : 3 * m + 3, 3 * n : 3 * n + 3]
+                worst = max(worst, np.linalg.norm(block - far) / np.linalg.norm(far))
         ratios.append(worst)
     assert all(b < a for a, b in zip(ratios, ratios[1:]))

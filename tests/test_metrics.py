@@ -29,7 +29,7 @@ def test_nmse_of_identical_matrices_is_zero():
 
 def test_nmse_of_doubled_matrix_is_one():
     _, ref = _pair()
-    doubled = replace(ref, matrix=2.0 * ref.matrix)
+    doubled = replace(ref, entries=2.0 * ref.matrix)
     assert nmse(doubled, ref) == pytest.approx(1.0, rel=1e-14)
 
 
@@ -39,7 +39,7 @@ def test_nmse_is_invariant_under_common_rescaling(scale, phase):
     cand, ref = _pair()
     base = nmse(cand, ref)
     c = scale * np.exp(1j * phase)
-    scaled = nmse(replace(cand, matrix=c * cand.matrix), replace(ref, matrix=c * ref.matrix))
+    scaled = nmse(replace(cand, entries=c * cand.matrix), replace(ref, entries=c * ref.matrix))
     assert scaled == pytest.approx(base, rel=1e-12)
 
 
@@ -83,7 +83,7 @@ def test_nmse_rejects_dimension_mismatch():
 
 def test_nmse_rejects_zero_reference():
     cand, ref = _pair()
-    zero = replace(ref, matrix=np.zeros_like(ref.matrix))
+    zero = replace(ref, entries=np.zeros_like(ref.matrix))
     with pytest.raises(ValueError, match="zero matrix"):
         nmse(cand, zero)
 
@@ -94,6 +94,11 @@ def _rotation(a, b, c):
     ry = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
     rx = np.array([[1.0, 0.0, 0.0], [0.0, cc, -sc], [0.0, sc, cc]])
     return rz @ ry @ rx
+
+
+def _blocks(G):
+    """The (M, N, 3, 3) block view of ``G.matrix``."""
+    return G.matrix.reshape(G.m_count, 3, G.n_count, 3).transpose(0, 2, 1, 3)
 
 
 def _representatives(rx, tx):
@@ -145,7 +150,7 @@ def test_lattice_nmse_matches_the_full_sums(tx_shape, rx_shape, tx_spacing, rx_s
         return
     rep_m, rep_n = _representatives(rx, tx)
     for G in mats:
-        blocks = G.blocks
+        blocks = _blocks(G)
         scale = np.max(np.abs(G.matrix))
         assert np.max(np.abs(blocks[rep_m, rep_n] - blocks)) <= 1e-13 * scale, G.variant
     ref = mats[0]
@@ -163,14 +168,14 @@ def test_lattice_nmse_weights_every_offset_by_its_pair_count():
     ref = assemble_ocm(tx, rx, LinkGeometry.from_angles(0.8, theta=0.2, phi=1.0), 2 * np.pi)
     assert ref.lattice == ((5, 2), (3, 4))
     rep_m, rep_n = _representatives(rx, tx)
-    blocks = ref.blocks
+    blocks = _blocks(ref)
     for m, n in [(0, 0), (9, 0), (0, 11), (4, 6), (7, 3)]:
         same = (rep_m == rep_m[m, n]) & (rep_n == rep_n[m, n])
         bumped = blocks.copy()
         bumped[same] *= 1.5
         matrix = bumped.transpose(0, 2, 1, 3).reshape(ref.matrix.shape)
         want = 0.25 * np.sum(np.abs(blocks[same]) ** 2) / np.sum(np.abs(blocks) ** 2)
-        bumped = replace(ref, matrix=matrix).with_structure(lattice=ref.lattice)
+        bumped = replace(ref, entries=matrix).with_structure(lattice=ref.lattice)
         assert nmse(bumped, ref) == pytest.approx(want, rel=1e-13)
 
 
@@ -182,11 +187,11 @@ def test_replacing_the_matrix_drops_the_lattice():
     ref = assemble_ocm(tx, rx, LinkGeometry.from_angles(0.8, theta=0.2), 2 * np.pi)
     rep_m, rep_n = _representatives(rx, tx)
     assert ref.lattice is not None and (rep_m[3, 8], rep_n[3, 8]) != (3, 8)
-    blocks = ref.blocks.copy()
+    blocks = _blocks(ref).copy()
     blocks[3, 8] *= 10.0
-    bumped = replace(ref, matrix=blocks.transpose(0, 2, 1, 3).reshape(ref.matrix.shape))
+    bumped = replace(ref, entries=blocks.transpose(0, 2, 1, 3).reshape(ref.matrix.shape))
     assert bumped.lattice is None
-    want = 81.0 * np.sum(np.abs(ref.blocks[3, 8]) ** 2) / np.sum(np.abs(ref.blocks) ** 2)
+    want = 81.0 * np.sum(np.abs(_blocks(ref)[3, 8]) ** 2) / np.sum(np.abs(_blocks(ref)) ** 2)
     assert nmse(bumped, ref) == pytest.approx(want, rel=1e-13)
 
 

@@ -191,10 +191,11 @@ def test_assembler_matches_the_pairwise_route(variant, tag, tx_sides, rx_sides, 
     if theta == 0.0 and turn is None:
         assert in_plane
     scale = np.max(np.abs(G.matrix))
+    blocks = G.matrix.reshape(rx.count, 3, tx.count, 3)
     for m in range(rx.count):
         for n in range(tx.count):
             ref = pscm_pair(tx.positions[n], qs[m], link.kappa, link.d0, 2 * np.pi, variant)
-            assert np.max(np.abs(G.block(m, n) - ref)) <= 1e-12 * scale
+            assert np.max(np.abs(blocks[m, :, n] - ref)) <= 1e-12 * scale
 
 
 def test_assembler_honors_rx_rotation():
@@ -208,10 +209,11 @@ def test_assembler_honors_rx_rotation():
     G = assemble_pscm(tx, rx, link, 2 * np.pi)
     qs = global_rx_positions(link, rx)
     scale = np.max(np.abs(G.matrix))
+    blocks = G.matrix.reshape(rx.count, 3, tx.count, 3)
     for m in range(rx.count):
         for n in range(tx.count):
             ref = pscm_pair(tx.positions[n], qs[m], link.kappa, link.d0, 2 * np.pi)
-            assert np.max(np.abs(G.block(m, n) - ref)) <= 1e-12 * scale
+            assert np.max(np.abs(blocks[m, :, n] - ref)) <= 1e-12 * scale
 
 
 def test_assembler_rejects_degenerate_pairs():
@@ -245,10 +247,11 @@ def test_fscm_blocks_are_scaled_transverse_projectors(tx_sides, rx_sides, tx_spa
     projector = np.eye(3) - np.outer(link.kappa, link.kappa)
     pref = -1j * np.exp(1j * k0 * link.d0) / (4 * np.pi * link.d0)
     scale = np.max(np.abs(G.matrix))
+    blocks = G.matrix.reshape(rx.count, 3, tx.count, 3)
     for m in range(rx.count):
         for n in range(tx.count):
             ref = pref * theta_r[m] * np.conj(theta_t[n]) * projector
-            assert np.max(np.abs(G.block(m, n) - ref)) <= 1e-13 * scale
+            assert np.max(np.abs(blocks[m, :, n] - ref)) <= 1e-13 * scale
 
 
 def test_fscm_matrix_has_rank_two():

@@ -315,6 +315,30 @@ def test_each_variant_is_assembled_once_through_the_module_names(monkeypatch):
     assert sorted(row.capacity) == sorted(MODEL_VARIANTS)
 
 
+def test_a_boresight_point_never_forms_a_factored_product(monkeypatch):
+    # the four separable variants of a built-in point are stored as factors;
+    # assembly, nmse against OCM and the spectrum-only decomposition read
+    # them without forming the dense L R'
+    built = []
+
+    def keeping(name):
+        real = getattr(sweep_module, name)
+
+        def stand_in(*args):
+            built.append(real(*args))
+            return built[-1]
+        return stand_in
+
+    for name in ("assemble_ocm", "assemble_pscm", "assemble_fscm"):
+        monkeypatch.setattr(sweep_module, name, keeping(name))
+    spec = SweepSpec(experiment="single-point", d0_range_lambda=(1.5,), **DESK)
+    row = run_single_point(spec)
+    assert sorted(row.nmse) == ["FSCM", "PSCM", "PSCM12", "PSCM123"]
+    factored = [G for G in built if G.variant != "OCM"]
+    assert len(factored) == 4 and all(G.factors is not None for G in factored)
+    assert all("matrix" not in vars(G) for G in factored)
+
+
 def test_distance_count_is_capped_at_a_million_points():
     at_cap = spec_from_json_dict({"experiment": "distance",
                                   "d0_range_lambda": {"start": 1.0, "stop": 1e6, "step": 1.0}})
