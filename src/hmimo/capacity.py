@@ -15,7 +15,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, _require_positive
 from .green import BlockChannelMatrix, _offset_table
 
 __all__ = [
@@ -41,10 +41,10 @@ class PhysicalConfig:
     """Carrier, impedance, element areas and the power/noise budget.
 
     Wavelength and wavenumber are always derived from ``frequency`` so
-    they can never go stale.  Every field, and ``mu``, must be positive
-    and finite.  ``noise_var`` is the per-polarization noise variance at
-    each RX element; ``total_power`` is the transmit power split uniformly
-    over the eigenchannels in use.
+    they can never go stale.  Every field, the area product ``a_r * a_t``
+    and ``mu`` must be positive and finite.  ``noise_var`` is the
+    per-polarization noise variance at each RX element; ``total_power`` is
+    the transmit power split uniformly over the eigenchannels in use.
     """
 
     frequency: float
@@ -56,9 +56,8 @@ class PhysicalConfig:
 
     def __post_init__(self):
         for name in ("frequency", "a_t", "a_r", "noise_var", "total_power", "eta"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            _require_positive(name, getattr(self, name))
+        _require_positive("a_r * a_t", self.a_r * self.a_t)
         try:
             mu = self.mu
         except ArithmeticError:  # a square in mu overflows, or 1 / lambda^2 does
@@ -313,26 +312,23 @@ def eigenchannel_decompose(
     """
     if green.m_count == 0 or green.n_count == 0:
         raise ValueError("empty channel matrix")
+    # On inf entries LAPACK's full SVD does not return and the values-only
+    # one stalls before giving NaN, so reject them before any QR or SVD runs.
+    held = "matrix holds" if green.factors is None else "factors hold"
+    if not all(np.isfinite(a).all() for a in green.factors or [green.matrix]):
+        raise NumericalError(f"channel {held} NaN or inf entries")
     outer = (None, None)
     if green.factors is not None:
-        # LAPACK can stall on inf entries, so reject them before the QRs run.
-        if not all(np.isfinite(f).all() for f in green.factors):
-            raise NumericalError("channel factors hold NaN or inf entries")
         if patterns:
             (q_l, r_l), (q_r, r_r) = (np.linalg.qr(f) for f in green.factors)
             outer = (q_l, q_r.conj().T)
         else:
             r_l, r_r = (np.linalg.qr(f, mode="r") for f in green.factors)
         blocks = [r_l @ r_r.conj().T]
+    elif green.mirror and not patterns:
+        blocks = _lattice_sectors(green)
     else:
-        # On inf entries LAPACK's full SVD does not return and the values-only
-        # one stalls before giving NaN, so reject them before either runs.
-        if not np.isfinite(green.matrix).all():
-            raise NumericalError("channel matrix holds NaN or inf entries")
-        if green.mirror and not patterns:
-            blocks = _lattice_sectors(green)
-        else:
-            blocks = [green.matrix]
+        blocks = [green.matrix]
     if patterns:
         left, u, values, vh, right = _block_svd(blocks[0], True)
     else:

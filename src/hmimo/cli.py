@@ -52,10 +52,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", metavar="PATH", help="JSON sweep config file")
-        p.add_argument("--output", metavar="PATH", help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
+        p.add_argument("--output", dest="output_path", metavar="PATH",
+                       help="output file (default: stdout)")
+        p.add_argument("--format", dest="output_format", choices=("csv", "json"),
+                       help="output format")
         p.add_argument(
             "--variants",
+            type=lambda text: tuple(v.strip() for v in text.split(",") if v.strip()),
             metavar="LIST",
             help=f"comma-separated subset of {','.join(MODEL_VARIANTS)}",
         )
@@ -98,17 +101,9 @@ def _spec_from_args(args) -> SweepSpec:
             )
     else:
         spec = default_spec(experiment)
-    overrides = {}
-    if args.output is not None:
-        overrides["output_path"] = args.output
-    if args.format is not None:
-        overrides["output_format"] = args.format
-    if args.snr_db is not None:
-        overrides["snr_db"] = args.snr_db
-    if args.variants is not None:
-        overrides["variants"] = tuple(v.strip() for v in args.variants.split(",") if v.strip())
-    if overrides:
-        spec = replace(spec, **overrides)
+    # each override flag's dest is the SweepSpec field it sets
+    fields = ("output_path", "output_format", "snr_db", "variants")
+    spec = replace(spec, **{f: getattr(args, f) for f in fields if getattr(args, f) is not None})
     violations = validate_spec(spec)
     if violations:
         raise ConfigError(violations)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one positive-and-finite rule."""
+
+import math
 
 __all__ = ["DegenerateGeometryError", "CoincidentPointsError", "ConfigError", "NumericalError"]
 
@@ -26,3 +28,9 @@ class ConfigError(ValueError):
             violations = [violations]
         self.violations = list(violations)
         super().__init__("invalid sweep config:\n" + "\n".join(f"  - {v}" for v in self.violations))
+
+
+def _require_positive(name, value, error=ValueError):
+    """Raise ``error`` unless ``0 < value < inf``; NaN and both infinities fail too."""
+    if not 0 < value < math.inf:
+        raise error(f"{name} must be positive and finite, got {value}")

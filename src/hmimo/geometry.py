@@ -18,7 +18,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import DegenerateGeometryError
+from .errors import DegenerateGeometryError, _require_positive
 
 __all__ = [
     "SurfaceLayout",
@@ -58,8 +58,7 @@ class SurfaceLayout:
             raise ValueError(f"element counts must be integers, got {n_h!r} x {n_v!r}")
         if n_h < 1 or n_v < 1:
             raise ValueError(f"element counts must be >= 1, got {n_h} x {n_v}")
-        if not 0 < spacing < math.inf:
-            raise ValueError(f"element spacing must be positive and finite, got {spacing}")
+        _require_positive("element spacing", spacing)
         xs = (np.arange(n_h) - (n_h - 1) / 2.0) * spacing
         ys = (np.arange(n_v) - (n_v - 1) / 2.0) * spacing
         gx, gy = np.meshgrid(xs, ys)
@@ -103,8 +102,7 @@ class LinkGeometry:
 
     def __post_init__(self):
         d0, theta, phi = float(self.d0), float(self.theta), float(self.phi)
-        if not 0 < d0 < math.inf:
-            raise DegenerateGeometryError(f"link distance must be positive and finite, got {d0}")
+        _require_positive("link distance", d0, DegenerateGeometryError)
         if not (math.isfinite(theta) and math.isfinite(phi)):
             raise ValueError(f"link angles must be finite, got theta={theta}, phi={phi}")
         rotation = self.rx_rotation
@@ -198,9 +196,8 @@ def rayleigh_distance(tx: SurfaceLayout, rx: SurfaceLayout, wavelength: float) -
     """Far-field onset distance 2*(D_tx + D_rx)^2 / wavelength.
 
     D is each surface's aperture diagonal; the result is symmetric in the
-    two surfaces.
+    two surfaces.  The wavelength must be positive and finite.
     """
-    if wavelength <= 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
+    _require_positive("wavelength", wavelength)
     total = tx.aperture_diag + rx.aperture_diag
     return 2.0 * total * total / wavelength

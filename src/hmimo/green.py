@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CoincidentPointsError
+from .errors import CoincidentPointsError, _require_positive
 from .geometry import LinkGeometry, SurfaceLayout, pairwise_offsets
 
 __all__ = [
@@ -137,14 +137,14 @@ def green_dyadic(d_vec: np.ndarray, k0: float) -> np.ndarray:
         (-i / (4 pi d)) * [ (1 + i/(k0 d) - 1/(k0 d)^2) I3
                             + (3/(k0 d)^2 - 3i/(k0 d) - 1) u u' ] * exp(i k0 d)
 
-    The kernel is singular at d = 0 and that case is rejected.
+    The kernel is singular at d = 0 and that case is rejected, as is a
+    wavenumber that is not positive and finite.
     """
     d_vec = np.asarray(d_vec, dtype=float)
     dist = float(np.sqrt(d_vec @ d_vec))
     if dist == 0.0:
         raise CoincidentPointsError("field point coincides with the source point")
-    if k0 <= 0:
-        raise ValueError(f"wavenumber must be positive, got {k0}")
+    _require_positive("wavenumber", k0)
     u = d_vec / dist
     kd = k0 * dist
     c1 = 1.0 + 1j / kd - 1.0 / kd**2
@@ -162,8 +162,7 @@ def green_dyadic_far(d_vec: np.ndarray, k0: float) -> np.ndarray:
     dist = float(np.sqrt(d_vec @ d_vec))
     if dist == 0.0:
         raise CoincidentPointsError("field point coincides with the source point")
-    if k0 <= 0:
-        raise ValueError(f"wavenumber must be positive, got {k0}")
+    _require_positive("wavenumber", k0)
     u = d_vec / dist
     return (-1j * np.exp(1j * k0 * dist) / (4.0 * np.pi * dist)) * (_EYE3 - np.outer(u, u))
 
@@ -178,8 +177,7 @@ def assemble_ocm(
     grids of one spacing the result carries ``lattice``, and at
     boresight (kappa along z) also ``mirror``.
     """
-    if k0 <= 0:
-        raise ValueError(f"wavenumber must be positive, got {k0}")
+    _require_positive("wavenumber", k0)
     dvec = link.d0 * link.kappa + pairwise_offsets(tx, rx, link)  # (M, N, 3)
     dist = np.sqrt(np.einsum("mni,mni->mn", dvec, dvec))
     if np.any(dist == 0.0):

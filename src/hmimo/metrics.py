@@ -36,20 +36,15 @@ def nmse(candidate: BlockChannelMatrix, reference: BlockChannelMatrix) -> float:
     if sizes[0] != sizes[1]:
         raise ValueError(f"dimension mismatch: candidate {sizes[0]} vs reference {sizes[1]} blocks")
     if reference.lattice is not None and candidate.lattice == reference.lattice:
-        cand, _ = _offset_table(candidate)
-        ref, weight = _offset_table(reference)
-        den = np.sum(weight * np.abs(ref) ** 2, dtype=np.longdouble)
-        num = np.sum(weight * np.abs(cand - ref) ** 2, dtype=np.longdouble)
-    else:
-        cand = candidate.matrix.reshape(-1)
-        ref = reference.matrix.reshape(-1)
-        num = den = np.longdouble(0.0)
-        for start in range(0, ref.size, _CHUNK):
-            r = ref[start : start + _CHUNK]
-            den = np.sum(np.abs(r) ** 2, dtype=np.longdouble, initial=den)
-            num = np.sum(np.abs(cand[start : start + _CHUNK] - r) ** 2, dtype=np.longdouble,
-                         initial=num)
+        pieces = [(_offset_table(candidate)[0], *_offset_table(reference))]
+    else:  # aligned chunks of the two matrices, each of weight 1
+        flat_c, flat_r = candidate.matrix.reshape(-1), reference.matrix.reshape(-1)
+        pieces = ((flat_c[i : i + _CHUNK], flat_r[i : i + _CHUNK], 1)
+                  for i in range(0, flat_r.size, _CHUNK))
+    num = den = np.longdouble(0.0)
+    for cand, ref, weight in pieces:
+        den = np.sum(weight * np.abs(ref) ** 2, dtype=np.longdouble, initial=den)
+        num = np.sum(weight * np.abs(cand - ref) ** 2, dtype=np.longdouble, initial=num)
     if den == 0.0:
         raise ValueError("degenerate reference: zero matrix")
     return float(num / den)
-

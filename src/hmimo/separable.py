@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateGeometryError
+from .errors import DegenerateGeometryError, _require_positive
 from .geometry import LinkGeometry, SurfaceLayout, global_rx_positions, pairwise_offsets
 from .green import PSCM_CODES, BlockChannelMatrix, _dyad_dense, _grid_lattice, _weights
 
@@ -84,12 +84,10 @@ def omega_pair(k0: float, gamma: float, d0: float) -> OmegaPair:
     """Near-field weights at effective distance gamma*d0.
 
     omega1 -> 1 and omega2 -> -1 as k0*gamma*d0 grows; the deviations
-    decay like 1/(k0*gamma*d0).
+    decay like 1/(k0*gamma*d0).  All three inputs must be positive and finite.
     """
-    if k0 <= 0 or gamma <= 0 or d0 <= 0:
-        raise ValueError(
-            f"k0, gamma and d0 must all be positive, got k0={k0}, gamma={gamma}, d0={d0}"
-        )
+    for name, value in (("k0", k0), ("gamma", gamma), ("d0", d0)):
+        _require_positive(name, value)
     return OmegaPair(*_weights(k0 * gamma * d0))
 
 
@@ -177,8 +175,7 @@ def assemble_pscm(
     Parallel uniform grids of one spacing make it carry ``lattice``.
     """
     tag = _variant_tag(variant)
-    if k0 <= 0:
-        raise ValueError(f"wavenumber must be positive, got {k0}")
+    _require_positive("wavenumber", k0)
     ps = tx.positions
     qs = global_rx_positions(link, rx)
     keep = len(variant)
@@ -264,8 +261,7 @@ def assemble_fscm(
     ``L = c theta_r (x) (I3 - kappa kappa')`` and ``R = theta_t (x) I3``
     (r = 3).  It carries ``lattice`` as :func:`assemble_pscm` does.
     """
-    if k0 <= 0:
-        raise ValueError(f"wavenumber must be positive, got {k0}")
+    _require_positive("wavenumber", k0)
     qs = global_rx_positions(link, rx)
     return _pscm_factors(tx.positions, qs, link, k0, 2, (1.0, -1.0), "FSCM",
                          _grid_lattice(tx, rx, link))

@@ -241,13 +241,16 @@ def validate_spec(spec: SweepSpec) -> list[str]:
         except ValueError as exc:
             v.append(str(exc))
             scale_ok = False
-    if scale_ok and not 0.0 < _point_scale(spec)[2] < math.inf:
+    area = _point_scale(spec)[2] if scale_ok else None
+    # a_r * a_t = area^2 scales every gain, so it must not underflow or overflow either
+    if scale_ok and not 0.0 < area * area < math.inf:
         v.append(f"spacing_lambda {spec.spacing_lambda!r} at frequency {spec.frequency!r} "
-                 "gives an element area that is not finite and positive")
+                 "gives an element area, or an area product a_r * a_t, that is not finite "
+                 "and positive")
         scale_ok = False
     if not _is_real(spec.snr_db):
         v.append(f"snr_db must be a finite real number, got {spec.snr_db!r}")
-    elif scale_ok and not 0.0 < _total_power(spec, _point_scale(spec)[2]) < math.inf:
+    elif scale_ok and not 0.0 < _total_power(spec, area) < math.inf:
         v.append(f"snr_db {spec.snr_db!r} gives a total power that is not finite and positive")
 
     d0 = spec.d0_range_lambda

@@ -52,6 +52,13 @@ def test_config_rejects_nonpositive_values(field):
             _cfg(**{field: value})
 
 
+@pytest.mark.parametrize("area", [1e-200, 1e200])
+def test_config_rejects_an_area_product_that_is_not_finite(area):
+    # each area is positive and finite, but a_r * a_t underflows to 0 or overflows to inf
+    with pytest.raises(ValueError, match=re.escape("a_r * a_t must be positive and finite")):
+        _cfg(a_t=area, a_r=area)
+
+
 @pytest.mark.parametrize("frequency", [1e-300, 1e300])
 def test_config_rejects_a_frequency_whose_mu_is_not_finite(frequency):
     # 1e-300 Hz gives an infinite wavelength; at 1e300 Hz its square underflows

@@ -156,6 +156,8 @@ _TINY_POINT = dict(DESK_POINT, tx_grid=[3, 3], rx_grid=[2, 2])
 _TINY_DISTANCE = dict(_TINY_POINT, experiment="distance",
                       d0_range_lambda={"start": 0.5, "stop": 1.0, "step": 0.5})
 _TINY_ELEMENTS = dict(_TINY_POINT, experiment="tx-elements", n_list=[2, 3])
+# each element area is finite and positive here, but a_r * a_t can still leave the float range
+_AREA_POINT = dict(_TINY_POINT, tx_grid=[2, 2], rx_grid=[2, 2], d0_range_lambda=[2.0])
 
 
 @pytest.mark.parametrize("command,config,flags", [
@@ -196,6 +198,11 @@ _TINY_ELEMENTS = dict(_TINY_POINT, experiment="tx-elements", n_list=[2, 3])
     pytest.param("point", dict(_TINY_POINT, frequency=1e300), [], id="frequency-huge"),
     pytest.param("point", dict(_TINY_POINT, spacing_lambda=1e200), [], id="area-overflow"),
     pytest.param("point", dict(_TINY_POINT, spacing_lambda=1e-200), [], id="area-underflow"),
+    pytest.param("point", dict(_AREA_POINT, spacing_lambda=1e-101), ["--dump-singular-values", "2"],
+                 id="area-product-underflow"),
+    pytest.param("point", dict(_AREA_POINT, frequency=1e100), ["--dump-singular-values", "2"],
+                 id="frequency-area-product-underflow"),
+    pytest.param("point", dict(_AREA_POINT, spacing_lambda=1e78), [], id="area-product-overflow"),
     pytest.param("point", dict(_TINY_POINT, frequency=1e8, d0_range_lambda=[1e308]), [],
                  id="d0-overflow"),
     pytest.param("point", dict(_TINY_POINT, frequency=1e8, d0_range_lambda=[1e-320]), [],

@@ -1,5 +1,7 @@
 """Exact dyadic kernel, its far-field point form, and the dense reference assembler."""
 
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +19,7 @@ from hmimo import (
     global_rx_positions,
     green_dyadic,
     green_dyadic_far,
+    omega_pair,
     pair_displacement,
     rayleigh_distance,
 )
@@ -80,6 +83,29 @@ def test_coincident_point_rejected():
         green_dyadic(np.zeros(3), 2 * np.pi)
     with pytest.raises(ValueError):
         green_dyadic(np.array([0.0, 0.0, 1.0]), 0.0)
+
+
+_GRID = build_planar_surface(2, 2, 0.01 * WAVELENGTH)
+_LINK = LinkGeometry.from_angles(2 * WAVELENGTH)
+_AXIS = np.array([0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name,call", [
+    pytest.param("wavenumber", lambda k0: green_dyadic(_AXIS, k0), id="green_dyadic"),
+    pytest.param("wavenumber", lambda k0: green_dyadic_far(_AXIS, k0), id="green_dyadic_far"),
+    pytest.param("wavenumber", lambda k0: assemble_ocm(_GRID, _GRID, _LINK, k0), id="ocm"),
+    pytest.param("wavenumber", lambda k0: assemble_pscm(_GRID, _GRID, _LINK, k0), id="pscm"),
+    pytest.param("wavenumber", lambda k0: assemble_fscm(_GRID, _GRID, _LINK, k0), id="fscm"),
+    pytest.param("k0", lambda k0: omega_pair(k0, 1.0, 1.0), id="omega-k0"),
+    pytest.param("gamma", lambda gamma: omega_pair(1.0, gamma, 1.0), id="omega-gamma"),
+    pytest.param("d0", lambda d0: omega_pair(1.0, 1.0, d0), id="omega-d0"),
+    pytest.param("wavelength", lambda lam: rayleigh_distance(_GRID, _GRID, lam), id="rayleigh"),
+])
+def test_scalar_inputs_must_be_positive_and_finite(name, call, value):
+    # NaN and both infinities fail the one rule too, not only values <= 0
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be positive and finite, got")):
+        call(value)
 
 
 def test_far_forms_on_axis():
