@@ -293,7 +293,10 @@ def eigenchannel_decompose(
             QRs L = Q_L R_L, R = Q_R R_R when the matrix is stored as
             factors; without patterns, the four parity sectors gathered
             from its offset table when it carries ``mirror``; otherwise
-            the matrix itself.  A block at least 1.5 times as long one
+            ``matrix`` itself, formed from the held form if need be.  The
+            NaN/inf check reads the held form (the factors, the offset
+            table or the dense array), so the spectrum-only routes never
+            form ``matrix``.  A block at least 1.5 times as long one
             way as the other is reduced to the QR triangle of its tall
             orientation first.  Without patterns the blocks' singular
             values are sorted once; with them the one block's singular
@@ -315,7 +318,7 @@ def eigenchannel_decompose(
     # On inf entries LAPACK's full SVD does not return and the values-only
     # one stalls before giving NaN, so reject them before any QR or SVD runs.
     held = "matrix holds" if green.factors is None else "factors hold"
-    if not all(np.isfinite(a).all() for a in green.factors or [green.matrix]):
+    if not all(np.isfinite(a).all() for a in green.factors or [green.entries]):
         raise NumericalError(f"channel {held} NaN or inf entries")
     outer = (None, None)
     if green.factors is not None:

@@ -89,9 +89,11 @@ class LinkGeometry:
     ``LinkGeometry(d0, theta, phi, rx_rotation=None)``.  ``kappa`` points
     from the TX surface center toward the RX surface center; it is always
     derived from the elevation/azimuth pair via :func:`wavevector`, so it
-    never goes stale.  ``rx_rotation``, when given, is a finite 3x3 matrix
-    that maps RX-local element offsets into the global frame; when absent
-    the two surfaces are parallel.  Equality is identity.
+    never goes stale.  ``rx_rotation``, when given, is a proper rotation
+    (R'R = I within 1e-12 in every entry, det R > 0) that maps RX-local
+    element offsets into the global frame; when absent the two surfaces
+    are parallel.  Every field is checked on every construction,
+    ``replace`` included.  Equality is identity.
     """
 
     d0: float
@@ -112,6 +114,10 @@ class LinkGeometry:
                 raise ValueError("rx_rotation must be a 3x3 matrix")
             if not np.isfinite(rotation).all():
                 raise ValueError("rx_rotation entries must be finite")
+            if (np.max(np.abs(rotation.T @ rotation - np.eye(3))) > 1e-12
+                    or np.linalg.det(rotation) <= 0.0):
+                raise ValueError("rx_rotation must be a proper rotation: R'R = I within 1e-12 "
+                                 "and det R > 0")
             rotation.setflags(write=False)
         for name, value in (("d0", d0), ("theta", theta), ("phi", phi),
                             ("rx_rotation", rotation), ("kappa", wavevector(theta, phi))):

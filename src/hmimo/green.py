@@ -2,14 +2,15 @@
 
 Every TX/RX element pair couples through a 3x3 complex dyad evaluated at
 the pair displacement vector.  Stacking the dyads block-wise over all
-pairs yields the dense reference matrix (variant tag ``OCM``) against
-which the separable approximations in :mod:`hmimo.separable` are
-measured.
+pairs yields the reference matrix (variant tag ``OCM``) against which the
+separable approximations in :mod:`hmimo.separable` are measured; on
+parallel grids of one spacing it is held as one dyad per grid-index
+offset.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -41,19 +42,24 @@ class BlockChannelMatrix:
 
     ``BlockChannelMatrix(entries, variant)``: block (m, n) couples RX
     element m to TX element n and occupies rows ``3m..3m+2`` and columns
-    ``3n..3n+2`` of ``matrix``.  ``entries`` is the one stored form: the
-    dense array, or thin factors ``(L, R)``, L 3M x r and R 3N x r, that
-    define ``matrix = L @ R.conj().T``; ``factors`` returns that pair and
-    ``matrix`` forms the product on first read.  Assemblers store factors
-    where the matrix is exactly separable into TX and RX terms.  Entries
-    are raw dyad values; the physical scale enters only through
-    :class:`~hmimo.capacity.PhysicalConfig`.
+    ``3n..3n+2`` of ``matrix``.  ``entries`` is the one held form, one of
+    three: the dense array; thin factors ``(L, R)``, L 3M x r and R 3N x r,
+    that define ``matrix = L @ R.conj().T`` (``factors`` returns the pair);
+    or, on a lattice, the (A_v, A_h, 3, 3) table of one block per
+    grid-index offset (see ``lattice`` below).  ``matrix`` returns the
+    dense array, or forms the product or gathers the table on first read.
+    Assemblers store factors where the matrix is exactly separable into TX
+    and RX terms, and :func:`assemble_ocm` stores the table of a lattice
+    link.  Entries are raw dyad values; the physical scale enters only
+    through :class:`~hmimo.capacity.PhysicalConfig`.
 
     Two optional structure claims describe the entries; fast routes trust
     them.  Neither is a constructor argument: they are attached only
     through :meth:`with_structure`, so neither ``BlockChannelMatrix(...)``
     nor ``dataclasses.replace`` ever carries one, and a matrix rebuilt
-    with ``replace(G, entries=m)`` is read entry by entry.  Equality is
+    with ``replace(G, entries=m)`` is read entry by entry.  A table means
+    nothing without its lattice, so neither of them accepts one, and a
+    table-backed matrix keeps the lattice it was built on.  Equality is
     identity, since the numpy fields have no single truth value.
 
     ``lattice`` is ``((rx_n_v, rx_n_h), (tx_n_v, tx_n_h))``, the grid
@@ -62,8 +68,8 @@ class BlockChannelMatrix:
     depends only on the grid-index offset (v_r - v_t, h_r - h_t) of RX
     element (v_r, h_r) and TX element (v_t, h_t): exactly in exact
     arithmetic, within rounding in floating point.  The matrix then holds
-    (rx_n_v + tx_n_v - 1)(rx_n_h + tx_n_h - 1) distinct blocks, and
-    :func:`~hmimo.metrics.nmse` reads only their table, one block per
+    A_v A_h = (rx_n_v + tx_n_v - 1)(rx_n_h + tx_n_h - 1) distinct blocks,
+    and :func:`~hmimo.metrics.nmse` reads only their table, one block per
     offset (``_offset_table``).
 
     ``mirror`` is a flag on the lattice: the link is at boresight and
@@ -84,6 +90,9 @@ class BlockChannelMatrix:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {MODEL_VARIANTS}")
         if self.factors is None:
             shape = self.entries.shape
+            if len(shape) == 4:
+                raise ValueError("an offset table means nothing without its lattice; "
+                                 "hold the dense entries, G.matrix, instead")
             if len(shape) != 2 or shape[0] % 3 or shape[1] % 3:
                 raise ValueError(f"matrix shape {shape} is not made of 3x3 blocks")
             return
@@ -93,40 +102,76 @@ class BlockChannelMatrix:
 
     @property
     def factors(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The stored pair ``(L, R)``, or None when the entries are dense."""
+        """The stored pair ``(L, R)``, or None when the entries are an array."""
         return self.entries if isinstance(self.entries, tuple) else None
+
+    @property
+    def _table(self) -> np.ndarray | None:
+        """The stored (A_v, A_h, 3, 3) offset table, or None."""
+        return None if self.factors is not None or self.entries.ndim != 4 else self.entries
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense (3M, 3N) entries: the stored array, or ``L @ R.conj().T`` formed once."""
-        if self.factors is None:
+        """The dense (3M, 3N) entries: the stored array, or formed once from the held form."""
+        if self.factors is not None:
+            left, right = self.factors
+            return left @ right.conj().T
+        if self._table is None:
             return self.entries
-        left, right = self.factors
-        return left @ right.conj().T
+        (rx_v, rx_h), (tx_v, tx_h) = self.lattice
+        dense = np.empty((rx_v, rx_h, 3, tx_v, tx_h, 3), dtype=self.entries.dtype)
+        pairs = _pair_offsets(self.lattice)
+        # one polarization pair at a time keeps the peak at the result plus a ninth
+        for c in range(3):
+            for d in range(3):
+                dense[:, :, c, :, :, d] = self.entries[:, :, c, d][pairs]
+        return dense.reshape(3 * self.m_count, 3 * self.n_count)
 
     @property
     def m_count(self) -> int:
-        return len(self.entries if self.factors is None else self.factors[0]) // 3
+        return self._counts[0]
 
     @property
     def n_count(self) -> int:
-        return (self.entries.shape[1] if self.factors is None else len(self.factors[1])) // 3
+        return self._counts[1]
+
+    @property
+    def _counts(self) -> tuple[int, int]:
+        """(M, N): the RX and TX element counts of the held form."""
+        if self.factors is not None:
+            return tuple(len(f) // 3 for f in self.factors)
+        if self._table is not None:
+            return tuple(v * h for v, h in self.lattice)
+        return tuple(n // 3 for n in self.entries.shape)
 
     def with_structure(self, lattice=None, mirror=False) -> BlockChannelMatrix:
         """A copy sharing the stored entries that carries exactly the claims given.
 
         The ``lattice`` grids must hold the M RX and N TX elements, and
-        ``mirror`` needs a lattice.
+        ``mirror`` needs a lattice.  A table-backed matrix is read through
+        the lattice it was built on, so it takes only that one.
         """
         if lattice is not None and [v * h for v, h in lattice] != [self.m_count, self.n_count]:
             raise ValueError(f"lattice grids {lattice} do not hold {self.m_count} RX "
                              f"and {self.n_count} TX elements")
         if mirror and lattice is None:
             raise ValueError("a mirror claim needs a lattice")
-        tagged = replace(self)
-        for name, claim in (("lattice", lattice), ("mirror", mirror)):
-            object.__setattr__(tagged, name, claim)
-        return tagged
+        if self._table is not None and lattice != self.lattice:
+            raise ValueError(f"an offset table is read only through its own lattice "
+                             f"{self.lattice}, got {lattice}")
+        return _claimed(self.entries, self.variant, lattice, mirror)
+
+
+def _claimed(entries, variant: str, lattice, mirror: bool) -> BlockChannelMatrix:
+    """A matrix holding ``entries`` with exactly the claims given, which the caller has checked.
+
+    It is made without the constructor, which accepts no claim and no table.
+    """
+    held = object.__new__(BlockChannelMatrix)
+    for name, value in (("entries", entries), ("variant", variant), ("lattice", lattice),
+                        ("mirror", mirror)):
+        object.__setattr__(held, name, value)
+    return held
 
 
 def green_dyadic(d_vec: np.ndarray, k0: float) -> np.ndarray:
@@ -137,15 +182,10 @@ def green_dyadic(d_vec: np.ndarray, k0: float) -> np.ndarray:
         (-i / (4 pi d)) * [ (1 + i/(k0 d) - 1/(k0 d)^2) I3
                             + (3/(k0 d)^2 - 3i/(k0 d) - 1) u u' ] * exp(i k0 d)
 
-    The kernel is singular at d = 0 and that case is rejected, as is a
-    wavenumber that is not positive and finite.
+    A ``d_vec`` with NaN or inf entries is rejected, as are the singular
+    d = 0 and a wavenumber that is not positive and finite.
     """
-    d_vec = np.asarray(d_vec, dtype=float)
-    dist = float(np.sqrt(d_vec @ d_vec))
-    if dist == 0.0:
-        raise CoincidentPointsError("field point coincides with the source point")
-    _require_positive("wavenumber", k0)
-    u = d_vec / dist
+    dist, u = _distance_and_direction(d_vec, k0)
     kd = k0 * dist
     c1 = 1.0 + 1j / kd - 1.0 / kd**2
     c2 = 3.0 / kd**2 - 3j / kd - 1.0
@@ -156,37 +196,61 @@ def green_dyadic_far(d_vec: np.ndarray, k0: float) -> np.ndarray:
     """Leading-order point form of the dyad: ``-i exp(i k0 r) / (4 pi r) (I3 - u u')``.
 
     ``I3 - u u'`` projects onto the plane transverse to propagation, the
-    factor the fully separable channel assembler inherits.
+    factor the fully separable channel assembler inherits.  Inputs are
+    checked as in :func:`green_dyadic`.
     """
+    dist, u = _distance_and_direction(d_vec, k0)
+    return (-1j * np.exp(1j * k0 * dist) / (4.0 * np.pi * dist)) * (_EYE3 - np.outer(u, u))
+
+
+def _distance_and_direction(d_vec, k0: float):
+    """Check ``d_vec`` and ``k0``, then return ``(|d_vec|, d_vec / |d_vec|)``."""
     d_vec = np.asarray(d_vec, dtype=float)
+    if not np.isfinite(d_vec).all():
+        raise ValueError(f"d_vec entries must be finite, got {d_vec}")
     dist = float(np.sqrt(d_vec @ d_vec))
     if dist == 0.0:
         raise CoincidentPointsError("field point coincides with the source point")
     _require_positive("wavenumber", k0)
-    u = d_vec / dist
-    return (-1j * np.exp(1j * k0 * dist) / (4.0 * np.pi * dist)) * (_EYE3 - np.outer(u, u))
+    return dist, d_vec / dist
 
 
 def assemble_ocm(
     tx: SurfaceLayout, rx: SurfaceLayout, link: LinkGeometry, k0: float
 ) -> BlockChannelMatrix:
-    """Exact coupled reference channel: one dyad per element pair.
+    """Exact coupled reference channel: one dyad per element pair, or per offset.
 
     Equivalent to evaluating :func:`green_dyadic` at every pair
-    displacement, but vectorized over the whole grid.  With parallel
-    grids of one spacing the result carries ``lattice``, and at
-    boresight (kappa along z) also ``mirror``.
+    displacement, but vectorized.  With parallel grids of one spacing
+    (a ``lattice``) the dyad is evaluated only at the representative pair
+    of each grid-index offset that ``_offset_table`` reads, and the
+    result holds that (A_v, A_h, 3, 3) table: the same blocks, bit for
+    bit, as the table of the all-pairs matrix, whose other blocks differ
+    from them only by the rounding of q - p.  At boresight (kappa along
+    z) it also carries ``mirror``.  Otherwise (a rotated RX surface) it
+    holds the dense all-pairs matrix.
     """
     _require_positive("wavenumber", k0)
-    dvec = link.d0 * link.kappa + pairwise_offsets(tx, rx, link)  # (M, N, 3)
+    lattice = _grid_lattice(tx, rx, link)
+    if lattice is None:
+        offsets = pairwise_offsets(tx, rx, link)  # (M, N, 3)
+    else:
+        (rx_v, rx_h), (tx_v, tx_h) = lattice
+        (vr, vt, _), (hr, ht, _) = _offsets(rx_v, tx_v), _offsets(rx_h, tx_h)
+        offsets = rx.positions[vr[:, None] * rx_h + hr] - tx.positions[vt[:, None] * tx_h + ht]
+    dvec = link.d0 * link.kappa + offsets
     dist = np.sqrt(np.einsum("mni,mni->mn", dvec, dvec))
     if np.any(dist == 0.0):
-        m, n = np.argwhere(dist == 0.0)[0]
+        zero = dist == 0.0
+        if lattice is not None:  # the pairs of each zero offset, in (m, n) order
+            zero = zero[_pair_offsets(lattice)].reshape(rx.count, tx.count)
+        m, n = np.argwhere(zero)[0]
         raise CoincidentPointsError(f"RX element {m} coincides with TX element {n}")
-    lattice = _grid_lattice(tx, rx, link)
-    matrix = _dyad_dense(dvec, dist, link, k0)
-    return BlockChannelMatrix(matrix, "OCM").with_structure(
-        lattice=lattice, mirror=lattice is not None and not link.kappa[:2].any())
+    held = _dyad_dense(dvec, dist, link, k0)
+    if lattice is None:
+        return BlockChannelMatrix(held, "OCM")
+    table = held.reshape(len(vr), 3, len(hr), 3).transpose(0, 2, 1, 3).copy()
+    return _claimed(table, "OCM", lattice, not link.kappa[:2].any())
 
 
 def _weights(kd):
@@ -199,7 +263,8 @@ def _dyad_dense(
 ) -> np.ndarray:
     """The dyad of every pair at distance ``dist``, as one dense (3M, 3N) array.
 
-    ``dvec`` holds the (M, N, 3) pair displacements ``d0 kappa + q - p``
+    ``dvec`` holds the (M, N, 3) pair displacements ``d0 kappa + q - p``,
+    of every pair or of one representative pair per grid-index offset,
     and is overwritten.  With u = dvec / dist, block (m, n) is
 
         (-i / (4 pi r)) * [ c1(k0 r) I3 + c2(k0 r) U ] * exp(i k0 r)
@@ -256,24 +321,51 @@ def _offsets(rx_n: int, tx_n: int):
     return i_t + a, i_t, np.minimum(tx_n, rx_n - a) - i_t
 
 
+def _pair_offsets(lattice):
+    """The offset-table index (a, b) of every pair, broadcast to (rx_v, rx_h, tx_v, tx_h)."""
+    (rx_v, rx_h), (tx_v, tx_h) = lattice
+    a = np.subtract.outer(np.arange(rx_v), np.arange(tx_v)) + tx_v - 1
+    b = np.subtract.outer(np.arange(rx_h), np.arange(tx_h)) + tx_h - 1
+    return a[:, None, :, None], b[None, :, None, :]
+
+
 def _offset_table(green: BlockChannelMatrix):
     """One block per grid-index offset of a lattice matrix, and how many pairs share it.
 
     Returns the (A_v, A_h, 3, 3) table whose entry (a, b) is the block of
     offset (a + 1 - tx_n_v, b + 1 - tx_n_h), read from one representative
-    pair, and the (A_v, A_h, 1, 1) pair counts.  A factored matrix gives
-    the table as ``L[rx reps] @ R[tx reps]'`` without forming ``matrix``
-    (``@`` keeps the bits of the dense read; ``einsum`` does not).  This is
-    the only place that reads a matrix through its lattice view.
+    pair, and the (A_v, A_h, 1, 1) pair counts.  Each held form gives its
+    table without forming ``matrix``: a table-backed matrix returns the
+    stored table, a dense one reads its representative blocks, and a
+    factored one forms ``L[rx reps] @ R[tx reps]'`` as four products, one
+    per sign quadrant of the offsets.  At boresight these keep the bits of
+    the dense read, as a product per block did; ``einsum`` does not.  This
+    is the only place that reads a matrix through its lattice view.
     """
     (rx_v, rx_h), (tx_v, tx_h) = green.lattice
     vr, vt, w_v = _offsets(rx_v, tx_v)
     hr, ht, w_h = _offsets(rx_h, tx_h)
     counts = (w_v[:, None] * w_h)[:, :, None, None]
+    if green._table is not None:
+        return green._table, counts
     if green.factors is None:
         view = green.matrix.reshape(rx_v, rx_h, 3, tx_v, tx_h, 3)
         return view[vr[:, None], hr, :, vt[:, None], ht, :], counts
     left, right = green.factors
-    left = left.reshape(rx_v, rx_h, 3, -1)[vr[:, None], hr]
-    right = right.reshape(tx_v, tx_h, 3, -1)[vt[:, None], ht]
-    return left @ right.conj().swapaxes(2, 3), counts
+    rank = left.shape[1]
+    left = left.reshape(rx_v, rx_h, 3, rank)
+    right = right.reshape(tx_v, tx_h, 3, rank)[::-1, ::-1].conj()
+    # Along one axis an offset a >= 0 pairs RX index a with TX index 0 and
+    # an offset a < 0 pairs RX index 0 with TX index -a, which is index
+    # tx_n - 1 + a of the reversed TX axis: the table index of a.  So each
+    # sign quadrant of the table is one product of RX rows by TX rows.
+    halves = [((slice(None, n0), slice(0, 1), slice(None, n0)),  # (table, RX, reversed TX)
+               (slice(n0, None), slice(None), slice(n0, n0 + 1))) for n0 in (tx_v - 1, tx_h - 1)]
+    table = np.empty((len(vr), len(hr), 3, 3), dtype=complex)
+    for t_v, l_v, r_v in halves[0]:
+        for t_h, l_h, r_h in halves[1]:
+            rx_rows, tx_rows = left[l_v, l_h], right[r_v, r_h]
+            quadrant = rx_rows.reshape(-1, rank) @ tx_rows.reshape(-1, rank).T
+            quadrant = quadrant.reshape(rx_rows.shape[:3] + tx_rows.shape[:3])
+            table[t_v, t_h] = quadrant.transpose(0, 3, 1, 4, 2, 5).reshape(table[t_v, t_h].shape)
+    return table, counts

@@ -27,9 +27,11 @@ from hmimo import (
     capacity,
     eigenchannel_decompose,
     global_rx_positions,
+    pairwise_offsets,
     select_p,
 )
 from hmimo.capacity import _QR_FIRST_RATIO, _lattice_sectors
+from hmimo.green import _dyad_dense
 
 
 def _cfg(**kw):
@@ -454,7 +456,13 @@ def test_spectrum_only_decomposition_matches_the_dense_svd(
     assert [G.mirror for G in mats] == [mirrored, False, False, False, False]
     if mirrored:
         assert mats[0].lattice == ((rx.n_v, rx.n_h), (tx.n_v, tx.n_h))
-        blocks = mats[0].matrix.reshape(rx.count, 3, tx.count, 3).transpose(0, 2, 1, 3)
+        # the claim rests on the all-pairs dyads, which are exactly mirror
+        # symmetric; the held table repeats one representative pair per
+        # offset, and the pairs of mirrored offsets agree to rounding only
+        dvec = link.d0 * link.kappa + pairwise_offsets(tx, rx, link)
+        dense = _dyad_dense(dvec, np.sqrt(np.einsum("mni,mni->mn", dvec, dvec)), link, k0)
+        assert np.max(np.abs(mats[0].matrix - dense)) <= 1e-14 * np.max(np.abs(dense))
+        blocks = dense.reshape(rx.count, 3, tx.count, 3).transpose(0, 2, 1, 3)
         signs = (np.array([-1.0, 1.0, 1.0]), np.array([1.0, -1.0, 1.0]))
         for rx_map, tx_map, sign in zip(_mirror_maps(rx), _mirror_maps(tx), signs):
             np.testing.assert_array_equal(blocks[rx_map][:, tx_map],

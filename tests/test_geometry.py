@@ -201,6 +201,19 @@ def test_rotation_must_be_finite():
             replace(LinkGeometry.from_angles(1.0), rx_rotation=rotation)
 
 
+def test_rotation_must_be_proper():
+    c, s = np.cos(0.3), np.sin(0.3)
+    turn = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    LinkGeometry.from_angles(1.0, rx_rotation=turn)
+    nudged = turn.copy()
+    nudged[2, 1] += 1e-6
+    for bad in (2.0 * np.eye(3), np.zeros((3, 3)), np.diag([1.0, 1.0, -1.0]), nudged):
+        with pytest.raises(ValueError, match="rx_rotation must be a proper rotation"):
+            LinkGeometry.from_angles(1.0, rx_rotation=bad)
+        with pytest.raises(ValueError, match="rx_rotation must be a proper rotation"):
+            replace(LinkGeometry.from_angles(1.0, rx_rotation=turn), rx_rotation=bad)
+
+
 def test_pairwise_offsets_shape_and_content():
     tx = build_planar_surface(3, 1, 0.5)
     rx = build_planar_surface(2, 1, 0.5)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,9 +22,10 @@ from hmimo import (
     green_dyadic_far,
     omega_pair,
     pair_displacement,
+    pairwise_offsets,
     rayleigh_distance,
 )
-from hmimo.green import _offset_table
+from hmimo.green import _dyad_dense, _offset_table
 
 WAVELENGTH = 299792458.0 / 2.4e9
 K0 = 2 * np.pi / WAVELENGTH
@@ -106,6 +108,19 @@ def test_scalar_inputs_must_be_positive_and_finite(name, call, value):
     # NaN and both infinities fail the one rule too, not only values <= 0
     with pytest.raises(ValueError, match=re.escape(f"{name} must be positive and finite, got")):
         call(value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kernel", [green_dyadic, green_dyadic_far])
+def test_kernels_reject_a_displacement_that_is_not_finite(kernel, bad):
+    # rejected before any arithmetic: no NaN block and no RuntimeWarning
+    for where in range(3):
+        d_vec = np.array([0.0, 0.0, 1.0])
+        d_vec[where] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="d_vec entries must be finite"):
+                kernel(d_vec, 2 * np.pi)
 
 
 def test_far_forms_on_axis():
@@ -241,6 +256,63 @@ def test_factored_offset_table_matches_the_dense_read(tx_shape, rx_shape, d0_lam
         want, want_counts = _offset_table(dense)
         assert table.shape == want.shape and np.array_equal(counts, want_counts)
         assert np.max(np.abs(table - want)) <= 1e-15 * np.max(np.abs(want)), G.variant
+
+
+def _all_pairs(tx, rx, link):
+    """Pair displacements and distances of the dense all-pairs route."""
+    dvec = link.d0 * link.kappa + pairwise_offsets(tx, rx, link)
+    return dvec, np.sqrt(np.einsum("mni,mni->mn", dvec, dvec))
+
+
+@pytest.mark.parametrize("tx_shape,rx_shape,d0_lambda,theta,phi", [
+    ((41, 41), (15, 15), 0.25, 0.0, 0.0), ((41, 41), (15, 15), 4.25, 0.0, 0.0),
+    ((33, 33), (11, 11), 1.5, 0.0, 0.0), ((25, 25), (5, 5), 0.75, 0.0, 0.0),
+    ((13, 5), (3, 11), 1.5, 0.0, 0.0), ((9, 7), (5, 6), 1.5, 0.3, 0.4),
+])
+def test_lattice_reference_holds_the_table_of_the_all_pairs_route(tx_shape, rx_shape, d0_lambda,
+                                                                  theta, phi):
+    spacing = 0.01 * WAVELENGTH
+    tx = build_planar_surface(*tx_shape, spacing)
+    rx = build_planar_surface(*rx_shape, spacing)
+    link = LinkGeometry.from_angles(d0_lambda * WAVELENGTH, theta=theta, phi=phi)
+    G = assemble_ocm(tx, rx, link, K0)
+    assert G.lattice == ((rx.n_v, rx.n_h), (tx.n_v, tx.n_h)) and G.mirror == (theta == 0.0)
+    table, counts = _offset_table(G)
+    assert table is G.entries and "matrix" not in vars(G)
+    dense = BlockChannelMatrix(_dyad_dense(*_all_pairs(tx, rx, link), link, K0), "OCM")
+    want, want_counts = _offset_table(dense.with_structure(lattice=G.lattice))
+    assert np.array_equal(table, want) and np.array_equal(counts, want_counts)
+    scale = np.max(np.abs(dense.matrix))
+    assert np.max(np.abs(G.matrix - dense.matrix)) <= 1e-14 * scale
+
+    # a coincident pair: on exactly representable grids, with the x and z
+    # parts of d0 kappa (cos(pi/2) ~ 6e-17) underflowing in d'd, the pairs
+    # from the top RX row to the bottom TX row that share an x are at
+    # distance 0
+    tiny = build_planar_surface(*tx_shape, 2.0**-500), build_planar_surface(*rx_shape, 2.0**-500)
+    d0 = 0.5 * (tx.n_v + rx.n_v - 2) * 2.0**-500
+    link = LinkGeometry.from_angles(d0, theta=np.pi / 2, phi=-np.pi / 2)
+    m, n = np.argwhere(_all_pairs(*tiny, link)[1] == 0.0)[0]
+    with pytest.raises(CoincidentPointsError, match=f"RX element {m} coincides with TX element {n}$"):
+        assemble_ocm(*tiny, link, K0)
+
+
+def test_a_table_is_held_only_with_its_own_lattice():
+    tx, rx = build_planar_surface(3, 2, 0.01), build_planar_surface(2, 3, 0.01)
+    G = assemble_ocm(tx, rx, LinkGeometry.from_angles(0.05), K0)
+    assert G.entries.shape == (4, 4, 3, 3) and G.lattice == ((3, 2), (2, 3)) and G.mirror
+    bare = G.with_structure(lattice=G.lattice)
+    assert bare.entries is G.entries and not bare.mirror
+    # ((2, 3), (3, 2)) holds as many elements and gives a table of the same shape
+    for lattice in (None, ((2, 3), (3, 2))):
+        with pytest.raises(ValueError, match="its own lattice"):
+            G.with_structure(lattice=lattice)
+    with pytest.raises(ValueError, match="without its lattice"):
+        replace(G)
+    with pytest.raises(ValueError, match="without its lattice"):
+        BlockChannelMatrix(G.entries, "OCM")
+    rebuilt = replace(G, entries=G.matrix)
+    assert rebuilt.lattice is None and not rebuilt.mirror and rebuilt.matrix is G.matrix
 
 
 def test_far_point_form_ladder_converges():

@@ -316,9 +316,10 @@ def test_each_variant_is_assembled_once_through_the_module_names(monkeypatch):
 
 
 def test_a_boresight_point_never_forms_a_factored_product(monkeypatch):
-    # the four separable variants of a built-in point are stored as factors;
-    # assembly, nmse against OCM and the spectrum-only decomposition read
-    # them without forming the dense L R'
+    # the four separable variants of a built-in point are stored as factors
+    # and the OCM reference as its offset table; assembly, nmse against OCM
+    # and the spectrum-only decomposition read them without forming a dense
+    # matrix
     built = []
 
     def keeping(name):
@@ -337,6 +338,21 @@ def test_a_boresight_point_never_forms_a_factored_product(monkeypatch):
     factored = [G for G in built if G.variant != "OCM"]
     assert len(factored) == 4 and all(G.factors is not None for G in factored)
     assert all("matrix" not in vars(G) for G in factored)
+    (ref,) = [G for G in built if G.variant == "OCM"]
+    assert ref.entries.ndim == 4 and "matrix" not in vars(ref)
+
+
+def test_nmse_against_a_tilted_lattice_reference_forms_no_dense_reference():
+    # tilted but parallel: still a lattice, so the OCM table is all nmse reads
+    spacing = 0.05 * 299792458.0 / 2.4e9
+    tx, rx = build_planar_surface(9, 9, spacing), build_planar_surface(5, 5, spacing)
+    link = LinkGeometry.from_angles(0.1, theta=0.3, phi=0.7)
+    k0 = PhysicalConfig(frequency=2.4e9, a_t=1.0, a_r=1.0).k0
+    ref = assemble_ocm(tx, rx, link, k0)
+    assert ref.lattice is not None and not ref.mirror
+    for code in PSCM_CODES.values():
+        assert 0.0 < nmse(assemble_pscm(tx, rx, link, k0, code), ref) < 1.0
+    assert "matrix" not in vars(ref)
 
 
 def test_distance_count_is_capped_at_a_million_points():
