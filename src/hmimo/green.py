@@ -48,19 +48,16 @@ class BlockChannelMatrix:
     or, on a lattice, the (A_v, A_h, 3, 3) table of one block per
     grid-index offset (see ``lattice`` below).  ``matrix`` returns the
     dense array, or forms the product or gathers the table on first read.
-    Assemblers store factors where the matrix is exactly separable into TX
-    and RX terms, and :func:`assemble_ocm` stores the table of a lattice
-    link.  Entries are raw dyad values; the physical scale enters only
-    through :class:`~hmimo.capacity.PhysicalConfig`.
+    Entries are raw dyad values; the physical scale enters only through
+    :class:`~hmimo.capacity.PhysicalConfig`.
 
     Two optional structure claims describe the entries; fast routes trust
-    them.  Neither is a constructor argument: they are attached only
-    through :meth:`with_structure`, so neither ``BlockChannelMatrix(...)``
-    nor ``dataclasses.replace`` ever carries one, and a matrix rebuilt
-    with ``replace(G, entries=m)`` is read entry by entry.  A table means
-    nothing without its lattice, so neither of them accepts one, and a
-    table-backed matrix keeps the lattice it was built on.  Equality is
-    identity, since the numpy fields have no single truth value.
+    them.  Neither is a constructor argument: only the assemblers attach
+    them, and only to a table or to factors, so a dense array never
+    carries one, and neither ``BlockChannelMatrix(...)`` nor
+    ``dataclasses.replace`` does either.  A table means nothing without
+    its lattice, so neither of them accepts one.  Equality is identity,
+    since the numpy fields have no single truth value.
 
     ``lattice`` is ``((rx_n_v, rx_n_h), (tx_n_v, tx_n_h))``, the grid
     shapes of the j-major element order, and records that the two
@@ -144,23 +141,6 @@ class BlockChannelMatrix:
             return tuple(v * h for v, h in self.lattice)
         return tuple(n // 3 for n in self.entries.shape)
 
-    def with_structure(self, lattice=None, mirror=False) -> BlockChannelMatrix:
-        """A copy sharing the stored entries that carries exactly the claims given.
-
-        The ``lattice`` grids must hold the M RX and N TX elements, and
-        ``mirror`` needs a lattice.  A table-backed matrix is read through
-        the lattice it was built on, so it takes only that one.
-        """
-        if lattice is not None and [v * h for v, h in lattice] != [self.m_count, self.n_count]:
-            raise ValueError(f"lattice grids {lattice} do not hold {self.m_count} RX "
-                             f"and {self.n_count} TX elements")
-        if mirror and lattice is None:
-            raise ValueError("a mirror claim needs a lattice")
-        if self._table is not None and lattice != self.lattice:
-            raise ValueError(f"an offset table is read only through its own lattice "
-                             f"{self.lattice}, got {lattice}")
-        return _claimed(self.entries, self.variant, lattice, mirror)
-
 
 def _claimed(entries, variant: str, lattice, mirror: bool) -> BlockChannelMatrix:
     """A matrix holding ``entries`` with exactly the claims given, which the caller has checked.
@@ -221,36 +201,54 @@ def assemble_ocm(
     """Exact coupled reference channel: one dyad per element pair, or per offset.
 
     Equivalent to evaluating :func:`green_dyadic` at every pair
-    displacement, but vectorized.  With parallel grids of one spacing
-    (a ``lattice``) the dyad is evaluated only at the representative pair
-    of each grid-index offset that ``_offset_table`` reads, and the
-    result holds that (A_v, A_h, 3, 3) table: the same blocks, bit for
-    bit, as the table of the all-pairs matrix, whose other blocks differ
-    from them only by the rounding of q - p.  At boresight (kappa along
-    z) it also carries ``mirror``.  Otherwise (a rotated RX surface) it
-    holds the dense all-pairs matrix.
+    displacement, but vectorized, at the displacements
+    :func:`_displacements` gives: on a lattice the result holds the
+    (A_v, A_h, 3, 3) offset table, and at boresight (kappa along z) also
+    carries ``mirror``; otherwise (a rotated RX surface) it holds the
+    dense all-pairs matrix.
     """
     _require_positive("wavenumber", k0)
     lattice = _grid_lattice(tx, rx, link)
-    if lattice is None:
-        offsets = pairwise_offsets(tx, rx, link)  # (M, N, 3)
-    else:
-        (rx_v, rx_h), (tx_v, tx_h) = lattice
-        (vr, vt, _), (hr, ht, _) = _offsets(rx_v, tx_v), _offsets(rx_h, tx_h)
-        offsets = rx.positions[vr[:, None] * rx_h + hr] - tx.positions[vt[:, None] * tx_h + ht]
-    dvec = link.d0 * link.kappa + offsets
+    dvec = _displacements(tx, rx, link, lattice)
     dist = np.sqrt(np.einsum("mni,mni->mn", dvec, dvec))
     if np.any(dist == 0.0):
-        zero = dist == 0.0
-        if lattice is not None:  # the pairs of each zero offset, in (m, n) order
-            zero = zero[_pair_offsets(lattice)].reshape(rx.count, tx.count)
-        m, n = np.argwhere(zero)[0]
+        m, n = _first_pair(dist == 0.0, lattice)
         raise CoincidentPointsError(f"RX element {m} coincides with TX element {n}")
-    held = _dyad_dense(dvec, dist, link, k0)
+    return _held(_dyad_dense(dvec, dist, link, k0), "OCM", lattice, not link.kappa[:2].any())
+
+
+def _displacements(tx: SurfaceLayout, rx: SurfaceLayout, link: LinkGeometry, lattice):
+    """The pair displacements ``d0 kappa + q - p`` at which an assembler evaluates its kernel.
+
+    With a ``lattice`` they are those of the representative pair of each
+    grid-index offset that ``_offset_table`` reads, shape (A_v, A_h, 3),
+    so the kernel gives the same blocks, bit for bit, as the table of the
+    all-pairs matrix, whose other blocks differ from them only by the
+    rounding of q - p.  Otherwise they are those of every pair, (M, N, 3).
+    """
     if lattice is None:
-        return BlockChannelMatrix(held, "OCM")
-    table = held.reshape(len(vr), 3, len(hr), 3).transpose(0, 2, 1, 3).copy()
-    return _claimed(table, "OCM", lattice, not link.kappa[:2].any())
+        return link.d0 * link.kappa + pairwise_offsets(tx, rx, link)
+    (rx_v, rx_h), (tx_v, tx_h) = lattice
+    (vr, vt, _), (hr, ht, _) = _offsets(rx_v, tx_v), _offsets(rx_h, tx_h)
+    offsets = rx.positions[vr[:, None] * rx_h + hr] - tx.positions[vt[:, None] * tx_h + ht]
+    return link.d0 * link.kappa + offsets
+
+
+def _first_pair(bad: np.ndarray, lattice):
+    """The first (m, n), in row-major order, of the pairs whose displacement ``bad`` flags."""
+    if lattice is not None:  # the pairs of each flagged offset, in (m, n) order
+        (rx_v, rx_h), _ = lattice
+        bad = bad[_pair_offsets(lattice)].reshape(rx_v * rx_h, -1)
+    return np.argwhere(bad)[0]
+
+
+def _held(dense: np.ndarray, variant: str, lattice, mirror: bool = False) -> BlockChannelMatrix:
+    """The kernel at :func:`_displacements` held as a matrix: the dense array, or the table."""
+    if lattice is None:
+        return BlockChannelMatrix(dense, variant)
+    (rx_v, rx_h), (tx_v, tx_h) = lattice
+    table = dense.reshape(rx_v + tx_v - 1, 3, rx_h + tx_h - 1, 3).transpose(0, 2, 1, 3).copy()
+    return _claimed(table, variant, lattice, mirror)
 
 
 def _weights(kd):
@@ -334,13 +332,13 @@ def _offset_table(green: BlockChannelMatrix):
 
     Returns the (A_v, A_h, 3, 3) table whose entry (a, b) is the block of
     offset (a + 1 - tx_n_v, b + 1 - tx_n_h), read from one representative
-    pair, and the (A_v, A_h, 1, 1) pair counts.  Each held form gives its
-    table without forming ``matrix``: a table-backed matrix returns the
-    stored table, a dense one reads its representative blocks, and a
-    factored one forms ``L[rx reps] @ R[tx reps]'`` as four products, one
-    per sign quadrant of the offsets.  At boresight these keep the bits of
-    the dense read, as a product per block did; ``einsum`` does not.  This
-    is the only place that reads a matrix through its lattice view.
+    pair, and the (A_v, A_h, 1, 1) pair counts.  Only a table or factors
+    carry a lattice, and neither forms ``matrix``: a table-backed matrix
+    returns the stored table, and a factored one forms
+    ``L[rx reps] @ R[tx reps]'`` as four products, one per sign quadrant
+    of the offsets.  At boresight these keep the bits of the dense read,
+    as a product per block did; ``einsum`` does not.  This is the only
+    place that reads a matrix through its lattice view.
     """
     (rx_v, rx_h), (tx_v, tx_h) = green.lattice
     vr, vt, w_v = _offsets(rx_v, tx_v)
@@ -348,9 +346,6 @@ def _offset_table(green: BlockChannelMatrix):
     counts = (w_v[:, None] * w_h)[:, :, None, None]
     if green._table is not None:
         return green._table, counts
-    if green.factors is None:
-        view = green.matrix.reshape(rx_v, rx_h, 3, tx_v, tx_h, 3)
-        return view[vr[:, None], hr, :, vt[:, None], ht, :], counts
     left, right = green.factors
     rank = left.shape[1]
     left = left.reshape(rx_v, rx_h, 3, rank)

@@ -36,8 +36,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateGeometryError, _require_positive
-from .geometry import LinkGeometry, SurfaceLayout, global_rx_positions, pairwise_offsets
-from .green import PSCM_CODES, BlockChannelMatrix, _dyad_dense, _grid_lattice, _weights
+from .geometry import LinkGeometry, SurfaceLayout, global_rx_positions
+from .green import (PSCM_CODES, BlockChannelMatrix, _claimed, _displacements, _dyad_dense,
+                    _first_pair, _grid_lattice, _held, _weights)
 
 __all__ = [
     "OmegaPair",
@@ -172,7 +173,10 @@ def assemble_pscm(
     non-positive projection factor makes the whole configuration
     degenerate and is rejected.  When every p'kappa and q'kappa is
     exactly 0 the matrix is stored as its thin factors ``(L, R)`` alone.
-    Parallel uniform grids of one spacing make it carry ``lattice``.
+    Otherwise it is the kernel evaluated at the displacements that
+    :func:`~hmimo.green._displacements` gives, held as
+    :func:`~hmimo.assemble_ocm` holds it: the offset table on a lattice,
+    the dense array otherwise.  Factors and a table carry ``lattice``.
     """
     tag = _variant_tag(variant)
     _require_positive("wavenumber", k0)
@@ -183,15 +187,14 @@ def assemble_pscm(
     if not (ps @ link.kappa).any() and not (qs @ link.kappa).any():
         return _pscm_factors(ps, qs, link, k0, keep, omega_pair(k0, 1.0, link.d0), tag, lattice)
 
-    dvec = link.d0 * link.kappa + pairwise_offsets(tx, rx, link)  # (M, N, 3)
+    dvec = _displacements(tx, rx, link, lattice)
     dist = dvec @ link.kappa  # gamma * d0
     if np.any(dist <= 0.0):
-        m, n = np.argwhere(dist <= 0.0)[0]
+        m, n = _first_pair(dist <= 0.0, lattice)
         raise DegenerateGeometryError(
             f"projection factor is not positive for RX element {m}, TX element {n}"
         )
-    matrix = _dyad_dense(dvec, dist, link, k0, keep)
-    return BlockChannelMatrix(matrix, tag).with_structure(lattice=lattice)
+    return _held(_dyad_dense(dvec, dist, link, k0, keep), tag, lattice)
 
 
 def _pscm_factors(ps, qs, link, k0, keep, weights, tag, lattice) -> BlockChannelMatrix:
@@ -239,7 +242,7 @@ def _pscm_factors(ps, qs, link, k0, keep, weights, tag, lattice) -> BlockChannel
     left = np.concatenate(lefts, axis=2)
     right = np.concatenate(rights, axis=2)
     left, right = left.reshape(-1, left.shape[2]), right.reshape(-1, right.shape[2])
-    return BlockChannelMatrix((left, right), tag).with_structure(lattice=lattice)
+    return _claimed((left, right), tag, lattice, False)
 
 
 def _outers(a: np.ndarray, b: np.ndarray) -> np.ndarray:

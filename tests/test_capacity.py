@@ -31,7 +31,7 @@ from hmimo import (
     select_p,
 )
 from hmimo.capacity import _QR_FIRST_RATIO, _lattice_sectors
-from hmimo.green import _dyad_dense
+from hmimo.green import _claimed, _dyad_dense
 
 
 def _cfg(**kw):
@@ -258,10 +258,9 @@ def test_spectrum_only_decomposition_rejects_a_non_finite_mirrored_matrix():
     G = assemble_ocm(tx, build_planar_surface(2, 2, 0.05), LinkGeometry.from_angles(1.0), cfg.k0)
     assert G.mirror
     for value in (np.nan, np.inf):
-        matrix = G.matrix.copy()
-        matrix[4, 7] = value
-        bad = replace(G, entries=matrix).with_structure(lattice=G.lattice, mirror=True)
-        assert bad.mirror
+        table = G.entries.copy()
+        table[1, 2, 1, 1] = value
+        bad = _claimed(table, "OCM", G.lattice, True)
         with pytest.raises(NumericalError, match="NaN or inf"):
             eigenchannel_decompose(bad, cfg, patterns=False)
 
@@ -287,12 +286,9 @@ def test_mirror_needs_a_lattice():
     rx = build_planar_surface(2, 1, 0.05)
     G = assemble_ocm(tx, rx, LinkGeometry.from_angles(1.0), 2 * np.pi)
     assert (G.lattice, G.mirror) == (((1, 2), (2, 3)), True)
-    assert G.with_structure(lattice=G.lattice, mirror=True).mirror
-    with pytest.raises(ValueError, match="mirror claim needs a lattice"):
-        G.with_structure(mirror=True)
-    for bad in (((2, 2), (2, 3)), ((1, 2), (3, 3)), ((1, 1), (2, 3))):
-        with pytest.raises(ValueError, match="lattice grids"):
-            G.with_structure(lattice=bad, mirror=True)
+    # two spacings: no lattice, so no mirror either, though the link is at boresight
+    D = assemble_ocm(tx, build_planar_surface(2, 1, 0.04), LinkGeometry.from_angles(1.0), 2 * np.pi)
+    assert D.lattice is None and not D.mirror and D.entries.ndim == 2
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3])
@@ -347,10 +343,6 @@ def test_factors_must_match_the_block_shape():
     for bad in ((left, right[:, :2]), (left[:, 0], right[:, 0])):
         with pytest.raises(ValueError, match="factors"):
             BlockChannelMatrix(bad, "FSCM")
-    # well-formed factors of another block shape fail this matrix's lattice
-    for bad in ((right, right), (left, left)):
-        with pytest.raises(ValueError, match="lattice grids"):
-            BlockChannelMatrix(bad, "FSCM").with_structure(lattice=G.lattice)
 
 
 def test_both_modes_trust_the_factors():

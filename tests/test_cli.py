@@ -9,6 +9,7 @@ import pytest
 from hmimo import BlockChannelMatrix, DegenerateGeometryError
 from hmimo import sweep as sweep_module
 from hmimo.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
+from hmimo.green import _claimed
 
 DESK_POINT = {
     "experiment": "single-point",
@@ -327,10 +328,9 @@ def test_non_finite_channel_is_a_numerical_failure(monkeypatch, point_config, ca
 
 def test_non_finite_mirrored_channel_is_a_numerical_failure(monkeypatch, point_config, capsys):
     def poisoned(tx, rx, link, k0):
-        matrix = np.ones((3 * rx.count, 3 * tx.count), dtype=complex)
-        matrix[5, 2] = np.nan
-        return BlockChannelMatrix(matrix, "OCM").with_structure(
-            lattice=((rx.n_v, rx.n_h), (tx.n_v, tx.n_h)), mirror=True)
+        table = np.ones((rx.n_v + tx.n_v - 1, rx.n_h + tx.n_h - 1, 3, 3), dtype=complex)
+        table[1, 0, 2, 2] = np.nan
+        return _claimed(table, "OCM", ((rx.n_v, rx.n_h), (tx.n_v, tx.n_h)), True)
 
     monkeypatch.setattr(sweep_module, "assemble_ocm", poisoned)
     assert main(["point", "--config", point_config, "--variants", "OCM"]) == EXIT_NUMERICAL

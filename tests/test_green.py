@@ -13,6 +13,7 @@ from hmimo import (
     BlockChannelMatrix,
     CoincidentPointsError,
     LinkGeometry,
+    PSCM_CODES,
     assemble_fscm,
     assemble_ocm,
     assemble_pscm,
@@ -212,26 +213,15 @@ def test_matrix_wrapper_validates_shape_and_variant():
 
 
 def test_structure_claims_are_checked_against_the_block_shape():
-    G = BlockChannelMatrix(np.zeros((6, 9), dtype=complex), "OCM")
     left, right = np.zeros((6, 2)), np.zeros((9, 2))
     factored = BlockChannelMatrix((left, right), "OCM")
     assert (factored.m_count, factored.n_count) == (2, 3) and "matrix" not in vars(factored)
-    tagged = factored.with_structure(lattice=((2, 1), (1, 3)), mirror=True)
-    assert tagged.factors[0] is left and tagged.factors[1] is right
-    assert (tagged.lattice, tagged.mirror) == (((2, 1), (1, 3)), True)
-    bare = tagged.with_structure(lattice=((2, 1), (1, 3)))
-    assert bare.factors is tagged.factors and not bare.mirror and bare.lattice == ((2, 1), (1, 3))
-    assert G.with_structure(lattice=((2, 1), (1, 3))).matrix is G.matrix
+    assert factored.factors[0] is left and factored.factors[1] is right
+    assert factored.lattice is None and not factored.mirror
     for bad in ((left, right[:, :1]), (left[:, 0], right[:, 0]), (left[None], right),
                 (left[:4], right), (left, right[:7])):
         with pytest.raises(ValueError, match="factors"):
             BlockChannelMatrix(bad, "OCM")
-    for bad in ((right, right), (left, left)):
-        with pytest.raises(ValueError, match="lattice grids"):
-            BlockChannelMatrix(bad, "OCM").with_structure(lattice=((2, 1), (1, 3)))
-    for bad in (((2, 2), (3, 1)), ((1, 2), (2, 2)), ((1, 1), (1, 1)), ((1, 2), (3, 1), (1, 1))):
-        with pytest.raises(ValueError, match="lattice grids"):
-            G.with_structure(lattice=bad)
 
 
 @pytest.mark.parametrize("tx_shape,rx_shape,d0_lambda,theta,phi", [
@@ -252,10 +242,26 @@ def test_factored_offset_table_matches_the_dense_read(tx_shape, rx_shape, d0_lam
     for G in factored:
         table, counts = _offset_table(G)
         assert "matrix" not in vars(G)
-        dense = replace(G, entries=G.matrix).with_structure(lattice=G.lattice)
-        want, want_counts = _offset_table(dense)
+        want, want_counts = _representative_blocks(G.matrix, G.lattice)
         assert table.shape == want.shape and np.array_equal(counts, want_counts)
         assert np.max(np.abs(table - want)) <= 1e-15 * np.max(np.abs(want)), G.variant
+
+
+def _representative_blocks(matrix, lattice):
+    """The block of the first pair of each grid-index offset of a dense matrix, and pair counts.
+
+    Along one axis offset a = i_r - i_t, from 1 - tx_n to rx_n - 1, is
+    first met at RX index max(a, 0) and TX index max(-a, 0).
+    """
+    (rx_v, rx_h), (tx_v, tx_h) = lattice
+    view = matrix.reshape(rx_v, rx_h, 3, tx_v, tx_h, 3)
+    axes = []
+    for rx_n, tx_n in ((rx_v, tx_v), (rx_h, tx_h)):
+        a = np.arange(1 - tx_n, rx_n)
+        axes.append((np.maximum(a, 0), np.maximum(-a, 0),
+                     np.minimum(tx_n, rx_n - a) - np.maximum(0, -a)))
+    (vr, vt, w_v), (hr, ht, w_h) = axes
+    return view[vr[:, None], hr, :, vt[:, None], ht, :], (w_v[:, None] * w_h)[:, :, None, None]
 
 
 def _all_pairs(tx, rx, link):
@@ -279,11 +285,21 @@ def test_lattice_reference_holds_the_table_of_the_all_pairs_route(tx_shape, rx_s
     assert G.lattice == ((rx.n_v, rx.n_h), (tx.n_v, tx.n_h)) and G.mirror == (theta == 0.0)
     table, counts = _offset_table(G)
     assert table is G.entries and "matrix" not in vars(G)
-    dense = BlockChannelMatrix(_dyad_dense(*_all_pairs(tx, rx, link), link, K0), "OCM")
-    want, want_counts = _offset_table(dense.with_structure(lattice=G.lattice))
+    dense = _dyad_dense(*_all_pairs(tx, rx, link), link, K0)
+    want, want_counts = _representative_blocks(dense, G.lattice)
     assert np.array_equal(table, want) and np.array_equal(counts, want_counts)
-    scale = np.max(np.abs(dense.matrix))
-    assert np.max(np.abs(G.matrix - dense.matrix)) <= 1e-14 * scale
+    assert np.max(np.abs(G.matrix - dense)) <= 1e-14 * np.max(np.abs(dense))
+    if theta != 0.0:
+        # the elementwise separable variants hold the table of the all-pairs
+        # kernel at the projected distance dvec'kappa
+        for code in PSCM_CODES.values():
+            S = assemble_pscm(tx, rx, link, K0, code)
+            assert S.lattice == G.lattice and not S.mirror and S.entries.ndim == 4
+            dvec = _all_pairs(tx, rx, link)[0]
+            dense = _dyad_dense(dvec, dvec @ link.kappa, link, K0, len(code))
+            assert np.array_equal(_offset_table(S)[0], _representative_blocks(dense, S.lattice)[0])
+            assert "matrix" not in vars(S), S.variant
+            assert np.max(np.abs(S.matrix - dense)) <= 1e-14 * np.max(np.abs(dense)), S.variant
 
     # a coincident pair: on exactly representable grids, with the x and z
     # parts of d0 kappa (cos(pi/2) ~ 6e-17) underflowing in d'd, the pairs
@@ -301,12 +317,6 @@ def test_a_table_is_held_only_with_its_own_lattice():
     tx, rx = build_planar_surface(3, 2, 0.01), build_planar_surface(2, 3, 0.01)
     G = assemble_ocm(tx, rx, LinkGeometry.from_angles(0.05), K0)
     assert G.entries.shape == (4, 4, 3, 3) and G.lattice == ((3, 2), (2, 3)) and G.mirror
-    bare = G.with_structure(lattice=G.lattice)
-    assert bare.entries is G.entries and not bare.mirror
-    # ((2, 3), (3, 2)) holds as many elements and gives a table of the same shape
-    for lattice in (None, ((2, 3), (3, 2))):
-        with pytest.raises(ValueError, match="its own lattice"):
-            G.with_structure(lattice=lattice)
     with pytest.raises(ValueError, match="without its lattice"):
         replace(G)
     with pytest.raises(ValueError, match="without its lattice"):

@@ -16,6 +16,7 @@ from hmimo import (
     global_rx_positions,
     green_dyadic,
     omega_pair,
+    pairwise_offsets,
     pscm_pair,
     wavevector,
 )
@@ -188,6 +189,10 @@ def test_assembler_matches_the_pairwise_route(variant, tag, tx_sides, rx_sides, 
     assert G.variant == tag
     in_plane = not (tx.positions @ link.kappa).any() and not (qs @ link.kappa).any()
     assert (G.factors is not None) == in_plane
+    # factors in-plane, else the offset table on a lattice, else the dense array
+    on_lattice = link.rx_rotation is None and tx.spacing == rx.spacing
+    assert (in_plane or (G.entries.ndim == 4 if on_lattice
+                         else G.entries.ndim == 2 and G.lattice is None))
     if theta == 0.0 and turn is None:
         assert in_plane
     scale = np.max(np.abs(G.matrix))
@@ -224,6 +229,15 @@ def test_assembler_rejects_degenerate_pairs():
     link = LinkGeometry.from_angles(1.0, theta=np.pi / 2)
     with pytest.raises(DegenerateGeometryError):
         assemble_pscm(tx, rx_far_back, link, 2 * np.pi)
+    # on a lattice one pair per offset is evaluated, and the message still
+    # names the first degenerate pair of the all-pairs route in row-major order
+    grid = build_planar_surface(3, 1, 2.0)
+    dvec = link.d0 * link.kappa + pairwise_offsets(grid, grid, link)
+    m, n = np.argwhere(dvec @ link.kappa <= 0.0)[0]
+    assert (m, n) != (0, 0)
+    for variant in ("12", "123", "1234"):
+        with pytest.raises(DegenerateGeometryError, match=f"RX element {m}, TX element {n}$"):
+            assemble_pscm(grid, grid, link, 2 * np.pi, variant)
 
 
 @given(tx_sides=_SIDES, rx_sides=_SIDES, tx_spacing=_SPACINGS, rx_spacing=_SPACINGS,

@@ -12,17 +12,25 @@ exit code of each pair byte for byte:
 - ``sweep-distance --format json``
 - ``sweep-elements --workers 2``
 
+Then it runs the library points of ``LIBRARY_POINTS``, links the default
+commands do not reach (tilted lattice links, and one with a rotated RX
+surface), each in a fresh ``python3 -c`` process per tree, and compares
+per variant the ``repr`` of its NMSE against OCM and its ``p_used`` at
+``threshold(1e-6)`` from the spectrum-only decomposition.
+
 Output bytes depend on the BLAS thread count, so both trees run under the
 same environment.  The full-size sweeps take a few seconds each.
 
 Usage: python3 tools/compare_outputs.py OTHER_TREE
 
-Exits 0 when every output matches, 1 when any differs, 2 on bad usage.
+Exits 0 when every output and library result matches, 1 when any
+differs, 2 on bad usage.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -38,13 +46,67 @@ COMMANDS = (
     ["sweep-elements", "--workers", "2"],
 )
 
+# (TX grid, RX grid, d0 in wavelengths, theta, phi, RX turn about x in rad or None),
+# at a spacing of 0.01 wavelength and 2.4 GHz
+LIBRARY_POINTS = (
+    ((9, 7), (5, 6), 0.6, 0.3, 0.4, None),
+    ((9, 7), (5, 6), 1.5, 0.3, 0.4, None),
+    ((17, 17), (9, 9), 1.0, 0.25, 0.0, None),
+    ((17, 17), (9, 9), 1.0, 0.25, 0.0, 0.3),
+)
+
+# Prints "variant repr(nmse) p_used" per variant of the point in argv[1].
+POINT_SCRIPT = """
+import json, math, sys
+from hmimo import (LinkGeometry, PPolicy, PhysicalConfig, assemble_fscm, assemble_ocm,
+                   assemble_pscm, build_planar_surface, eigenchannel_decompose, nmse)
+tx_grid, rx_grid, d0, theta, phi, turn = json.loads(sys.argv[1])
+cfg = PhysicalConfig(frequency=2.4e9, a_t=1.0, a_r=1.0)
+tx = build_planar_surface(*tx_grid, 0.01 * cfg.wavelength)
+rx = build_planar_surface(*rx_grid, 0.01 * cfg.wavelength)
+rotation = None
+if turn is not None:
+    c, s = math.cos(turn), math.sin(turn)
+    rotation = [[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]
+link = LinkGeometry.from_angles(d0 * cfg.wavelength, theta, phi, rx_rotation=rotation)
+ref = assemble_ocm(tx, rx, link, cfg.k0)
+mats = [ref, *(assemble_pscm(tx, rx, link, cfg.k0, code) for code in ("1234", "123", "12")),
+        assemble_fscm(tx, rx, link, cfg.k0)]
+for G in mats:
+    p_used = eigenchannel_decompose(G, cfg, PPolicy.threshold(1e-6), patterns=False).p_used
+    print(G.variant, repr(nmse(G, ref)), p_used)
+"""
+
 
 def run(tree: Path, command: list[str]) -> tuple[int, bytes, bytes]:
-    """Exit code, standard output and standard error of one command run from ``tree``."""
+    """Exit code, standard output and standard error of ``python3 *command`` run from ``tree``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run([sys.executable, "-m", "hmimo.cli", *command], cwd=tree, env=env,
+    proc = subprocess.run([sys.executable, *command], cwd=tree, env=env,
                           capture_output=True, check=False)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def library_results(tree: Path, point) -> list[list[str]]:
+    """``[variant, repr(nmse), p_used]`` per variant of one library point run from ``tree``."""
+    code, out, err = run(tree, ["-c", POINT_SCRIPT, json.dumps(point)])
+    if code:
+        raise SystemExit(f"library point {point} failed in {tree}:\n{err.decode(errors='replace')}")
+    return [line.split() for line in out.decode().splitlines()]
+
+
+def compare_library(other: Path) -> int:
+    """Print how many NMSE and p_used values of the library points are equal; return the misses."""
+    results = []
+    for point in LIBRARY_POINTS:
+        here, there = library_results(HERE_TREE, point), library_results(other, point)
+        for mine, theirs in zip(here, there, strict=True):
+            results.append((mine[1] == theirs[1], mine[2] == theirs[2]))
+            if mine != theirs:
+                print(f"library point {point}: {' '.join(mine)} DIFFERS from {' '.join(theirs)}")
+    same_nmse, same_p = (sum(flags) for flags in zip(*results))
+    print(f"library points: NMSE bit-equal for {same_nmse} of {len(results)} variants, "
+          f"p_used equal for {same_p} of {len(results)}")
+    return 2 * len(results) - same_nmse - same_p
 
 
 def main(argv=None) -> int:
@@ -56,8 +118,8 @@ def main(argv=None) -> int:
         parser.error(f"{other} holds no src/hmimo/cli.py")
     differ = 0
     for command in COMMANDS:
-        code_a, out_a, err_a = run(HERE_TREE, command)
-        code_b, out_b, err_b = run(other, command)
+        code_a, out_a, err_a = run(HERE_TREE, ["-m", "hmimo.cli", *command])
+        code_b, out_b, err_b = run(other, ["-m", "hmimo.cli", *command])
         same = code_a == code_b and out_a == out_b
         differ += not same
         detail = ""
@@ -71,6 +133,7 @@ def main(argv=None) -> int:
             if code:
                 print(err.decode(errors="replace").rstrip(), file=sys.stderr)
     print(f"{len(COMMANDS) - differ} of {len(COMMANDS)} outputs identical")
+    differ += compare_library(other)
     return 1 if differ else 0
 
 
