@@ -16,7 +16,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import NumericalError, _require_positive
-from .green import BlockChannelMatrix, _offset_table
+from .green import BlockChannelMatrix, _lattice_sectors
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -172,73 +172,6 @@ def select_p(singular_values: np.ndarray, policy: PPolicy) -> int:
     return min(policy.value, s.size)
 
 
-# Sign of each polarization component under the x mirror, S = diag(-1, 1, 1),
-# and under the y mirror, S = diag(1, -1, 1).
-_MIRROR_SIGNS = ((-1, 1, 1), (1, -1, 1))
-
-
-def _parity_kernels(rx_n: int, tx_n: int) -> dict:
-    """Offset kernels of one grid axis in the even/odd bases, keyed by (RX, TX) parity.
-
-    ``K[:, :, a] = B_r E_a B_t'`` with ``E_a`` the 0/1 matrix of grid
-    offset a (in :func:`~hmimo.green._offset_table` order) and ``B`` the
-    orthonormal butterfly of each side: rows (e_k + e_{n-1-k}) / sqrt(2),
-    then the centre e_k of an odd n (the even rows), then
-    (e_k - e_{n-1-k}) / sqrt(2) (the odd rows).  Returns
-    ``{(p_r, p_t): K[rows of parity p_r, columns of parity p_t]}``.
-    """
-    def butterfly(n):
-        eye, half = np.eye(n), n // 2
-        basis = np.sqrt(0.5) * np.vstack([(eye + eye[::-1])[: n - half], (eye - eye[::-1])[:half]])
-        if n % 2:
-            basis[half, half] = 1.0
-        return basis, {1: slice(0, n - half), -1: slice(n - half, n)}
-
-    (b_r, rows), (b_t, cols) = butterfly(rx_n), butterfly(tx_n)
-    i_r, i_t = np.indices((rx_n, tx_n))
-    offset = np.zeros((rx_n, tx_n, rx_n + tx_n - 1))
-    offset[i_r, i_t, i_r - i_t + tx_n - 1] = 1.0
-    kernel = np.einsum("tk,rka->rta", b_t, np.einsum("ri,ika->rka", b_r, offset))
-    return {(p_r, p_t): kernel[rows[p_r], cols[p_t]] for p_r in rows for p_t in cols}
-
-
-def _lattice_sectors(green: BlockChannelMatrix):
-    """The four parity sectors of a mirrored lattice matrix, one at a time.
-
-    The butterflies of :func:`_parity_kernels` along the four grid axes
-    are an orthonormal change of basis on each side, so they keep the
-    spectrum.  Afterwards every row and column has an x and a y parity:
-    the spatial parity of its element times the polarization's sign in
-    ``_MIRROR_SIGNS``, and the mirror symmetry leaves only the blocks
-    between rows and columns of equal parities, so the spectrum is the
-    union of the (x, y) parity sectors' spectra.  Polarization pair
-    (c, d) of a sector is ``K_v T_cd K_h'`` with ``T_cd`` the (A_v, A_h)
-    offset table of that pair (:func:`~hmimo.green._offset_table`).
-    Empty sectors are skipped.
-    """
-    (rx_v, rx_h), (tx_v, tx_h) = green.lattice
-    table, _ = _offset_table(green)
-    k_v, k_h = _parity_kernels(rx_v, tx_v), _parity_kernels(rx_h, tx_h)
-    for ex in (1, -1):
-        for ey in (1, -1):
-            # (v parity, h parity) of each polarization's rows and columns
-            parity = [(ey * _MIRROR_SIGNS[1][c], ex * _MIRROR_SIGNS[0][c]) for c in range(3)]
-            pieces = [[_sector_piece(k_v[pv, qv], table[:, :, c, d], k_h[ph, qh])
-                       for d, (qv, qh) in enumerate(parity)]
-                      for c, (pv, ph) in enumerate(parity)]
-            sector = np.block(pieces)
-            if sector.size:
-                yield sector
-
-
-def _sector_piece(k_v: np.ndarray, table: np.ndarray, k_h: np.ndarray) -> np.ndarray:
-    """``sum_ab k_v[i, k, a] table[a, b] k_h[j, l, b]`` as an (i j) x (k l) matrix."""
-    (nr_v, nt_v, a_v), (nr_h, nt_h, a_h) = k_v.shape, k_h.shape
-    half = k_v.reshape(nr_v * nt_v, a_v) @ table
-    piece = (half @ k_h.reshape(nr_h * nt_h, a_h).T).reshape(nr_v, nt_v, nr_h, nt_h)
-    return piece.transpose(0, 2, 1, 3).reshape(nr_v * nr_h, nt_v * nt_h)
-
-
 # A block at least this many times as long in one dimension as in the other
 # is reduced to its QR triangle before the SVD.  Measured on the built-in
 # mirror sectors (OpenBLAS, 2 cores), values only: 1.5x faster at 176 x 341,
@@ -291,8 +224,8 @@ def eigenchannel_decompose(
         patterns: also return the transmit/receive patterns.  Each route
             supplies its blocks: the r x r core R_L R_R' of the economy
             QRs L = Q_L R_L, R = Q_R R_R when the matrix is stored as
-            factors; without patterns, the four parity sectors gathered
-            from its offset table when it carries ``mirror``; otherwise
+            factors; without patterns, the four parity sectors of
+            :func:`~hmimo.green._lattice_sectors` when it carries ``mirror``; otherwise
             ``matrix`` itself, formed from the held form if need be.  The
             NaN/inf check reads the held form (the factors, the offset
             table or the dense array), so the spectrum-only routes never

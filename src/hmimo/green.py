@@ -74,7 +74,7 @@ class BlockChannelMatrix:
     reversing the i index of both grids maps block (m, n) to
     ``S G(m, n) S`` with ``S = diag(-1, 1, 1)``, and reversing the j
     index does the same with ``S = diag(1, -1, 1)``.  The spectrum then
-    splits into four parity sectors, gathered from the same offset table.
+    splits into four parity sectors (``_lattice_sectors``).
     """
 
     entries: np.ndarray | tuple[np.ndarray, np.ndarray]
@@ -319,11 +319,15 @@ def _offsets(rx_n: int, tx_n: int):
     return i_t + a, i_t, np.minimum(tx_n, rx_n - a) - i_t
 
 
+def _offset_index(rx_n: int, tx_n: int) -> np.ndarray:
+    """The table index ``i_r - i_t + tx_n - 1`` of every (i_r, i_t) pair along one axis."""
+    return np.subtract.outer(np.arange(rx_n), np.arange(tx_n)) + tx_n - 1
+
+
 def _pair_offsets(lattice):
     """The offset-table index (a, b) of every pair, broadcast to (rx_v, rx_h, tx_v, tx_h)."""
     (rx_v, rx_h), (tx_v, tx_h) = lattice
-    a = np.subtract.outer(np.arange(rx_v), np.arange(tx_v)) + tx_v - 1
-    b = np.subtract.outer(np.arange(rx_h), np.arange(tx_h)) + tx_h - 1
+    a, b = _offset_index(rx_v, tx_v), _offset_index(rx_h, tx_h)
     return a[:, None, :, None], b[None, :, None, :]
 
 
@@ -331,36 +335,99 @@ def _offset_table(green: BlockChannelMatrix):
     """One block per grid-index offset of a lattice matrix, and how many pairs share it.
 
     Returns the (A_v, A_h, 3, 3) table whose entry (a, b) is the block of
-    offset (a + 1 - tx_n_v, b + 1 - tx_n_h), read from one representative
-    pair, and the (A_v, A_h, 1, 1) pair counts.  Only a table or factors
-    carry a lattice, and neither forms ``matrix``: a table-backed matrix
-    returns the stored table, and a factored one forms
+    offset (a + 1 - tx_n_v, b + 1 - tx_n_h), read from the representative
+    pair of :func:`_offsets`, and the (A_v, A_h, 1, 1) pair counts.  Only
+    a table or factors carry a lattice, and neither forms ``matrix``: a
+    table-backed matrix returns the stored table, and a factored one forms
     ``L[rx reps] @ R[tx reps]'`` as four products, one per sign quadrant
     of the offsets.  At boresight these keep the bits of the dense read,
-    as a product per block did; ``einsum`` does not.  This is the only
-    place that reads a matrix through its lattice view.
+    as a product per block did; ``einsum`` does not.
     """
     (rx_v, rx_h), (tx_v, tx_h) = green.lattice
-    vr, vt, w_v = _offsets(rx_v, tx_v)
-    hr, ht, w_h = _offsets(rx_h, tx_h)
+    (vr, vt, w_v), (hr, ht, w_h) = _offsets(rx_v, tx_v), _offsets(rx_h, tx_h)
     counts = (w_v[:, None] * w_h)[:, :, None, None]
     if green._table is not None:
         return green._table, counts
     left, right = green.factors
     rank = left.shape[1]
     left = left.reshape(rx_v, rx_h, 3, rank)
-    right = right.reshape(tx_v, tx_h, 3, rank)[::-1, ::-1].conj()
-    # Along one axis an offset a >= 0 pairs RX index a with TX index 0 and
-    # an offset a < 0 pairs RX index 0 with TX index -a, which is index
-    # tx_n - 1 + a of the reversed TX axis: the table index of a.  So each
-    # sign quadrant of the table is one product of RX rows by TX rows.
-    halves = [((slice(None, n0), slice(0, 1), slice(None, n0)),  # (table, RX, reversed TX)
-               (slice(n0, None), slice(None), slice(n0, n0 + 1))) for n0 in (tx_v - 1, tx_h - 1)]
+    right = right.reshape(tx_v, tx_h, 3, rank).conj()
+    # Along one axis the offsets a < 0 share RX row 0 and the offsets a >= 0
+    # share TX row 0, so each sign quadrant of the table is one product.
+    def halves(i_r, i_t, n0):  # (table part, RX rows, TX rows) of each sign half
+        neg, pos = slice(None, n0), slice(n0, None)
+        return (neg, i_r[neg][:1], i_t[neg]), (pos, i_r[pos], i_t[pos][:1])
+
     table = np.empty((len(vr), len(hr), 3, 3), dtype=complex)
-    for t_v, l_v, r_v in halves[0]:
-        for t_h, l_h, r_h in halves[1]:
-            rx_rows, tx_rows = left[l_v, l_h], right[r_v, r_h]
+    h_halves = halves(hr, ht, tx_h - 1)
+    for t_v, r_v, s_v in halves(vr, vt, tx_v - 1):
+        for t_h, r_h, s_h in h_halves:
+            rx_rows, tx_rows = left[r_v[:, None], r_h], right[s_v[:, None], s_h]
             quadrant = rx_rows.reshape(-1, rank) @ tx_rows.reshape(-1, rank).T
             quadrant = quadrant.reshape(rx_rows.shape[:3] + tx_rows.shape[:3])
             table[t_v, t_h] = quadrant.transpose(0, 3, 1, 4, 2, 5).reshape(table[t_v, t_h].shape)
     return table, counts
+
+
+# Sign of each polarization component under the x mirror, S = diag(-1, 1, 1),
+# and under the y mirror, S = diag(1, -1, 1).
+_MIRROR_SIGNS = ((-1, 1, 1), (1, -1, 1))
+
+
+def _parity_kernels(rx_n: int, tx_n: int) -> dict:
+    """Offset kernels of one grid axis in the even/odd bases, keyed by (RX, TX) parity.
+
+    ``K[:, :, a] = B_r E_a B_t'`` with ``E_a`` the 0/1 matrix of the pairs
+    whose table index (:func:`_offset_index`) is a, and ``B`` the
+    orthonormal butterfly of each side: rows (e_k + e_{n-1-k}) / sqrt(2),
+    then the centre e_k of an odd n (the even rows), then
+    (e_k - e_{n-1-k}) / sqrt(2) (the odd rows).  Returns
+    ``{(p_r, p_t): K[rows of parity p_r, columns of parity p_t]}``.
+    """
+    def butterfly(n):
+        eye, half = np.eye(n), n // 2
+        basis = np.sqrt(0.5) * np.vstack([(eye + eye[::-1])[: n - half], (eye - eye[::-1])[:half]])
+        if n % 2:
+            basis[half, half] = 1.0
+        return basis, {1: slice(0, n - half), -1: slice(n - half, n)}
+
+    (b_r, rows), (b_t, cols) = butterfly(rx_n), butterfly(tx_n)
+    offset = np.eye(rx_n + tx_n - 1)[_offset_index(rx_n, tx_n)]
+    kernel = np.einsum("tk,rka->rta", b_t, np.einsum("ri,ika->rka", b_r, offset))
+    return {(p_r, p_t): kernel[rows[p_r], cols[p_t]] for p_r in rows for p_t in cols}
+
+
+def _lattice_sectors(green: BlockChannelMatrix):
+    """The four parity sectors of a mirrored lattice matrix, one at a time.
+
+    Its spectrum is the union of theirs.  An orthonormal butterfly
+    (:func:`_parity_kernels`) along each of the four grid axes is a change
+    of basis on each side, so it keeps the spectrum.  Afterwards every row
+    and column has an x and a y parity: the spatial parity of its element
+    times the polarization's sign in ``_MIRROR_SIGNS``.  The mirror
+    symmetry (see ``BlockChannelMatrix.mirror``) leaves only the blocks
+    between rows and columns of equal parities (Cantoni & Butler, Linear
+    Algebra Appl. 13, 1976).  Polarization pair (c, d) of a sector is
+    ``K_v T_cd K_h'`` with ``T_cd`` the (A_v, A_h) slice of the stored
+    offset table, which a mirrored matrix always holds.  Empty sectors are
+    skipped.
+    """
+    k_v, k_h = (_parity_kernels(rx_n, tx_n) for rx_n, tx_n in zip(*green.lattice))
+    for ex in (1, -1):
+        for ey in (1, -1):
+            # (v parity, h parity) of each polarization's rows and columns
+            parity = [(ey * _MIRROR_SIGNS[1][c], ex * _MIRROR_SIGNS[0][c]) for c in range(3)]
+            pieces = [[_sector_piece(k_v[pv, qv], green._table[:, :, c, d], k_h[ph, qh])
+                       for d, (qv, qh) in enumerate(parity)]
+                      for c, (pv, ph) in enumerate(parity)]
+            sector = np.block(pieces)
+            if sector.size:
+                yield sector
+
+
+def _sector_piece(k_v: np.ndarray, table: np.ndarray, k_h: np.ndarray) -> np.ndarray:
+    """``sum_ab k_v[i, k, a] table[a, b] k_h[j, l, b]`` as an (i j) x (k l) matrix."""
+    (nr_v, nt_v, a_v), (nr_h, nt_h, a_h) = k_v.shape, k_h.shape
+    half = k_v.reshape(nr_v * nt_v, a_v) @ table
+    piece = (half @ k_h.reshape(nr_h * nt_h, a_h).T).reshape(nr_v, nt_v, nr_h, nt_h)
+    return piece.transpose(0, 2, 1, 3).reshape(nr_v * nr_h, nt_v * nt_h)

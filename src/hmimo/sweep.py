@@ -303,8 +303,8 @@ def validate_spec(spec: SweepSpec) -> list[str]:
     except (ValueError, TypeError, AttributeError) as exc:
         v.append(f"p_policy: {exc}")
 
-    if spec.output_path is not None and not isinstance(spec.output_path, str):
-        v.append(f"output_path must be a string or null, got {spec.output_path!r}")
+    if not (spec.output_path is None or (isinstance(spec.output_path, str) and spec.output_path)):
+        v.append(f"output_path must be a non-empty string or null, got {spec.output_path!r}")
     if spec.output_format not in ("csv", "json"):
         v.append(f"output_format must be 'csv' or 'json', got {spec.output_format!r}")
     return v

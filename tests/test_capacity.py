@@ -30,8 +30,8 @@ from hmimo import (
     pairwise_offsets,
     select_p,
 )
-from hmimo.capacity import _QR_FIRST_RATIO, _lattice_sectors
-from hmimo.green import _claimed, _dyad_dense
+from hmimo.capacity import _QR_FIRST_RATIO
+from hmimo.green import _claimed, _dyad_dense, _lattice_sectors
 
 
 def _cfg(**kw):

@@ -184,6 +184,8 @@ _AREA_POINT = dict(_TINY_POINT, tx_grid=[2, 2], rx_grid=[2, 2], d0_range_lambda=
     pytest.param("sweep-distance", dict(_TINY_DISTANCE, d0_range_lambda={
         "start": 0.25, "stop": -1e300, "step": 1e-300}), [], id="d0-span-overflow"),
     pytest.param("point", dict(_TINY_POINT, output_path=7), [], id="output-path-int"),
+    pytest.param("point", dict(_TINY_POINT, output_path=""), [], id="output-path-empty"),
+    pytest.param("point", _TINY_POINT, ["--output", ""], id="output-flag-empty"),
     pytest.param("sweep-distance", {"experiment": ["distance"]}, [], id="experiment-list"),
     pytest.param("point", {"experiment": {"kind": "single-point"}}, [], id="experiment-object"),
     pytest.param("point", dict(_TINY_POINT, variants=[["OCM"]]), [], id="variants-nested"),

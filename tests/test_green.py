@@ -26,7 +26,8 @@ from hmimo import (
     pairwise_offsets,
     rayleigh_distance,
 )
-from hmimo.green import _dyad_dense, _offset_table
+from hmimo.green import (_dyad_dense, _offset_index, _offset_table, _offsets, _pair_offsets,
+                         _parity_kernels)
 
 WAVELENGTH = 299792458.0 / 2.4e9
 K0 = 2 * np.pi / WAVELENGTH
@@ -311,6 +312,48 @@ def test_lattice_reference_holds_the_table_of_the_all_pairs_route(tx_shape, rx_s
     m, n = np.argwhere(_all_pairs(*tiny, link)[1] == 0.0)[0]
     with pytest.raises(CoincidentPointsError, match=f"RX element {m} coincides with TX element {n}$"):
         assemble_ocm(*tiny, link, K0)
+
+
+@pytest.mark.parametrize("tx_n", range(1, 8))
+@pytest.mark.parametrize("rx_n", range(1, 8))
+def test_one_offset_map_along_an_axis(rx_n, tx_n):
+    # the pair-to-offset index and the representative pairs and counts of
+    # _offsets state one map: each representative pair sits at its own
+    # table index, and each index holds as many pairs as _offsets counts
+    index = _offset_index(rx_n, tx_n)
+    i_r, i_t, counts = _offsets(rx_n, tx_n)
+    np.testing.assert_array_equal(index[i_r, i_t], np.arange(rx_n + tx_n - 1))
+    np.testing.assert_array_equal(np.bincount(index.ravel(), minlength=counts.size), counts)
+    a, b = _pair_offsets(((rx_n, tx_n), (tx_n, rx_n)))
+    np.testing.assert_array_equal(a[:, 0, :, 0], index)
+    np.testing.assert_array_equal(b[0, :, 0, :], _offset_index(tx_n, rx_n))
+
+
+def _butterfly(n):
+    """The orthonormal butterfly, row by row, and how many of its rows are even."""
+    half, eye = n // 2, np.eye(n)
+    plus = [(eye[k] + eye[n - 1 - k]) / np.sqrt(2) for k in range(half)]
+    minus = [(eye[k] - eye[n - 1 - k]) / np.sqrt(2) for k in range(half)]
+    return np.array(plus + [eye[half]] * (n % 2) + minus), n - half
+
+
+@pytest.mark.parametrize("tx_n", range(1, 8))
+@pytest.mark.parametrize("rx_n", range(1, 8))
+def test_parity_kernels_are_the_butterflies_around_each_offset_matrix(rx_n, tx_n):
+    # K[:, :, a] = B_r E_a B_t' with E_a the 0/1 matrix of the pairs at grid
+    # offset i_r - i_t = a + 1 - tx_n; odd sizes cover the centre rows
+    (b_r, even_r), (b_t, even_t) = _butterfly(rx_n), _butterfly(tx_n)
+    i_r, i_t = np.indices((rx_n, tx_n))
+    want = np.stack([b_r @ (i_r - i_t == a).astype(float) @ b_t.T
+                     for a in range(1 - tx_n, rx_n)], axis=-1)
+    rows = {1: slice(0, even_r), -1: slice(even_r, rx_n)}
+    cols = {1: slice(0, even_t), -1: slice(even_t, tx_n)}
+    kernels = _parity_kernels(rx_n, tx_n)
+    assert sorted(kernels) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+    for (p_r, p_t), kernel in kernels.items():
+        expected = want[rows[p_r], cols[p_t]]
+        assert kernel.shape == expected.shape
+        np.testing.assert_allclose(kernel, expected, rtol=0, atol=1e-15)
 
 
 def test_a_table_is_held_only_with_its_own_lattice():

@@ -12,11 +12,14 @@ exit code of each pair byte for byte:
 - ``sweep-distance --format json``
 - ``sweep-elements --workers 2``
 
-Then it runs the library points of ``LIBRARY_POINTS``, links the default
-commands do not reach (tilted lattice links, and one with a rotated RX
-surface), each in a fresh ``python3 -c`` process per tree, and compares
-per variant the ``repr`` of its NMSE against OCM and its ``p_used`` at
-``threshold(1e-6)`` from the spectrum-only decomposition.
+Then it runs the library points of ``LIBRARY_POINTS``, each in a fresh
+``python3 -c`` process per tree: boresight lattice links, whose OCM
+spectrum comes from the parity sectors, and links the default commands
+do not reach (tilted lattice links, and one with a rotated RX surface).
+Per variant it compares the ``repr`` of its NMSE against OCM, its
+``p_used`` at ``threshold(1e-6)`` from the spectrum-only decomposition,
+and a digest of that decomposition's full ``gains`` and of its
+``p_used`` at the 120 thresholds 10^(-k/10), k = 0..119.
 
 Output bytes depend on the BLAS thread count, so both trees run under the
 same environment.  The full-size sweeps take a few seconds each.
@@ -49,17 +52,25 @@ COMMANDS = (
 # (TX grid, RX grid, d0 in wavelengths, theta, phi, RX turn about x in rad or None),
 # at a spacing of 0.01 wavelength and 2.4 GHz
 LIBRARY_POINTS = (
+    ((41, 41), (15, 15), 0.25, 0.0, 0.0, None),
+    ((41, 41), (15, 15), 1.5, 0.0, 0.0, None),
+    ((41, 41), (15, 15), 4.25, 0.0, 0.0, None),
+    ((33, 33), (11, 11), 0.25, 0.0, 0.0, None),
+    ((33, 33), (11, 11), 4.25, 0.0, 0.0, None),
+    ((25, 25), (5, 5), 0.75, 0.0, 0.0, None),
+    ((13, 5), (3, 11), 1.5, 0.0, 0.0, None),
+    ((1, 3), (3, 1), 1.0, 0.0, 0.0, None),
     ((9, 7), (5, 6), 0.6, 0.3, 0.4, None),
     ((9, 7), (5, 6), 1.5, 0.3, 0.4, None),
     ((17, 17), (9, 9), 1.0, 0.25, 0.0, None),
     ((17, 17), (9, 9), 1.0, 0.25, 0.0, 0.3),
 )
 
-# Prints "variant repr(nmse) p_used" per variant of the point in argv[1].
+# Prints "variant repr(nmse) p_used spectrum-digest" per variant of the point in argv[1].
 POINT_SCRIPT = """
-import json, math, sys
+import hashlib, json, math, sys
 from hmimo import (LinkGeometry, PPolicy, PhysicalConfig, assemble_fscm, assemble_ocm,
-                   assemble_pscm, build_planar_surface, eigenchannel_decompose, nmse)
+                   assemble_pscm, build_planar_surface, eigenchannel_decompose, nmse, select_p)
 tx_grid, rx_grid, d0, theta, phi, turn = json.loads(sys.argv[1])
 cfg = PhysicalConfig(frequency=2.4e9, a_t=1.0, a_r=1.0)
 tx = build_planar_surface(*tx_grid, 0.01 * cfg.wavelength)
@@ -73,8 +84,10 @@ ref = assemble_ocm(tx, rx, link, cfg.k0)
 mats = [ref, *(assemble_pscm(tx, rx, link, cfg.k0, code) for code in ("1234", "123", "12")),
         assemble_fscm(tx, rx, link, cfg.k0)]
 for G in mats:
-    p_used = eigenchannel_decompose(G, cfg, PPolicy.threshold(1e-6), patterns=False).p_used
-    print(G.variant, repr(nmse(G, ref)), p_used)
+    eigs = eigenchannel_decompose(G, cfg, PPolicy.threshold(1e-6), patterns=False)
+    ladder = [select_p(eigs.gains, PPolicy.threshold(10 ** (-k / 10))) for k in range(120)]
+    digest = hashlib.sha256(eigs.gains.tobytes() + repr(ladder).encode()).hexdigest()[:16]
+    print(G.variant, repr(nmse(G, ref)), eigs.p_used, digest)
 """
 
 
@@ -87,7 +100,7 @@ def run(tree: Path, command: list[str]) -> tuple[int, bytes, bytes]:
 
 
 def library_results(tree: Path, point) -> list[list[str]]:
-    """``[variant, repr(nmse), p_used]`` per variant of one library point run from ``tree``."""
+    """``[variant, repr(nmse), p_used, digest]`` per variant of one library point from ``tree``."""
     code, out, err = run(tree, ["-c", POINT_SCRIPT, json.dumps(point)])
     if code:
         raise SystemExit(f"library point {point} failed in {tree}:\n{err.decode(errors='replace')}")
@@ -95,18 +108,19 @@ def library_results(tree: Path, point) -> list[list[str]]:
 
 
 def compare_library(other: Path) -> int:
-    """Print how many NMSE and p_used values of the library points are equal; return the misses."""
+    """Print how many library results are equal in both trees; return the misses."""
     results = []
     for point in LIBRARY_POINTS:
         here, there = library_results(HERE_TREE, point), library_results(other, point)
         for mine, theirs in zip(here, there, strict=True):
-            results.append((mine[1] == theirs[1], mine[2] == theirs[2]))
+            results.append([a == b for a, b in zip(mine[1:], theirs[1:], strict=True)])
             if mine != theirs:
                 print(f"library point {point}: {' '.join(mine)} DIFFERS from {' '.join(theirs)}")
-    same_nmse, same_p = (sum(flags) for flags in zip(*results))
+    same_nmse, same_p, same_spectrum = (sum(flags) for flags in zip(*results))
     print(f"library points: NMSE bit-equal for {same_nmse} of {len(results)} variants, "
-          f"p_used equal for {same_p} of {len(results)}")
-    return 2 * len(results) - same_nmse - same_p
+          f"p_used equal for {same_p} of {len(results)}, spectrum digest (gains and p_used "
+          f"at 120 thresholds) equal for {same_spectrum} of {len(results)}")
+    return 3 * len(results) - same_nmse - same_p - same_spectrum
 
 
 def main(argv=None) -> int:
