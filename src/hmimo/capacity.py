@@ -181,18 +181,30 @@ def select_p(singular_values: np.ndarray, policy: PPolicy) -> int:
 _QR_FIRST_RATIO = 1.5
 
 
-def _block_svd(block: np.ndarray, vectors: bool):
-    """SVD of one block, through its QR triangle when clearly non-square.
+def _block_svd(block, vectors: bool):
+    """SVD of one block, an array or a factor pair ``(L, R)`` standing for L R'.
 
-    With the tall orientation T = Q R (T is the block or its transpose),
-    R is square and has the block's singular values; LAPACK's SVD is much
-    slower on the wide block itself (Chan's R-SVD, ACM TOMS 8, 1982).
+    QR triangles carry the singular values (Chan's R-SVD, ACM TOMS 8,
+    1982): a pair reduces to the core R_L R_R' of its economy QRs
+    L = Q_L R_L and R = Q_R R_R, and an array at least 1.5 times as long
+    one way as the other to the triangle R of its tall orientation
+    T = Q R, since LAPACK's SVD is much slower on a wide block itself.
     Without ``vectors`` this returns the singular values.  With them it
     returns ``(left, u, s, vh, right)`` with ``block = left u diag(s) vh
-    right``: ``left`` is Q of a tall block, ``right`` is Q' of a wide one,
-    and the other (both, below the ratio) is None, the identity, so the
-    caller lifts only the singular vectors it keeps.
+    right``: ``left`` is Q_L or the Q of a tall array, ``right`` Q_R' or
+    the Q' of a wide one, and None the identity, so the caller lifts only
+    the singular vectors it keeps.
     """
+    if isinstance(block, tuple):
+        if not vectors:
+            r_l, r_r = (np.linalg.qr(f, mode="r") for f in block)
+            return _block_svd(r_l @ r_r.conj().T, False)
+        (q_l, r_l), (q_r, r_r) = (np.linalg.qr(f) for f in block)
+        left, u, s, vh, right = _block_svd(r_l @ r_r.conj().T, True)
+        # the core is r x r unless a surface has fewer than r/3 elements
+        u = u if left is None else left @ u
+        vh = vh if right is None else vh @ right
+        return q_l, u, s, vh, q_r.conj().T
     rows, cols = block.shape
     wide = rows < cols
     qr_first = max(rows, cols) >= _QR_FIRST_RATIO * min(rows, cols)
@@ -221,22 +233,19 @@ def eigenchannel_decompose(
         green: block channel matrix of raw dyad values.
         cfg: physical configuration supplying the element areas.
         policy: eigenchannel count policy.
-        patterns: also return the transmit/receive patterns.  Each route
-            supplies its blocks: the r x r core R_L R_R' of the economy
-            QRs L = Q_L R_L, R = Q_R R_R when the matrix is stored as
-            factors; without patterns, the four parity sectors of
-            :func:`~hmimo.green._lattice_sectors` when it carries ``mirror``; otherwise
-            ``matrix`` itself, formed from the held form if need be.  The
-            NaN/inf check reads the held form (the factors, the offset
-            table or the dense array), so the spectrum-only routes never
-            form ``matrix``.  A block at least 1.5 times as long one
-            way as the other is reduced to the QR triangle of its tall
-            orientation first.  Without patterns the blocks' singular
-            values are sorted once; with them the one block's singular
-            vectors are lifted by the QR bases (U = Q_L U_c, V' = V_c'
-            Q_R' on the factors), only the ``p_used`` kept.  A policy
-            that keeps more channels than r falls back to the dense
-            matrix.  The spectrum is padded with zeros to min(3M, 3N).
+        patterns: also return the transmit/receive patterns.  The blocks
+            are, without patterns and with ``mirror``, the four parity
+            sectors of :func:`~hmimo.green._lattice_sectors`; otherwise
+            the one block of the held factor pair, or ``matrix`` formed
+            from the held form if need be.  :func:`_block_svd` reduces
+            each by QR.  The NaN/inf check reads the held form (the
+            factors, the offset table or the dense array), so the
+            spectrum-only routes never form ``matrix``.  Without patterns
+            the blocks' singular values are sorted once; with them only
+            the ``p_used`` kept singular vectors are lifted by the QR
+            bases.  A policy that keeps more channels than the factors'
+            r falls back to the dense matrix.  The spectrum is padded
+            with zeros to min(3M, 3N).
 
     Returns:
         EigenchannelSet with the full gain spectrum and, when ``patterns``
@@ -253,18 +262,10 @@ def eigenchannel_decompose(
     held = "matrix holds" if green.factors is None else "factors hold"
     if not all(np.isfinite(a).all() for a in green.factors or [green.entries]):
         raise NumericalError(f"channel {held} NaN or inf entries")
-    outer = (None, None)
-    if green.factors is not None:
-        if patterns:
-            (q_l, r_l), (q_r, r_r) = (np.linalg.qr(f) for f in green.factors)
-            outer = (q_l, q_r.conj().T)
-        else:
-            r_l, r_r = (np.linalg.qr(f, mode="r") for f in green.factors)
-        blocks = [r_l @ r_r.conj().T]
-    elif green.mirror and not patterns:
+    if green.mirror and not patterns:
         blocks = _lattice_sectors(green)
     else:
-        blocks = [green.matrix]
+        blocks = [green.factors or green.matrix]
     if patterns:
         left, u, values, vh, right = _block_svd(blocks[0], True)
     else:
@@ -280,12 +281,10 @@ def eigenchannel_decompose(
     tx_patterns = rx_patterns = None
     if patterns:
         u, vh = u[:, :p_used], vh[:p_used]
-        for basis in (left, outer[0]):
-            if basis is not None:
-                u = basis @ u
-        for basis in (right, outer[1]):
-            if basis is not None:
-                vh = vh @ basis
+        if left is not None:
+            u = left @ u
+        if right is not None:
+            vh = vh @ right
         tx_patterns = vh.conj().T / np.sqrt(cfg.a_t)
         rx_patterns = u / np.sqrt(cfg.a_r)
     return EigenchannelSet(gains, p_used, tx_patterns, rx_patterns)

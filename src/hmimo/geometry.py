@@ -28,8 +28,6 @@ __all__ = [
     "global_rx_positions",
     "pairwise_offsets",
     "pair_displacement",
-    "alpha_factor",
-    "gamma_factor",
     "rayleigh_distance",
 ]
 
@@ -163,39 +161,6 @@ def pair_displacement(link: LinkGeometry, p_n: np.ndarray, q_m: np.ndarray) -> n
     is ``d0*kappa - p_n + q_m``.
     """
     return link.d0 * link.kappa - np.asarray(p_n, dtype=float) + np.asarray(q_m, dtype=float)
-
-
-def alpha_factor(link: LinkGeometry, p_n: np.ndarray, q_m: np.ndarray) -> float:
-    """Exact pair distance divided by d0.
-
-    alpha = sqrt(1 + 2*(q-p)'kappa/d0 + |q-p|^2/d0^2), so that the pair
-    distance is exactly alpha*d0.
-    """
-    diff = np.asarray(q_m, dtype=float) - np.asarray(p_n, dtype=float)
-    d0 = link.d0
-    radicand = 1.0 + 2.0 * float(diff @ link.kappa) / d0 + float(diff @ diff) / d0**2
-    if radicand <= 0.0:
-        raise DegenerateGeometryError(
-            "element pair coincides with the link axis origin (zero pair distance)"
-        )
-    return float(np.sqrt(radicand))
-
-
-def gamma_factor(link: LinkGeometry, p_n: np.ndarray, q_m: np.ndarray) -> float:
-    """Projection-based lower bound on the pair distance ratio.
-
-    gamma = 1 + (q-p)'kappa/d0.  By Cauchy-Schwarz gamma <= alpha, with
-    equality when q - p is parallel to kappa.  Pairs with gamma <= 0 sit
-    behind the phase reference plane and are rejected.
-    """
-    diff = np.asarray(q_m, dtype=float) - np.asarray(p_n, dtype=float)
-    gamma = 1.0 + float(diff @ link.kappa) / link.d0
-    if gamma <= 0.0:
-        raise DegenerateGeometryError(
-            f"projection factor {gamma:g} is not positive; element pair lies behind "
-            "the phase reference plane"
-        )
-    return gamma
 
 
 def rayleigh_distance(tx: SurfaceLayout, rx: SurfaceLayout, wavelength: float) -> float:

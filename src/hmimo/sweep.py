@@ -212,14 +212,10 @@ def load_spec(path: str, experiment: str | None = None) -> SweepSpec:
     return spec_from_json_dict(data, experiment=experiment)
 
 
-def _check_grid(name, grid, violations):
-    ok = (
-        isinstance(grid, tuple)
-        and len(grid) == 2
-        and all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in grid)
-    )
-    if not ok:
-        violations.append(f"{name} must be a pair of integers >= 1, got {grid!r}")
+def _counts(value) -> bool:
+    """Whether a config value is a tuple of integers >= 1; bools do not count."""
+    return isinstance(value, tuple) and all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in value)
 
 
 def validate_spec(spec: SweepSpec) -> list[str]:
@@ -227,8 +223,10 @@ def validate_spec(spec: SweepSpec) -> list[str]:
     v: list[str] = []
     if spec.experiment not in EXPERIMENTS:
         v.append(f"experiment must be one of {EXPERIMENTS}, got {spec.experiment!r}")
-    _check_grid("tx_grid", spec.tx_grid, v)
-    _check_grid("rx_grid", spec.rx_grid, v)
+    for name in ("tx_grid", "rx_grid"):
+        grid = getattr(spec, name)
+        if not (_counts(grid) and len(grid) == 2):
+            v.append(f"{name} must be a pair of integers >= 1, got {grid!r}")
     scale_ok = True
     for name in ("spacing_lambda", "frequency"):
         value = getattr(spec, name)
@@ -267,19 +265,17 @@ def validate_spec(spec: SweepSpec) -> list[str]:
         elif len(set(d0)) != len(d0):
             v.append("d0 values must not repeat")
         if scale_ok and not bad:
+            # the kernels square the distance d0 lambda and k0 d = 2 pi d0, and invert both
             lam = _point_scale(spec)[0]
-            off = [x for x in d0 if not (0.0 < x * lam < math.inf and 1.0 / (x * lam) < math.inf)]
+            off = [x for x in d0 for y in (x * lam, 2.0 * math.pi * x)
+                   if not (0.0 < y * y < math.inf and 1.0 / (y * y) < math.inf)]
             if off:
                 v.append(f"d0_range_lambda {off[0]!r} at frequency {spec.frequency!r} gives a "
-                         "link distance or inverse distance that is not finite and positive")
+                         "squared link distance (d0 lambda)^2 or (k0 d0)^2, or its inverse, "
+                         "that is not finite and positive")
 
     if spec.experiment == "tx-elements":
-        ok = (
-            isinstance(spec.n_list, tuple)
-            and len(spec.n_list) > 0
-            and all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in spec.n_list)
-        )
-        if not ok:
+        if not (_counts(spec.n_list) and spec.n_list):
             v.append(f"n_list must be a non-empty list of integers >= 1, got {spec.n_list!r}")
         elif len(set(spec.n_list)) != len(spec.n_list):
             v.append("n_list must not repeat")
@@ -462,13 +458,11 @@ def rows_to_json(rows: list[SweepResultRow], variants) -> str:
             "x_value": row.x_value,
             "d_R_lambda": row.d_r_lambda,
             "d0_lambda": row.d0_lambda,
-            "capacity": dict(sorted(row.capacity.items())),
-            "nmse": dict(sorted(row.nmse.items())),
+            "capacity": row.capacity,
+            "nmse": row.nmse,
         }
         if row.singular_values:
-            entry["singular_values"] = {
-                k: list(v) for k, v in sorted(row.singular_values.items())
-            }
+            entry["singular_values"] = row.singular_values
         payload.append(entry)
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

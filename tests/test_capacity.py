@@ -198,6 +198,17 @@ def test_capacity_closed_form_for_the_smallest_link():
     assert got == pytest.approx(expect, rel=1e-10)
 
 
+def test_an_empty_matrix_is_rejected():
+    G = BlockChannelMatrix(np.zeros((0, 3), dtype=complex), "OCM")
+    with pytest.raises(ValueError, match="empty channel matrix"):
+        eigenchannel_decompose(G, _cfg())
+
+
+def test_capacity_needs_a_channel_in_use():
+    with pytest.raises(ValueError, match="at least one eigenchannel"):
+        capacity(EigenchannelSet(np.array([1.0]), 0, None, None), _cfg())
+
+
 def test_capacity_monotone_in_the_power_budget():
     cfg = _cfg()
     tx = build_planar_surface(2, 2, 0.05)

@@ -2,11 +2,12 @@
 
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hmimo import BlockChannelMatrix, DegenerateGeometryError
+from hmimo import BlockChannelMatrix, DegenerateGeometryError, default_spec
 from hmimo import sweep as sweep_module
 from hmimo.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from hmimo.green import _claimed
@@ -63,6 +64,24 @@ def test_dump_singular_values_adds_columns(point_config, capsys):
     assert code == EXIT_OK
     header = capsys.readouterr().out.split("\n", 1)[0]
     assert header.endswith("sv1_OCM,sv2_OCM")
+
+
+def test_json_singular_values_are_sorted_and_match_the_csv(point_config, capsys):
+    flags = ["--variants", "PSCM,OCM", "--dump-singular-values", "3"]
+    assert main(["point", "--config", point_config, *flags]) == EXIT_OK
+    header, cells = capsys.readouterr().out.strip().split("\n")
+    csv = dict(zip(header.split(","), cells.split(",")))
+    assert main(["point", "--config", point_config, "--format", "json", *flags]) == EXIT_OK
+
+    def sorted_keys(pairs):
+        keys = [k for k, _ in pairs]
+        assert keys == sorted(keys)
+        return dict(pairs)
+
+    (row,) = json.loads(capsys.readouterr().out, object_pairs_hook=sorted_keys)
+    assert list(row["singular_values"]) == ["OCM", "PSCM"]
+    for name, values in row["singular_values"].items():
+        assert [repr(v) for v in values] == [csv[f"sv{j}_{name}"] for j in (1, 2, 3)]
 
 
 def test_json_format_flag(point_config, tmp_path):
@@ -210,6 +229,14 @@ _AREA_POINT = dict(_TINY_POINT, tx_grid=[2, 2], rx_grid=[2, 2], d0_range_lambda=
                  id="d0-overflow"),
     pytest.param("point", dict(_TINY_POINT, frequency=1e8, d0_range_lambda=[1e-320]), [],
                  id="d0-underflow"),
+    # each distance is finite and positive, but a square the kernels take is not
+    pytest.param("point", dict(_TINY_POINT, frequency=1e8, d0_range_lambda=[1e-300]), [],
+                 id="d0-square-underflow"),
+    pytest.param("point", dict(_TINY_POINT, frequency=1e8, d0_range_lambda=[1e299]), [],
+                 id="d0-square-overflow"),
+    pytest.param("point", dict(_TINY_POINT, frequency=1e4, d0_range_lambda=[1e-157]), [],
+                 id="k0-d0-square-subnormal"),
+    pytest.param("point", [_TINY_POINT], [], id="root-list"),
 ])
 def test_bad_config_values_fail_before_any_work(monkeypatch, tmp_path, capsys, command, config,
                                                 flags):
@@ -226,6 +253,23 @@ def test_bad_config_values_fail_before_any_work(monkeypatch, tmp_path, capsys, c
     if "snr" not in repr((config, flags)):
         # a fault elsewhere is not blamed on the default SNR
         assert "snr_db" not in err
+
+
+@pytest.mark.parametrize("command,runner", [("sweep-distance", "run_distance_sweep"),
+                                            ("sweep-elements", "run_element_sweep"),
+                                            ("point", "run_single_point")])
+def test_a_run_without_config_takes_the_default_spec_and_the_flags(monkeypatch, command,
+                                                                    runner):
+    seen = []
+    monkeypatch.setattr(f"hmimo.cli.{runner}", lambda spec, **kwargs: seen.append(spec) or [])
+    monkeypatch.setattr("hmimo.cli.write_rows", lambda rows, spec: None)
+    flags = ["--variants", "OCM,FSCM", "--snr-db", "3", "--format", "json"]
+    assert main([command, *flags]) == EXIT_OK
+    experiment = {"sweep-distance": "distance", "sweep-elements": "tx-elements",
+                  "point": "single-point"}[command]
+    want = replace(default_spec(experiment), variants=("OCM", "FSCM"), snr_db=3.0,
+                   output_format="json")
+    assert seen == [want]
 
 
 def test_huge_distance_count_fails_before_the_grid_is_built(monkeypatch, tmp_path, capsys):

@@ -1,20 +1,16 @@
-"""Surface builders, link geometry and the pair-distance factorization."""
+"""Surface builders and link geometry."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from hmimo import (
     DegenerateGeometryError,
     LinkGeometry,
     SurfaceLayout,
-    alpha_factor,
     build_planar_surface,
-    gamma_factor,
     global_rx_positions,
-    pair_displacement,
     pairwise_offsets,
     rayleigh_distance,
     wavevector,
@@ -109,42 +105,6 @@ def test_link_direction_follows_its_angles():
     np.testing.assert_array_equal(LinkGeometry(2.0, 0.4, 1.1).kappa, wavevector(0.4, 1.1))
     with pytest.raises(ValueError):
         tilted.kappa[0] = 1.0
-
-
-def test_alpha_for_perpendicular_offset():
-    # offset 0.3*d0 perpendicular to the link axis: alpha = sqrt(1 + 0.09)
-    link = LinkGeometry.from_angles(2.0)
-    q = np.array([0.6, 0.0, 0.0])
-    assert alpha_factor(link, np.zeros(3), q) == pytest.approx(np.sqrt(1.09), rel=1e-12)
-
-
-def test_alpha_equals_gamma_for_collinear_offset():
-    link = LinkGeometry.from_angles(5.0)
-    q = np.array([0.0, 0.0, 0.5])
-    assert alpha_factor(link, np.zeros(3), q) == pytest.approx(1.1, rel=1e-12)
-    assert gamma_factor(link, np.zeros(3), q) == pytest.approx(1.1, rel=1e-12)
-
-
-def test_gamma_rejects_pair_behind_reference_plane():
-    link = LinkGeometry.from_angles(1.0)
-    with pytest.raises(DegenerateGeometryError):
-        gamma_factor(link, np.array([0.0, 0.0, 1.5]), np.zeros(3))
-
-
-_offsets = st.floats(-0.4, 0.4)
-
-
-@given(px=_offsets, py=_offsets, qx=_offsets, qy=_offsets, qz=st.floats(-0.3, 0.3))
-@settings(max_examples=200, deadline=None)
-def test_alpha_factorizes_the_pair_distance(px, py, qx, qy, qz):
-    link = LinkGeometry.from_angles(1.0, theta=0.4, phi=1.3)
-    p = np.array([px, py, 0.0])
-    q = np.array([qx, qy, qz])
-    dist = np.linalg.norm(pair_displacement(link, p, q))
-    alpha = alpha_factor(link, p, q)
-    assert dist == pytest.approx(alpha * link.d0, rel=1e-10)
-    # the projection factor never exceeds the true distance ratio
-    assert gamma_factor(link, p, q) <= alpha + 1e-12
 
 
 def test_rayleigh_two_single_elements():

@@ -16,6 +16,7 @@ from hmimo import (
     global_rx_positions,
     green_dyadic,
     omega_pair,
+    pair_displacement,
     pairwise_offsets,
     pscm_pair,
     wavevector,
@@ -95,6 +96,24 @@ def test_a_blocks_reject_degenerate_projection():
     kappa = np.array([0.0, 0.0, 1.0])
     with pytest.raises(DegenerateGeometryError):
         a_blocks(np.array([0.0, 0.0, 2.0]), np.zeros(3), kappa, 2.0, 2 * np.pi)
+
+
+_offsets = st.floats(-0.4, 0.4)
+
+
+@given(px=_offsets, py=_offsets, qx=_offsets, qy=_offsets, qz=st.floats(-0.3, 0.3),
+       t=st.floats(-0.5, 0.5))
+@settings(max_examples=200, deadline=None)
+def test_a_blocks_gamma_never_exceeds_the_pair_distance_ratio(px, py, qx, qy, qz, t):
+    # gamma d0 is the projection of the pair displacement on kappa, so by
+    # Cauchy-Schwarz at most its length, and equal to it when q - p is parallel to kappa
+    link = LinkGeometry.from_angles(1.0, theta=0.4, phi=1.3)
+    p = np.array([px, py, 0.0])
+    for q in (np.array([qx, qy, qz]), p + t * link.kappa):
+        gamma = a_blocks(p, q, link.kappa, link.d0, 2 * np.pi).gamma
+        dist = np.linalg.norm(pair_displacement(link, p, q))
+        assert gamma * link.d0 <= dist * (1 + 1e-12)
+    assert gamma * link.d0 == pytest.approx(dist, rel=1e-12)
 
 
 def test_pscm_pair_matches_reference_values(goldens):

@@ -418,3 +418,34 @@ def test_load_spec_reads_files(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_spec(str(path))
+
+
+def test_a_config_without_experiment_takes_the_given_one(tmp_path):
+    path = tmp_path / "spec.json"
+    payload = {"tx_grid": [9, 9], "rx_grid": [5, 5], "d0_range_lambda": [1.0]}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    spec = load_spec(str(path), experiment="single-point")
+    assert spec == spec_from_json_dict(dict(payload, experiment="single-point"))
+    with pytest.raises(ConfigError, match="missing the 'experiment' key"):
+        spec_from_json_dict({})
+
+
+@pytest.mark.parametrize("n_list", [[], [0], [2.0], [True]])
+def test_n_list_must_hold_counts(n_list):
+    with pytest.raises(ConfigError) as err:
+        spec_from_json_dict({"experiment": "tx-elements", "n_list": n_list})
+    (violation,) = err.value.violations
+    assert violation.startswith("n_list must be a non-empty list of integers >= 1")
+
+
+def test_an_unknown_variant_is_named():
+    with pytest.raises(ConfigError) as err:
+        spec_from_json_dict({"experiment": "single-point", "variants": ["OCM", "PSCM4"]})
+    (violation,) = err.value.violations
+    assert violation.startswith("unknown variant 'PSCM4'")
+
+
+def test_a_single_violation_is_listed_alone():
+    err = ConfigError("one")
+    assert err.violations == ["one"]
+    assert str(err) == "invalid sweep config:\n  - one"

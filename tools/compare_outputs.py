@@ -21,13 +21,22 @@ Per variant it compares the ``repr`` of its NMSE against OCM, its
 and a digest of that decomposition's full ``gains`` and of its
 ``p_used`` at the 120 thresholds 10^(-k/10), k = 0..119.
 
+Last it decomposes every variant of the points of ``PATTERNS_POINTS``
+with patterns, under ``threshold(1e-6)`` and ``fixed(5)``, in one fresh
+process per tree: the seeded tilted links of the ``tilted-link``
+benchmark workload, a boresight lattice link and a tilted lattice link.
+It compares a digest of the gains and of both pattern matrices between
+the trees, and in each tree requires max |G v - sigma u| / sigma_1 and
+the largest entry of P'P - I over both pattern matrices P to be at most
+``PATTERNS_BOUND``.
+
 Output bytes depend on the BLAS thread count, so both trees run under the
 same environment.  The full-size sweeps take a few seconds each.
 
 Usage: python3 tools/compare_outputs.py OTHER_TREE
 
-Exits 0 when every output and library result matches, 1 when any
-differs, 2 on bad usage.
+Exits 0 when every output, library result and patterns digest matches
+and every pattern bound holds, 1 otherwise, 2 on bad usage.
 """
 
 from __future__ import annotations
@@ -66,28 +75,63 @@ LIBRARY_POINTS = (
     ((17, 17), (9, 9), 1.0, 0.25, 0.0, 0.3),
 )
 
-# Prints "variant repr(nmse) p_used spectrum-digest" per variant of the point in argv[1].
-POINT_SCRIPT = """
+# The seeded tilted links of the tilted-link workload (seed 0), then a
+# boresight lattice link and a tilted lattice link, as in LIBRARY_POINTS.
+_TILT = (0.3188843703050096, 4.7623679680665845, 0.284114316166169)
+PATTERNS_POINTS = (
+    *(((17, 17), (9, 9), d0, *_TILT) for d0 in (0.75, 2.0, 3.0, 3.75)),
+    ((9, 9), (5, 5), 1.5, 0.0, 0.0, None),
+    ((9, 7), (5, 6), 0.6, 0.3, 0.4, None),
+)
+
+# Largest pattern residual |G v - sigma u| / sigma_1 and orthonormality error allowed.
+PATTERNS_BOUND = 1e-13
+
+# Defines cfg and variants(point), the OCM reference and all five variants of a point.
+SETUP_SCRIPT = """
 import hashlib, json, math, sys
+import numpy as np
 from hmimo import (LinkGeometry, PPolicy, PhysicalConfig, assemble_fscm, assemble_ocm,
                    assemble_pscm, build_planar_surface, eigenchannel_decompose, nmse, select_p)
-tx_grid, rx_grid, d0, theta, phi, turn = json.loads(sys.argv[1])
 cfg = PhysicalConfig(frequency=2.4e9, a_t=1.0, a_r=1.0)
-tx = build_planar_surface(*tx_grid, 0.01 * cfg.wavelength)
-rx = build_planar_surface(*rx_grid, 0.01 * cfg.wavelength)
-rotation = None
-if turn is not None:
-    c, s = math.cos(turn), math.sin(turn)
-    rotation = [[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]
-link = LinkGeometry.from_angles(d0 * cfg.wavelength, theta, phi, rx_rotation=rotation)
-ref = assemble_ocm(tx, rx, link, cfg.k0)
-mats = [ref, *(assemble_pscm(tx, rx, link, cfg.k0, code) for code in ("1234", "123", "12")),
-        assemble_fscm(tx, rx, link, cfg.k0)]
+
+def variants(point):
+    tx_grid, rx_grid, d0, theta, phi, turn = point
+    tx = build_planar_surface(*tx_grid, 0.01 * cfg.wavelength)
+    rx = build_planar_surface(*rx_grid, 0.01 * cfg.wavelength)
+    rotation = None
+    if turn is not None:
+        c, s = math.cos(turn), math.sin(turn)
+        rotation = [[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]
+    link = LinkGeometry.from_angles(d0 * cfg.wavelength, theta, phi, rx_rotation=rotation)
+    ref = assemble_ocm(tx, rx, link, cfg.k0)
+    pscm = [assemble_pscm(tx, rx, link, cfg.k0, code) for code in ("1234", "123", "12")]
+    return ref, [ref, *pscm, assemble_fscm(tx, rx, link, cfg.k0)]
+"""
+
+# Prints "variant repr(nmse) p_used spectrum-digest" per variant of the point in argv[1].
+POINT_SCRIPT = SETUP_SCRIPT + """
+ref, mats = variants(json.loads(sys.argv[1]))
 for G in mats:
     eigs = eigenchannel_decompose(G, cfg, PPolicy.threshold(1e-6), patterns=False)
     ladder = [select_p(eigs.gains, PPolicy.threshold(10 ** (-k / 10))) for k in range(120)]
     digest = hashlib.sha256(eigs.gains.tobytes() + repr(ladder).encode()).hexdigest()[:16]
     print(G.variant, repr(nmse(G, ref)), eigs.p_used, digest)
+"""
+
+# Prints "point variant policy p_used digest residual orthonormality" per variant and
+# policy of each point in argv[1], decomposed with patterns (a_t = a_r = 1).
+PATTERNS_SCRIPT = SETUP_SCRIPT + """
+for index, point in enumerate(json.loads(sys.argv[1])):
+    for G in variants(point)[1]:
+        for policy in ("threshold(1e-6)", "fixed(5)"):
+            eigs = eigenchannel_decompose(G, cfg, PPolicy.parse(policy))
+            u, v, s = eigs.rx_patterns, eigs.tx_patterns, eigs.gains[: eigs.p_used]
+            residual = float(np.abs(G.matrix @ v - u * s).max() / eigs.gains[0])
+            ortho = max(float(np.abs(p.conj().T @ p - np.eye(p.shape[1])).max()) for p in (u, v))
+            digest = hashlib.sha256(eigs.gains.tobytes() + u.tobytes() + v.tobytes())
+            print(index, G.variant, policy, eigs.p_used, digest.hexdigest()[:16],
+                  repr(residual), repr(ortho))
 """
 
 
@@ -123,6 +167,29 @@ def compare_library(other: Path) -> int:
     return 3 * len(results) - same_nmse - same_p - same_spectrum
 
 
+def compare_patterns(other: Path) -> int:
+    """Print how many patterns digests are equal and bounded in both trees; return the misses."""
+    results = []
+    for tree in (HERE_TREE, other):
+        code, out, err = run(tree, ["-c", PATTERNS_SCRIPT, json.dumps(PATTERNS_POINTS)])
+        if code:
+            raise SystemExit(f"patterns points failed in {tree}:\n{err.decode(errors='replace')}")
+        results.append([line.split() for line in out.decode().splitlines()])
+    misses, worst = 0, [0.0, 0.0]
+    for mine, theirs in zip(*results, strict=True):
+        bounds = [float(x) for x in (*mine[5:], *theirs[5:])]
+        worst = [max(worst[0], *bounds[0::2]), max(worst[1], *bounds[1::2])]
+        if mine[:5] != theirs[:5] or max(bounds) > PATTERNS_BOUND:
+            misses += 1
+            point = PATTERNS_POINTS[int(mine[0])]
+            print(f"patterns point {point}: {' '.join(mine[1:])} DIFFERS from or breaks the "
+                  f"bound with {' '.join(theirs[1:])}")
+    print(f"patterns points: {len(results[0]) - misses} of {len(results[0])} digests (gains, "
+          f"TX and RX patterns) equal and bounded, largest residual {worst[0]:.2g} and "
+          f"orthonormality error {worst[1]:.2g} (bound {PATTERNS_BOUND:g})")
+    return misses
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other_tree", type=Path, help="root of the other source checkout")
@@ -148,6 +215,7 @@ def main(argv=None) -> int:
                 print(err.decode(errors="replace").rstrip(), file=sys.stderr)
     print(f"{len(COMMANDS) - differ} of {len(COMMANDS)} outputs identical")
     differ += compare_library(other)
+    differ += compare_patterns(other)
     return 1 if differ else 0
 
 
