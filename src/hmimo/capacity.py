@@ -234,10 +234,12 @@ def eigenchannel_decompose(
         cfg: physical configuration supplying the element areas.
         policy: eigenchannel count policy.
         patterns: also return the transmit/receive patterns.  The blocks
-            are, without patterns and with ``mirror``, the four parity
-            sectors of :func:`~hmimo.green._lattice_sectors`; otherwise
-            the one block of the held factor pair, or ``matrix`` formed
-            from the held form if need be.  :func:`_block_svd` reduces
+            are, without patterns and with ``mirror``, those of
+            :func:`~hmimo.green._lattice_sectors`: the four parity
+            sectors, or on square grids their swap halves and one sector
+            whose values count twice; otherwise the one block of the held
+            factor pair, or ``matrix`` formed from the held form if need
+            be.  :func:`_block_svd` reduces
             each by QR.  The NaN/inf check reads the held form (the
             factors, the offset table or the dense array), so the
             spectrum-only routes never form ``matrix``.  Without patterns
@@ -265,11 +267,11 @@ def eigenchannel_decompose(
     if green.mirror and not patterns:
         blocks = _lattice_sectors(green)
     else:
-        blocks = [green.factors or green.matrix]
+        blocks = [(green.factors or green.matrix, 1)]
     if patterns:
-        left, u, values, vh, right = _block_svd(blocks[0], True)
+        left, u, values, vh, right = _block_svd(blocks[0][0], True)
     else:
-        values = np.concatenate([_block_svd(b, False) for b in blocks])
+        values = np.concatenate([np.tile(_block_svd(b, False), copies) for b, copies in blocks])
     s = np.zeros(3 * min(green.m_count, green.n_count))
     s[: values.size] = np.sort(values)[::-1]
     p_used = select_p(s, policy)

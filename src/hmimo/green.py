@@ -11,7 +11,8 @@ offset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -74,7 +75,8 @@ class BlockChannelMatrix:
     reversing the i index of both grids maps block (m, n) to
     ``S G(m, n) S`` with ``S = diag(-1, 1, 1)``, and reversing the j
     index does the same with ``S = diag(1, -1, 1)``.  The spectrum then
-    splits into four parity sectors (``_lattice_sectors``).
+    splits into four parity sectors, and on square grids further by the
+    x <-> y swap (``_lattice_sectors``).
     """
 
     entries: np.ndarray | tuple[np.ndarray, np.ndarray]
@@ -374,15 +376,17 @@ def _offset_table(green: BlockChannelMatrix):
 _MIRROR_SIGNS = ((-1, 1, 1), (1, -1, 1))
 
 
-def _parity_kernels(rx_n: int, tx_n: int) -> dict:
+@lru_cache(maxsize=32)
+def _parity_kernels(rx_n: int, tx_n: int):
     """Offset kernels of one grid axis in the even/odd bases, keyed by (RX, TX) parity.
 
     ``K[:, :, a] = B_r E_a B_t'`` with ``E_a`` the 0/1 matrix of the pairs
     whose table index (:func:`_offset_index`) is a, and ``B`` the
     orthonormal butterfly of each side: rows (e_k + e_{n-1-k}) / sqrt(2),
     then the centre e_k of an odd n (the even rows), then
-    (e_k - e_{n-1-k}) / sqrt(2) (the odd rows).  Returns
-    ``{(p_r, p_t): K[rows of parity p_r, columns of parity p_t]}``.
+    (e_k - e_{n-1-k}) / sqrt(2) (the odd rows).  Returns the read-only
+    mapping ``{(p_r, p_t): K[rows of parity p_r, columns of parity p_t]}``
+    of read-only arrays, built once per axis size.
     """
     def butterfly(n):
         eye, half = np.eye(n), n // 2
@@ -394,40 +398,120 @@ def _parity_kernels(rx_n: int, tx_n: int) -> dict:
     (b_r, rows), (b_t, cols) = butterfly(rx_n), butterfly(tx_n)
     offset = np.eye(rx_n + tx_n - 1)[_offset_index(rx_n, tx_n)]
     kernel = np.einsum("tk,rka->rta", b_t, np.einsum("ri,ika->rka", b_r, offset))
-    return {(p_r, p_t): kernel[rows[p_r], cols[p_t]] for p_r in rows for p_t in cols}
+    kernels = {}
+    for p_r in rows:
+        for p_t in cols:
+            kernels[p_r, p_t] = np.ascontiguousarray(kernel[rows[p_r], cols[p_t]])
+            kernels[p_r, p_t].setflags(write=False)
+    return MappingProxyType(kernels)
+
+
+def _parity_count(n: int, parity: int) -> int:
+    """How many butterfly rows of an n-element axis have ``parity``: the even ones hold the centre."""
+    return n - n // 2 if parity == 1 else n // 2
 
 
 def _lattice_sectors(green: BlockChannelMatrix):
-    """The four parity sectors of a mirrored lattice matrix, one at a time.
+    """Blocks whose spectra make up that of a mirrored lattice matrix, as ``(block, copies)``.
 
-    Its spectrum is the union of theirs.  An orthonormal butterfly
-    (:func:`_parity_kernels`) along each of the four grid axes is a change
-    of basis on each side, so it keeps the spectrum.  Afterwards every row
-    and column has an x and a y parity: the spatial parity of its element
-    times the polarization's sign in ``_MIRROR_SIGNS``.  The mirror
-    symmetry (see ``BlockChannelMatrix.mirror``) leaves only the blocks
-    between rows and columns of equal parities (Cantoni & Butler, Linear
-    Algebra Appl. 13, 1976).  Polarization pair (c, d) of a sector is
-    ``K_v T_cd K_h'`` with ``T_cd`` the (A_v, A_h) slice of the stored
-    offset table, which a mirrored matrix always holds.  Empty sectors are
+    Its spectrum is the union of its blocks' spectra, each counted
+    ``copies`` times.  An orthonormal butterfly (:func:`_parity_kernels`)
+    along each of the four grid axes is a change of basis on each side, so
+    it keeps the spectrum.  Afterwards every row and column has an x and a
+    y parity: the spatial parity of its element times the polarization's
+    sign in ``_MIRROR_SIGNS``.  The mirror symmetry (see
+    ``BlockChannelMatrix.mirror``) leaves only the blocks between rows and
+    columns of equal parities, the four parity sectors (Cantoni & Butler,
+    Linear Algebra Appl. 13, 1976).  Polarization pair (c, d) of a sector
+    is ``K_v T_cd K_h'`` with ``T_cd`` the (A_v, A_h) slice of the stored
+    offset table, which a mirrored matrix always holds.  Empty blocks are
     skipped.
+
+    When both grids are square, swapping x and y with the polarizations x
+    and y is a symmetry too, and in the butterfly basis a permutation: it
+    maps row (x, i, j) to (y, j, i) and (z, i, j) to (z, j, i), and the
+    columns alike.  It maps sector (ex, ey) onto (ey, ex), so (-, +) is
+    skipped and (+, -) counted twice, and it splits (+, +) and (-, -) into
+    their swap-even and swap-odd halves (:func:`_swap_half`).  The blocks
+    between the two halves hold only rounding and are dropped.  Otherwise
+    the four sectors are the blocks.
     """
-    k_v, k_h = (_parity_kernels(rx_n, tx_n) for rx_n, tx_n in zip(*green.lattice))
+    (rx_v, rx_h), (tx_v, tx_h) = green.lattice
+    k_v, k_h = _parity_kernels(rx_v, tx_v), _parity_kernels(rx_h, tx_h)
+    swap = rx_v == rx_h and tx_v == tx_h
     for ex in (1, -1):
         for ey in (1, -1):
+            if swap and (ex, ey) == (-1, 1):
+                continue
             # (v parity, h parity) of each polarization's rows and columns
             parity = [(ey * _MIRROR_SIGNS[1][c], ex * _MIRROR_SIGNS[0][c]) for c in range(3)]
-            pieces = [[_sector_piece(k_v[pv, qv], green._table[:, :, c, d], k_h[ph, qh])
-                       for d, (qv, qh) in enumerate(parity)]
-                      for c, (pv, ph) in enumerate(parity)]
-            sector = np.block(pieces)
-            if sector.size:
-                yield sector
+            sector = _gather_sector(green, k_v, k_h, parity)
+            if not sector.size:
+                continue
+            if not swap or ex != ey:
+                yield sector, 2 if swap else 1
+                continue
+            # rows and columns hold x (p, q), y (q, p) and z (p, p) elements
+            rx_pq, tx_pq = ((_parity_count(n, ex), _parity_count(n, -ex)) for n in (rx_v, tx_v))
+            for sign in (1, -1):
+                half = _swap_half(_swap_half(sector, *rx_pq, sign).T, *tx_pq, sign)
+                if half.size:
+                    yield half, 1
 
 
-def _sector_piece(k_v: np.ndarray, table: np.ndarray, k_h: np.ndarray) -> np.ndarray:
-    """``sum_ab k_v[i, k, a] table[a, b] k_h[j, l, b]`` as an (i j) x (k l) matrix."""
-    (nr_v, nt_v, a_v), (nr_h, nt_h, a_h) = k_v.shape, k_h.shape
-    half = k_v.reshape(nr_v * nt_v, a_v) @ table
-    piece = (half @ k_h.reshape(nr_h * nt_h, a_h).T).reshape(nr_v, nt_v, nr_h, nt_h)
-    return piece.transpose(0, 2, 1, 3).reshape(nr_v * nr_h, nt_v * nt_h)
+def _gather_sector(green: BlockChannelMatrix, k_v, k_h, parity) -> np.ndarray:
+    """The parity sector whose polarizations have the (v, h) parities ``parity``.
+
+    Its rows are (c, i, j) and its columns (d, k, l), and piece (c, d) is
+    ``sum_ab K_v[i, k, a] T_cd[a, b] K_h[j, l, b]``, written straight into
+    its slice of the preallocated sector.
+    """
+    (rx_v, rx_h), (tx_v, tx_h) = green.lattice
+    rows = [(_parity_count(rx_v, pv), _parity_count(rx_h, ph)) for pv, ph in parity]
+    cols = [(_parity_count(tx_v, pv), _parity_count(tx_h, ph)) for pv, ph in parity]
+    row_edges, col_edges = (np.cumsum([0] + [a * b for a, b in shape]) for shape in (rows, cols))
+    sector = np.empty((row_edges[-1], col_edges[-1]), dtype=complex)
+    for c, ((pv, ph), (nr_v, nr_h)) in enumerate(zip(parity, rows)):
+        for d, ((qv, qh), (nt_v, nt_h)) in enumerate(zip(parity, cols)):
+            kv, kh = k_v[pv, qv], k_h[ph, qh]
+            half = kv.reshape(-1, kv.shape[2]) @ green._table[:, :, c, d]
+            piece = (half @ kh.reshape(-1, kh.shape[2]).T).reshape(nr_v, nt_v, nr_h, nt_h)
+            # a reshape that splits both axes of a slice is a view of the sector
+            view = sector[row_edges[c]:row_edges[c + 1], col_edges[d]:col_edges[d + 1]]
+            view.reshape(nr_v, nr_h, nt_v, nt_h)[...] = piece.transpose(0, 2, 1, 3)
+    return sector
+
+
+@lru_cache(maxsize=32)
+def _triangle(p: int):
+    """The read-only (i, j) indices, i < j, of the upper triangle of a p x p grid."""
+    upper = np.triu_indices(p, 1)
+    for index in upper:
+        index.setflags(write=False)
+    return upper
+
+
+def _swap_half(block: np.ndarray, p: int, q: int, sign: int) -> np.ndarray:
+    """The swap-even (``sign`` 1) or swap-odd (-1) rows of ``block``.
+
+    The rows of ``block`` are x elements on a (p, q) grid, then y elements
+    on a (q, p) grid, then z elements on a (p, p) grid, each in row-major
+    order, and the swap maps x (i, j) to y (j, i) and z (i, j) to z (j, i).
+    The half holds (x (i, j) + sign y (j, i)) / sqrt(2), then
+    (z (i, j) + sign z (j, i)) / sqrt(2) for i < j, then, in the even half,
+    z (i, i).  The two halves together are an orthonormal change of basis.
+    """
+    n, rest = p * q, block.shape[1:]
+    x = block[:n].reshape(p, q, *rest)
+    y = block[n:2 * n].reshape(q, p, *rest).swapaxes(0, 1)
+    z = block[2 * n:].reshape(p, p, *rest)
+    upper, lower = _triangle(p)
+    pairs = n + len(upper)
+    half = np.empty((pairs + p * (sign == 1), *rest), dtype=block.dtype)
+    combine = np.add if sign == 1 else np.subtract
+    combine(x, y, out=half[:n].reshape(p, q, *rest))
+    combine(z[upper, lower], z[lower, upper], out=half[n:pairs])
+    half[:pairs] *= np.sqrt(0.5)
+    if sign == 1:
+        half[pairs:] = z[np.arange(p), np.arange(p)]
+    return half

@@ -265,14 +265,22 @@ def validate_spec(spec: SweepSpec) -> list[str]:
         elif len(set(d0)) != len(d0):
             v.append("d0 values must not repeat")
         if scale_ok and not bad:
-            # the kernels square the distance d0 lambda and k0 d = 2 pi d0, and invert both
+            # the kernels square the distance d0 lambda and k0 d = 2 pi d0, and invert both;
+            # the separable factors hold w2 / d0^2 ~ 1 / (k0 d0 d0)^2 and (q / d0)^2 as well
             lam = _point_scale(spec)[0]
-            off = [x for x in d0 for y in (x * lam, 2.0 * math.pi * x)
-                   if not (0.0 < y * y < math.inf and 1.0 / (y * y) < math.inf)]
+            reach = _aperture_reach(spec, lam)
+            off = []
+            for x in d0:
+                d, kd = x * lam, 2.0 * math.pi * x
+                ys = (d, kd) if reach is None or d == 0.0 else (d, kd, kd * d, reach / d)
+                if not all(0.0 < y * y < math.inf and 1.0 / (y * y) < math.inf for y in ys):
+                    off.append(x)
             if off:
-                v.append(f"d0_range_lambda {off[0]!r} at frequency {spec.frequency!r} gives a "
-                         "squared link distance (d0 lambda)^2 or (k0 d0)^2, or its inverse, "
-                         "that is not finite and positive")
+                v.append(f"d0_range_lambda {off[0]!r} at frequency {spec.frequency!r} and "
+                         f"spacing_lambda {spec.spacing_lambda!r} gives a squared link distance "
+                         "(d0 lambda)^2 or (k0 d0)^2, a product (k0 d0)^2 d0^2 or "
+                         "(r_max / d0)^2 with r_max the sum of the aperture half-diagonals, or "
+                         "the inverse of one, that is not finite and positive")
 
     if spec.experiment == "tx-elements":
         if not (_counts(spec.n_list) and spec.n_list):
@@ -304,6 +312,23 @@ def validate_spec(spec: SweepSpec) -> list[str]:
     if spec.output_format not in ("csv", "json"):
         v.append(f"output_format must be 'csv' or 'json', got {spec.output_format!r}")
     return v
+
+
+def _aperture_reach(spec: SweepSpec, lam: float) -> float | None:
+    """The sum of the largest TX and the RX aperture half-diagonals, in meters.
+
+    None when a grid or ``n_list`` is not valid; those faults are reported apart.
+    """
+    if spec.experiment == "tx-elements":
+        if not (_counts(spec.n_list) and spec.n_list):
+            return None
+        tx_grids = [(n, n) for n in spec.n_list]
+    else:
+        tx_grids = [spec.tx_grid]
+    if not all(_counts(grid) and len(grid) == 2 for grid in (*tx_grids, spec.rx_grid)):
+        return None
+    diagonals = max(math.hypot(*grid) for grid in tx_grids) + math.hypot(*spec.rx_grid)
+    return 0.5 * spec.spacing_lambda * lam * diagonals
 
 
 def _assemble(name, tx, rx, link, k0):

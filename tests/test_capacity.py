@@ -1,5 +1,6 @@
 """Physical configuration, eigenchannel decomposition and capacity."""
 
+import importlib
 import math
 import re
 from dataclasses import replace
@@ -510,9 +511,11 @@ def test_qr_first_spectra_keep_p_used_at_every_threshold(tx_side, rx_side, d0_la
     G = assemble_ocm(tx, rx, LinkGeometry.from_angles(d0_lambda * cfg.wavelength), cfg.k0)
     assert G.mirror
     sectors = list(_lattice_sectors(G))
-    assert all(max(b.shape) >= _QR_FIRST_RATIO * min(b.shape) for b in sectors)
+    assert all(max(b.shape) >= _QR_FIRST_RATIO * min(b.shape) for b, _ in sectors)
     scale = np.sqrt(cfg.a_r * cfg.a_t)
-    direct = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for b in sectors]))[::-1]
+    direct = np.concatenate([np.tile(np.linalg.svd(b, compute_uv=False), copies)
+                             for b, copies in sectors])
+    direct = np.sort(direct)[::-1]
     dense = scale * np.linalg.svd(G.matrix, compute_uv=False)
     fast = eigenchannel_decompose(G, cfg, patterns=False)
     assert fast.p_used == select_p(fast.gains, PPolicy.threshold(1e-6))
@@ -522,6 +525,71 @@ def test_qr_first_spectra_keep_p_used_at_every_threshold(tx_side, rx_side, d0_la
     for k in range(120):
         policy = PPolicy.threshold(10 ** (-k / 10))
         assert select_p(fast.gains, policy) == select_p(dense, policy), k
+
+
+@pytest.mark.parametrize("tx_shape,rx_shape,blocks", [
+    ((9, 9), (5, 5), 5),  # square grids: two halves of (+,+) and of (-,-), and the (+,-) twin
+    ((9, 7), (5, 5), 4),  # a rectangular TX grid: the four parity sectors
+    ((9, 9), (5, 6), 4),  # a rectangular RX grid
+])
+def test_square_grids_take_the_swap_route(monkeypatch, tx_shape, rx_shape, blocks):
+    # the package's capacity() shadows its module of the same name
+    capacity_module = importlib.import_module("hmimo.capacity")
+    cfg = _cfg()
+    spacing = 0.01 * cfg.wavelength
+    tx = build_planar_surface(*tx_shape, spacing)
+    rx = build_planar_surface(*rx_shape, spacing)
+    G = assemble_ocm(tx, rx, LinkGeometry.from_angles(1.5 * cfg.wavelength), cfg.k0)
+    assert G.mirror
+    seen, block_svd = [], capacity_module._block_svd
+
+    def spy(block, vectors):
+        seen.append(block.shape)
+        return block_svd(block, vectors)
+
+    monkeypatch.setattr(capacity_module, "_block_svd", spy)
+    fast = eigenchannel_decompose(G, cfg, patterns=False)
+    monkeypatch.undo()
+    assert len(seen) == blocks
+    dense = np.sqrt(cfg.a_r * cfg.a_t) * np.linalg.svd(G.matrix, compute_uv=False)
+    assert np.max(np.abs(fast.gains - dense)) <= 1e-12 * dense[0]
+
+
+def test_swap_route_matches_the_dense_svd_at_every_built_in_distance():
+    # 17 x 17 TX against 9 x 9 RX at the 17 distances of sweep-distance
+    cfg = _cfg()
+    spacing = 0.01 * cfg.wavelength
+    tx = build_planar_surface(17, 17, spacing)
+    rx = build_planar_surface(9, 9, spacing)
+    for d0_lambda in 0.25 * np.arange(1, 18):
+        G = assemble_ocm(tx, rx, LinkGeometry.from_angles(d0_lambda * cfg.wavelength), cfg.k0)
+        assert G.mirror
+        fast = eigenchannel_decompose(G, cfg, patterns=False)
+        dense = np.sqrt(cfg.a_r * cfg.a_t) * np.linalg.svd(G.matrix, compute_uv=False)
+        assert np.max(np.abs(fast.gains - dense)) <= 1e-12 * dense[0], d0_lambda
+        for k in range(120):
+            policy = PPolicy.threshold(10 ** (-k / 10))
+            assert select_p(fast.gains, policy) == select_p(dense, policy), (d0_lambda, k)
+
+
+@pytest.mark.parametrize("tx_side,rx_side,d0_lambda", [(9, 5, 1.5), (17, 9, 0.25),
+                                                       (41, 15, 4.25)])
+def test_all_pairs_dyads_are_swap_symmetric(tx_side, rx_side, d0_lambda):
+    # swapping x and y on both square grids maps block (m, n) to P G(m, n) P,
+    # P the x <-> y permutation; on the all-pairs dyads the swapped offsets
+    # are computed apart, so the symmetry holds to rounding only
+    cfg = _cfg()
+    spacing = 0.01 * cfg.wavelength
+    tx = build_planar_surface(tx_side, tx_side, spacing)
+    rx = build_planar_surface(rx_side, rx_side, spacing)
+    link = LinkGeometry.from_angles(d0_lambda * cfg.wavelength)
+    dvec = link.d0 * link.kappa + pairwise_offsets(tx, rx, link)
+    dense = _dyad_dense(dvec, np.sqrt(np.einsum("mni,mni->mn", dvec, dvec)), link, cfg.k0)
+    blocks = dense.reshape(rx.count, 3, tx.count, 3).transpose(0, 2, 1, 3)
+    swap = [1, 0, 2]
+    rx_map, tx_map = (np.arange(n * n).reshape(n, n).T.ravel() for n in (rx_side, tx_side))
+    swapped = blocks[rx_map][:, tx_map][:, :, swap][:, :, :, swap]
+    assert np.max(np.abs(swapped - blocks)) <= 1e-13 * np.max(np.abs(blocks))
 
 
 @pytest.mark.parametrize("tx_shape,rx_shape", [

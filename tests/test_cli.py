@@ -236,6 +236,9 @@ _AREA_POINT = dict(_TINY_POINT, tx_grid=[2, 2], rx_grid=[2, 2], d0_range_lambda=
                  id="d0-square-overflow"),
     pytest.param("point", dict(_TINY_POINT, frequency=1e4, d0_range_lambda=[1e-157]), [],
                  id="k0-d0-square-subnormal"),
+    # each square is fine, but the separable factors' w2 / d0^2 = 3 / ((k0 d0)^2 d0^2) is not
+    pytest.param("point", dict(_TINY_POINT, spacing_lambda=0.05, frequency=1e4,
+                               d0_range_lambda=[1e-100]), [], id="aperture-far-above-d0"),
     pytest.param("point", [_TINY_POINT], [], id="root-list"),
 ])
 def test_bad_config_values_fail_before_any_work(monkeypatch, tmp_path, capsys, command, config,

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that two source trees write byte-identical default CLI outputs.
+"""Check that two source trees write the same default CLI outputs and spectra.
 
 Runs the five default ``hmimo-bench`` commands from this tree and from
 OTHER_TREE, each in a fresh ``python3 -m hmimo.cli`` process with that
@@ -12,14 +12,15 @@ exit code of each pair byte for byte:
 - ``sweep-distance --format json``
 - ``sweep-elements --workers 2``
 
-Then it runs the library points of ``LIBRARY_POINTS``, each in a fresh
-``python3 -c`` process per tree: boresight lattice links, whose OCM
-spectrum comes from the parity sectors, and links the default commands
-do not reach (tilted lattice links, and one with a rotated RX surface).
-Per variant it compares the ``repr`` of its NMSE against OCM, its
+Then it runs the library points of ``LIBRARY_POINTS`` in one fresh
+``python3 -c`` process per grid shape and tree: all 17 built-in distances
+at the two boresight shapes of the benchmark, whose OCM spectrum comes
+from the parity sectors, more boresight lattice links, and links the
+default commands do not reach (tilted lattice links, and one with a
+rotated RX surface).  Per variant it compares its NMSE against OCM, its
 ``p_used`` at ``threshold(1e-6)`` from the spectrum-only decomposition,
-and a digest of that decomposition's full ``gains`` and of its
-``p_used`` at the 120 thresholds 10^(-k/10), k = 0..119.
+that decomposition's full ``gains``, and its ``p_used`` at the 120
+thresholds 10^(-k/10), k = 0..119.
 
 Last it decomposes every variant of the points of ``PATTERNS_POINTS``
 with patterns, under ``threshold(1e-6)`` and ``fixed(5)``, in one fresh
@@ -30,19 +31,30 @@ the trees, and in each tree requires max |G v - sigma u| / sigma_1 and
 the largest entry of P'P - I over both pattern matrices P to be at most
 ``PATTERNS_BOUND``.
 
+By default every output, NMSE, ``p_used`` and gain must be bit-equal.
+With ``--tolerance`` the CLI outputs and the library results are compared
+value by value instead, for a change that moves bits on purpose.  Per
+quantity it reports how many values are bit-equal and the largest
+deviation, and it fails only past the bounds of ``TOLERANCE``: x, d0,
+d_R, NMSE and every ``p_used`` bit-equal; capacity and singular-value
+cells within 1e-12 of their magnitude; library gains within 1e-12
+sigma_1.  The patterns check is the same in both modes.
+
 Output bytes depend on the BLAS thread count, so both trees run under the
-same environment.  The full-size sweeps take a few seconds each.
+same environment.  The whole check takes under a minute on two cores.
 
-Usage: python3 tools/compare_outputs.py OTHER_TREE
+Usage: python3 tools/compare_outputs.py [--tolerance] OTHER_TREE
 
-Exits 0 when every output, library result and patterns digest matches
-and every pattern bound holds, 1 otherwise, 2 on bad usage.
+Exits 0 when every comparison holds, 1 otherwise, 2 on bad usage.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -58,14 +70,14 @@ COMMANDS = (
     ["sweep-elements", "--workers", "2"],
 )
 
+# The 17 built-in distances of sweep-distance, in wavelengths.
+_BUILT_IN = tuple(0.25 * k for k in range(1, 18))
+
 # (TX grid, RX grid, d0 in wavelengths, theta, phi, RX turn about x in rad or None),
 # at a spacing of 0.01 wavelength and 2.4 GHz
 LIBRARY_POINTS = (
-    ((41, 41), (15, 15), 0.25, 0.0, 0.0, None),
-    ((41, 41), (15, 15), 1.5, 0.0, 0.0, None),
-    ((41, 41), (15, 15), 4.25, 0.0, 0.0, None),
-    ((33, 33), (11, 11), 0.25, 0.0, 0.0, None),
-    ((33, 33), (11, 11), 4.25, 0.0, 0.0, None),
+    *(((41, 41), (15, 15), d0, 0.0, 0.0, None) for d0 in _BUILT_IN),
+    *(((33, 33), (11, 11), d0, 0.0, 0.0, None) for d0 in _BUILT_IN),
     ((25, 25), (5, 5), 0.75, 0.0, 0.0, None),
     ((13, 5), (3, 11), 1.5, 0.0, 0.0, None),
     ((1, 3), (3, 1), 1.0, 0.0, 0.0, None),
@@ -74,6 +86,20 @@ LIBRARY_POINTS = (
     ((17, 17), (9, 9), 1.0, 0.25, 0.0, None),
     ((17, 17), (9, 9), 1.0, 0.25, 0.0, 0.3),
 )
+
+# Bounds of --tolerance per quantity: None asks for bit-equality, a number
+# bounds the deviation relative to the value's magnitude (CLI cells) or to
+# sigma_1 (library gains).
+TOLERANCE = {
+    "CLI x, d0 and d_R cells": None,
+    "CLI NMSE cells": None,
+    "CLI capacity cells": 1e-12,
+    "CLI singular-value cells": 1e-12,
+    "library NMSE": None,
+    "library p_used at threshold(1e-6)": None,
+    "library gains (relative to sigma_1)": 1e-12,
+    "library p_used at the 120 thresholds": None,
+}
 
 # The seeded tilted links of the tilted-link workload (seed 0), then a
 # boresight lattice link and a tilted lattice link, as in LIBRARY_POINTS.
@@ -109,14 +135,15 @@ def variants(point):
     return ref, [ref, *pscm, assemble_fscm(tx, rx, link, cfg.k0)]
 """
 
-# Prints "variant repr(nmse) p_used spectrum-digest" per variant of the point in argv[1].
+# Prints one JSON list [variant, nmse, p_used, gains, p_used at the 120 thresholds]
+# per variant of each point in argv[1], in order.
 POINT_SCRIPT = SETUP_SCRIPT + """
-ref, mats = variants(json.loads(sys.argv[1]))
-for G in mats:
-    eigs = eigenchannel_decompose(G, cfg, PPolicy.threshold(1e-6), patterns=False)
-    ladder = [select_p(eigs.gains, PPolicy.threshold(10 ** (-k / 10))) for k in range(120)]
-    digest = hashlib.sha256(eigs.gains.tobytes() + repr(ladder).encode()).hexdigest()[:16]
-    print(G.variant, repr(nmse(G, ref)), eigs.p_used, digest)
+for point in json.loads(sys.argv[1]):
+    ref, mats = variants(point)
+    for G in mats:
+        eigs = eigenchannel_decompose(G, cfg, PPolicy.threshold(1e-6), patterns=False)
+        ladder = [select_p(eigs.gains, PPolicy.threshold(10 ** (-k / 10))) for k in range(120)]
+        print(json.dumps([G.variant, nmse(G, ref), eigs.p_used, eigs.gains.tolist(), ladder]))
 """
 
 # Prints "point variant policy p_used digest residual orthonormality" per variant and
@@ -143,28 +170,155 @@ def run(tree: Path, command: list[str]) -> tuple[int, bytes, bytes]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def library_results(tree: Path, point) -> list[list[str]]:
-    """``[variant, repr(nmse), p_used, digest]`` per variant of one library point from ``tree``."""
-    code, out, err = run(tree, ["-c", POINT_SCRIPT, json.dumps(point)])
-    if code:
-        raise SystemExit(f"library point {point} failed in {tree}:\n{err.decode(errors='replace')}")
-    return [line.split() for line in out.decode().splitlines()]
+class Tally:
+    """Per quantity: how many value pairs were compared, how many are bit-equal, the largest deviation."""
+
+    def __init__(self):
+        self.counts: dict[str, list] = {}
+
+    def add(self, quantity: str, mine: float, theirs: float, scale: float | None = None):
+        """One value pair; its deviation is |mine - theirs| over ``scale``, or their magnitude."""
+        count = self.counts.setdefault(quantity, [0, 0, 0.0])
+        count[0] += 1
+        if repr(mine) == repr(theirs):
+            count[1] += 1
+            return
+        scale = max(abs(mine), abs(theirs)) if scale is None else scale
+        deviation = abs(mine - theirs) / scale if scale else math.inf
+        count[2] = max(count[2], deviation if deviation == deviation else math.inf)
+
+    def report(self) -> int:
+        """Print one line per quantity; return how many break their ``TOLERANCE`` bound."""
+        broken = 0
+        for quantity, (total, equal, worst) in self.counts.items():
+            bound = TOLERANCE[quantity]
+            ok = equal == total if bound is None else worst <= bound
+            broken += not ok
+            need = "must be bit-equal" if bound is None else f"bound {bound:g}"
+            print(f"  {quantity}: {equal} of {total} bit-equal, largest deviation {worst:.3g} "
+                  f"({need}){'' if ok else ' BROKEN'}")
+        return broken
 
 
-def compare_library(other: Path) -> int:
-    """Print how many library results are equal in both trees; return the misses."""
-    results = []
+def _cells(command: list[str], out: bytes):
+    """``(column, value)`` per numeric cell of a CSV or JSON output, and its non-numeric skeleton.
+
+    A JSON cell's column is its path of object keys, list indices left out.
+    """
+    text = out.decode()
+    if "--format" in command:
+        def flat(node, path):
+            if isinstance(node, (dict, list)):
+                items = node.items() if isinstance(node, dict) else ((None, v) for v in node)
+                for key, value in items:
+                    yield from flat(value, path if key is None else (*path, key))
+            else:
+                yield ".".join(path), node
+        cells = list(flat(json.loads(text), ()))
+        return cells, [name for name, _ in cells]
+    rows = list(csv.reader(io.StringIO(text)))
+    header, body = rows[0], rows[1:]
+    cells = [(name, float(value)) for row in body for name, value in zip(header, row, strict=True)]
+    return cells, [header, len(body)]
+
+
+def _cell_quantity(column: str) -> str:
+    """The ``TOLERANCE`` quantity of a CSV column or a JSON path."""
+    if column.startswith(("capacity", "singular_values", "sv")):
+        return "CLI capacity cells" if column.startswith("capacity") else "CLI singular-value cells"
+    return "CLI NMSE cells" if column.startswith("nmse") else "CLI x, d0 and d_R cells"
+
+
+def compare_commands(other: Path, tally: Tally | None) -> int:
+    """Run each default command in both trees; print and return how many differ.
+
+    Without a ``tally`` outputs must be byte-identical; with one they must
+    have the same exit code, columns and rows, and their cells go to it.
+    """
+    differ = 0
+    for command in COMMANDS:
+        code_a, out_a, err_a = run(HERE_TREE, ["-m", "hmimo.cli", *command])
+        code_b, out_b, err_b = run(other, ["-m", "hmimo.cli", *command])
+        same = code_a == code_b and out_a == out_b
+        status = "identical" if same else "DIFFERS"
+        detail = ""
+        if out_a != out_b:
+            first = next((i for i, (a, b) in enumerate(zip(out_a, out_b)) if a != b),
+                         min(len(out_a), len(out_b)))
+            detail = f", first difference at byte {first}"
+        if tally is not None and code_a == code_b == 0:
+            (cells_a, shape_a), (cells_b, shape_b) = _cells(command, out_a), _cells(command, out_b)
+            if not same and shape_a == shape_b:
+                same, status = True, "same cells, compared by value"
+            if same:
+                for (column, mine), (_, theirs) in zip(cells_a, cells_b):
+                    tally.add(_cell_quantity(column), mine, theirs)
+        differ += not same
+        print(f"{' '.join(command)}: {status} (exit {code_a} / "
+              f"{code_b}, {len(out_a)} / {len(out_b)} bytes{detail})")
+        for code, err in ((code_a, err_a), (code_b, err_b)):
+            if code:
+                print(err.decode(errors="replace").rstrip(), file=sys.stderr)
+    print(f"{len(COMMANDS) - differ} of {len(COMMANDS)} outputs "
+          f"{'identical' if tally is None else 'identical or with the same cells'}")
+    return differ
+
+
+def library_results(tree: Path) -> list[list]:
+    """``[variant, nmse, p_used, gains, ladder]`` per variant of every library point from ``tree``.
+
+    The points of one grid shape run in one process.
+    """
+    shapes = {}
     for point in LIBRARY_POINTS:
-        here, there = library_results(HERE_TREE, point), library_results(other, point)
+        shapes.setdefault(point[:2], []).append(point)
+    results = {}
+    for group in shapes.values():
+        code, out, err = run(tree, ["-c", POINT_SCRIPT, json.dumps(group)])
+        if code:
+            raise SystemExit(f"library points {group} failed in {tree}:\n"
+                             f"{err.decode(errors='replace')}")
+        lines = [json.loads(line) for line in out.decode().splitlines()]
+        for index, point in enumerate(group):
+            results[point] = lines[5 * index: 5 * index + 5]
+    return [results[point] for point in LIBRARY_POINTS]
+
+
+def compare_library(other: Path, tally: Tally | None) -> int:
+    """Print how many library results are equal in both trees; return the misses.
+
+    With a ``tally`` their values go to it instead, and only a difference in
+    spectrum length counts as a miss here.
+    """
+    flags, misses = [], 0
+    for point, here, there in zip(LIBRARY_POINTS, library_results(HERE_TREE),
+                                  library_results(other), strict=True):
         for mine, theirs in zip(here, there, strict=True):
-            results.append([a == b for a, b in zip(mine[1:], theirs[1:], strict=True)])
-            if mine != theirs:
-                print(f"library point {point}: {' '.join(mine)} DIFFERS from {' '.join(theirs)}")
-    same_nmse, same_p, same_spectrum = (sum(flags) for flags in zip(*results))
-    print(f"library points: NMSE bit-equal for {same_nmse} of {len(results)} variants, "
-          f"p_used equal for {same_p} of {len(results)}, spectrum digest (gains and p_used "
-          f"at 120 thresholds) equal for {same_spectrum} of {len(results)}")
-    return 3 * len(results) - same_nmse - same_p - same_spectrum
+            same = [repr(a) == repr(b) for a, b in zip(mine[1:], theirs[1:])]
+            flags.append([same[0], same[1], same[2] and same[3]])
+            if tally is None and mine != theirs:
+                print(f"library point {point} {mine[0]}: NMSE {mine[1]!r} / {theirs[1]!r}, "
+                      f"p_used {mine[2]} / {theirs[2]}, spectrum "
+                      f"{'equal' if flags[-1][2] else 'DIFFERS'}")
+            if tally is None:
+                continue
+            tally.add("library NMSE", mine[1], theirs[1])
+            tally.add("library p_used at threshold(1e-6)", mine[2], theirs[2])
+            for a, b in zip(mine[4], theirs[4], strict=True):
+                tally.add("library p_used at the 120 thresholds", a, b)
+            if len(mine[3]) != len(theirs[3]):
+                misses += 1
+                print(f"library point {point} {mine[0]}: {len(mine[3])} / {len(theirs[3])} gains")
+                continue
+            for a, b in zip(mine[3], theirs[3]):
+                tally.add("library gains (relative to sigma_1)", a, b, theirs[3][0])
+    same_nmse, same_p, same_spectrum = (sum(column) for column in zip(*flags))
+    print(f"library points: NMSE bit-equal for {same_nmse} of {len(flags)} variants, "
+          f"p_used equal for {same_p} of {len(flags)}, spectrum (gains and p_used at 120 "
+          f"thresholds) bit-equal for {same_spectrum} of {len(flags)}")
+    if tally is None:
+        return 3 * len(flags) - same_nmse - same_p - same_spectrum
+    return misses
 
 
 def compare_patterns(other: Path) -> int:
@@ -193,29 +347,19 @@ def compare_patterns(other: Path) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other_tree", type=Path, help="root of the other source checkout")
+    parser.add_argument("--tolerance", action="store_true",
+                        help="compare values within the TOLERANCE bounds, not bit for bit")
     args = parser.parse_args(argv)
     other = args.other_tree.resolve()
     if not (other / "src" / "hmimo" / "cli.py").is_file():
         parser.error(f"{other} holds no src/hmimo/cli.py")
-    differ = 0
-    for command in COMMANDS:
-        code_a, out_a, err_a = run(HERE_TREE, ["-m", "hmimo.cli", *command])
-        code_b, out_b, err_b = run(other, ["-m", "hmimo.cli", *command])
-        same = code_a == code_b and out_a == out_b
-        differ += not same
-        detail = ""
-        if out_a != out_b:
-            first = next((i for i, (a, b) in enumerate(zip(out_a, out_b)) if a != b),
-                         min(len(out_a), len(out_b)))
-            detail = f", first difference at byte {first}"
-        print(f"{' '.join(command)}: {'identical' if same else 'DIFFERS'} (exit {code_a} / "
-              f"{code_b}, {len(out_a)} / {len(out_b)} bytes{detail})")
-        for code, err in ((code_a, err_a), (code_b, err_b)):
-            if code:
-                print(err.decode(errors="replace").rstrip(), file=sys.stderr)
-    print(f"{len(COMMANDS) - differ} of {len(COMMANDS)} outputs identical")
-    differ += compare_library(other)
+    tally = Tally() if args.tolerance else None
+    differ = compare_commands(other, tally)
+    differ += compare_library(other, tally)
     differ += compare_patterns(other)
+    if tally is not None:
+        print("tolerance mode, per quantity:")
+        differ += tally.report()
     return 1 if differ else 0
 
 
