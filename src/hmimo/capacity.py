@@ -234,13 +234,13 @@ def eigenchannel_decompose(
         cfg: physical configuration supplying the element areas.
         policy: eigenchannel count policy.
         patterns: also return the transmit/receive patterns.  The blocks
-            are, without patterns and with ``mirror``, those of
-            :func:`~hmimo.green._lattice_sectors`: the four parity
-            sectors, or on square grids their swap halves and one sector
-            whose values count twice; otherwise the one block of the held
-            factor pair, or ``matrix`` formed from the held form if need
-            be.  :func:`_block_svd` reduces
-            each by QR.  The NaN/inf check reads the held form (the
+            are, without patterns for an offset table on a mirrored
+            lattice, those of :func:`~hmimo.green._lattice_sectors`: the
+            four parity sectors, or on square grids their swap halves and
+            one sector whose values count twice; otherwise the one block
+            of the held factor pair (mirrored or not), or ``matrix``
+            formed from the held form if need be.  :func:`_block_svd`
+            reduces each by QR.  The NaN/inf check reads the held form (the
             factors, the offset table or the dense array), so the
             spectrum-only routes never form ``matrix``.  Without patterns
             the blocks' singular values are sorted once; with them only
@@ -264,7 +264,7 @@ def eigenchannel_decompose(
     held = "matrix holds" if green.factors is None else "factors hold"
     if not all(np.isfinite(a).all() for a in green.factors or [green.entries]):
         raise NumericalError(f"channel {held} NaN or inf entries")
-    if green.mirror and not patterns:
+    if green._table is not None and green.lattice.mirror and not patterns:
         blocks = _lattice_sectors(green)
     else:
         blocks = [(green.factors or green.matrix, 1)]

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,37 +53,19 @@ class BlockChannelMatrix:
     Entries are raw dyad values; the physical scale enters only through
     :class:`~hmimo.capacity.PhysicalConfig`.
 
-    Two optional structure claims describe the entries; fast routes trust
-    them.  Neither is a constructor argument: only the assemblers attach
-    them, and only to a table or to factors, so a dense array never
+    ``lattice`` is an optional structure claim on the entries, a
+    :class:`Lattice`, which fast routes trust.  It is not a constructor
+    argument: :func:`_grid_lattice` makes it for every assembler, which
+    attaches it only to a table or to factors, so a dense array never
     carries one, and neither ``BlockChannelMatrix(...)`` nor
     ``dataclasses.replace`` does either.  A table means nothing without
     its lattice, so neither of them accepts one.  Equality is identity,
     since the numpy fields have no single truth value.
-
-    ``lattice`` is ``((rx_n_v, rx_n_h), (tx_n_v, tx_n_h))``, the grid
-    shapes of the j-major element order, and records that the two
-    uniform grids share one spacing and are parallel, so block (m, n)
-    depends only on the grid-index offset (v_r - v_t, h_r - h_t) of RX
-    element (v_r, h_r) and TX element (v_t, h_t): exactly in exact
-    arithmetic, within rounding in floating point.  The matrix then holds
-    A_v A_h = (rx_n_v + tx_n_v - 1)(rx_n_h + tx_n_h - 1) distinct blocks,
-    and :func:`~hmimo.metrics.nmse` reads only their table, one block per
-    offset (``_offset_table``).
-
-    ``mirror`` is a flag on the lattice: the link is at boresight and
-    every grid's positions are exact negatives under index reversal, so
-    reversing the i index of both grids maps block (m, n) to
-    ``S G(m, n) S`` with ``S = diag(-1, 1, 1)``, and reversing the j
-    index does the same with ``S = diag(1, -1, 1)``.  The spectrum then
-    splits into four parity sectors, and on square grids further by the
-    x <-> y swap (``_lattice_sectors``).
     """
 
     entries: np.ndarray | tuple[np.ndarray, np.ndarray]
     variant: str
-    lattice: tuple[tuple[int, int], tuple[int, int]] | None = field(default=None, init=False)
-    mirror: bool = field(default=False, init=False)
+    lattice: Lattice | None = field(default=None, init=False)
 
     def __post_init__(self):
         if self.variant not in MODEL_VARIANTS:
@@ -117,13 +100,11 @@ class BlockChannelMatrix:
             return left @ right.conj().T
         if self._table is None:
             return self.entries
-        (rx_v, rx_h), (tx_v, tx_h) = self.lattice
-        dense = np.empty((rx_v, rx_h, 3, tx_v, tx_h, 3), dtype=self.entries.dtype)
-        pairs = _pair_offsets(self.lattice)
+        dense = np.empty((self.m_count, 3, self.n_count, 3), dtype=self.entries.dtype)
         # one polarization pair at a time keeps the peak at the result plus a ninth
         for c in range(3):
             for d in range(3):
-                dense[:, :, c, :, :, d] = self.entries[:, :, c, d][pairs]
+                dense[:, c, :, d] = self.lattice.spread(self.entries[:, :, c, d])
         return dense.reshape(3 * self.m_count, 3 * self.n_count)
 
     @property
@@ -140,18 +121,17 @@ class BlockChannelMatrix:
         if self.factors is not None:
             return tuple(len(f) // 3 for f in self.factors)
         if self._table is not None:
-            return tuple(v * h for v, h in self.lattice)
+            return tuple(n_v * n_h for n_v, n_h in zip(self.lattice.v, self.lattice.h))
         return tuple(n // 3 for n in self.entries.shape)
 
 
-def _claimed(entries, variant: str, lattice, mirror: bool) -> BlockChannelMatrix:
-    """A matrix holding ``entries`` with exactly the claims given, which the caller has checked.
+def _claimed(entries, variant: str, lattice: Lattice | None) -> BlockChannelMatrix:
+    """A matrix holding ``entries`` with the claim ``lattice``, which the caller has checked.
 
     It is made without the constructor, which accepts no claim and no table.
     """
     held = object.__new__(BlockChannelMatrix)
-    for name, value in (("entries", entries), ("variant", variant), ("lattice", lattice),
-                        ("mirror", mirror)):
+    for name, value in (("entries", entries), ("variant", variant), ("lattice", lattice)):
         object.__setattr__(held, name, value)
     return held
 
@@ -205,9 +185,8 @@ def assemble_ocm(
     Equivalent to evaluating :func:`green_dyadic` at every pair
     displacement, but vectorized, at the displacements
     :func:`_displacements` gives: on a lattice the result holds the
-    (A_v, A_h, 3, 3) offset table, and at boresight (kappa along z) also
-    carries ``mirror``; otherwise (a rotated RX surface) it holds the
-    dense all-pairs matrix.
+    (A_v, A_h, 3, 3) offset table; otherwise (a rotated RX surface) it
+    holds the dense all-pairs matrix.
     """
     _require_positive("wavenumber", k0)
     lattice = _grid_lattice(tx, rx, link)
@@ -216,7 +195,7 @@ def assemble_ocm(
     if np.any(dist == 0.0):
         m, n = _first_pair(dist == 0.0, lattice)
         raise CoincidentPointsError(f"RX element {m} coincides with TX element {n}")
-    return _held(_dyad_dense(dvec, dist, link, k0), "OCM", lattice, not link.kappa[:2].any())
+    return _held(_dyad_dense(dvec, dist, link, k0), "OCM", lattice)
 
 
 def _displacements(tx: SurfaceLayout, rx: SurfaceLayout, link: LinkGeometry, lattice):
@@ -230,27 +209,23 @@ def _displacements(tx: SurfaceLayout, rx: SurfaceLayout, link: LinkGeometry, lat
     """
     if lattice is None:
         return link.d0 * link.kappa + pairwise_offsets(tx, rx, link)
-    (rx_v, rx_h), (tx_v, tx_h) = lattice
-    (vr, vt, _), (hr, ht, _) = _offsets(rx_v, tx_v), _offsets(rx_h, tx_h)
-    offsets = rx.positions[vr[:, None] * rx_h + hr] - tx.positions[vt[:, None] * tx_h + ht]
-    return link.d0 * link.kappa + offsets
+    v, h = lattice.axes
+    rx_reps = v.rx_reps[:, None] * lattice.h[0] + h.rx_reps
+    tx_reps = v.tx_reps[:, None] * lattice.h[1] + h.tx_reps
+    return link.d0 * link.kappa + (rx.positions[rx_reps] - tx.positions[tx_reps])
 
 
 def _first_pair(bad: np.ndarray, lattice):
     """The first (m, n), in row-major order, of the pairs whose displacement ``bad`` flags."""
-    if lattice is not None:  # the pairs of each flagged offset, in (m, n) order
-        (rx_v, rx_h), _ = lattice
-        bad = bad[_pair_offsets(lattice)].reshape(rx_v * rx_h, -1)
-    return np.argwhere(bad)[0]
+    return np.argwhere(bad if lattice is None else lattice.spread(bad))[0]
 
 
-def _held(dense: np.ndarray, variant: str, lattice, mirror: bool = False) -> BlockChannelMatrix:
+def _held(dense: np.ndarray, variant: str, lattice: Lattice | None) -> BlockChannelMatrix:
     """The kernel at :func:`_displacements` held as a matrix: the dense array, or the table."""
     if lattice is None:
         return BlockChannelMatrix(dense, variant)
-    (rx_v, rx_h), (tx_v, tx_h) = lattice
-    table = dense.reshape(rx_v + tx_v - 1, 3, rx_h + tx_h - 1, 3).transpose(0, 2, 1, 3).copy()
-    return _claimed(table, variant, lattice, mirror)
+    table = dense.reshape(sum(lattice.v) - 1, 3, sum(lattice.h) - 1, 3).transpose(0, 2, 1, 3)
+    return _claimed(table.copy(), variant, lattice)
 
 
 def _weights(kd):
@@ -302,35 +277,93 @@ def _dyad_dense(
     return dense.reshape(3 * m_count, 3 * n_count)
 
 
-def _grid_lattice(tx: SurfaceLayout, rx: SurfaceLayout, link: LinkGeometry):
-    """``((rx_n_v, rx_n_h), (tx_n_v, tx_n_h))`` when blocks depend only on the index offset.
+class Lattice(NamedTuple):
+    """The claim that block (m, n) depends only on the grid-index offset of its pair.
+
+    ``v = (rx_n_v, tx_n_v)`` and ``h = (rx_n_h, tx_n_h)`` are the grid
+    sizes along the two axes of the j-major element order (``v == h`` on
+    square grids).  The two uniform grids share one spacing and are
+    parallel, so block (m, n) depends only on the offset (v_r - v_t,
+    h_r - h_t) of RX element (v_r, h_r) and TX element (v_t, h_t), exactly
+    in exact arithmetic, and the matrix holds A_v A_h = (rx_n_v + tx_n_v
+    - 1)(rx_n_h + tx_n_h - 1) distinct blocks.  ``mirror``: the link is
+    at boresight too, and the grids' positions are exact negatives under
+    index reversal, so reversing the i index of both grids maps block
+    (m, n) to ``S G(m, n) S`` with ``S = diag(-1, 1, 1)``, and the j index
+    likewise with ``S = diag(1, -1, 1)``.  Equality and hash are the ints'.
+    """
+
+    v: tuple[int, int]
+    h: tuple[int, int]
+    mirror: bool
+
+    @property
+    def axes(self):
+        """The per-axis offset maps :func:`_axis` of v and h."""
+        return _axis(*self.v), _axis(*self.h)
+
+    def spread(self, per_offset: np.ndarray) -> np.ndarray:
+        """The (M, N) array of ``per_offset[a, b]`` at the table index (a, b) of every pair."""
+        v, h = self.axes
+        pairs = per_offset[v.index[:, None, :, None], h.index[None, :, None, :]]
+        return pairs.reshape(self.v[0] * self.h[0], -1)
+
+
+def _grid_lattice(tx: SurfaceLayout, rx: SurfaceLayout, link: LinkGeometry) -> Lattice | None:
+    """The :class:`Lattice` of a link whose blocks depend only on the index offset, else None.
 
     That holds when the RX surface is not rotated and both grids share one
     spacing; the tilt of the link does not matter, since every variant
-    sees the pair only through q - p.  Otherwise None.
+    sees the pair only through q - p.  The lattice is mirrored when kappa
+    lies along z.  This is the one place a claim is made.
     """
     if link.rx_rotation is not None or tx.spacing != rx.spacing:
         return None
-    return ((rx.n_v, rx.n_h), (tx.n_v, tx.n_h))
+    return Lattice((rx.n_v, tx.n_v), (rx.n_h, tx.n_h), not link.kappa[:2].any())
 
 
-def _offsets(rx_n: int, tx_n: int):
-    """Per offset a = i_r - i_t along one axis: a representative (i_r, i_t) and its pair count."""
+class _Axis(NamedTuple):
+    """The offsets a = i_r - i_t of one grid axis, each at table index a + tx_n - 1.
+
+    ``rx_reps`` and ``tx_reps`` hold a representative pair (i_r, i_t) per
+    offset and ``counts`` the number of pairs that share it; ``index`` is
+    the (rx_n, tx_n) table index of every pair.  ``kernels`` maps (p_r,
+    p_t) to ``K[rows of parity p_r, columns of parity p_t]``, with
+    ``K[:, :, a] = B_r E_a B_t'``, ``E_a`` the 0/1 matrix of the pairs at
+    index a and ``B`` the orthonormal butterfly of each side: rows
+    (e_k + e_{n-1-k}) / sqrt(2), then the centre e_k of an odd n (the even
+    rows), then (e_k - e_{n-1-k}) / sqrt(2) (the odd rows).  All read-only.
+    """
+
+    rx_reps: np.ndarray
+    tx_reps: np.ndarray
+    counts: np.ndarray
+    index: np.ndarray
+    kernels: MappingProxyType
+
+
+@lru_cache(maxsize=32)
+def _axis(rx_n: int, tx_n: int) -> _Axis:
+    """The :class:`_Axis` of an (rx_n, tx_n) grid axis, built on first use."""
+    def butterfly(n):
+        eye, half = np.eye(n), n // 2
+        basis = np.sqrt(0.5) * np.vstack([(eye + eye[::-1])[: n - half], (eye - eye[::-1])[:half]])
+        if n % 2:
+            basis[half, half] = 1.0
+        return basis, {1: slice(0, n - half), -1: slice(n - half, n)}
+
     a = np.arange(1 - tx_n, rx_n)
-    i_t = np.maximum(0, -a)
-    return i_t + a, i_t, np.minimum(tx_n, rx_n - a) - i_t
-
-
-def _offset_index(rx_n: int, tx_n: int) -> np.ndarray:
-    """The table index ``i_r - i_t + tx_n - 1`` of every (i_r, i_t) pair along one axis."""
-    return np.subtract.outer(np.arange(rx_n), np.arange(tx_n)) + tx_n - 1
-
-
-def _pair_offsets(lattice):
-    """The offset-table index (a, b) of every pair, broadcast to (rx_v, rx_h, tx_v, tx_h)."""
-    (rx_v, rx_h), (tx_v, tx_h) = lattice
-    a, b = _offset_index(rx_v, tx_v), _offset_index(rx_h, tx_h)
-    return a[:, None, :, None], b[None, :, None, :]
+    tx_reps = np.maximum(0, -a)
+    index = np.subtract.outer(np.arange(rx_n), np.arange(tx_n)) + tx_n - 1
+    (b_r, rows), (b_t, cols) = butterfly(rx_n), butterfly(tx_n)
+    kernel = np.einsum("tk,rka->rta", b_t, np.einsum("ri,ika->rka", b_r, np.eye(len(a))[index]))
+    kernels = {(p_r, p_t): np.ascontiguousarray(kernel[rows[p_r], cols[p_t]])
+               for p_r in rows for p_t in cols}
+    axis = _Axis(tx_reps + a, tx_reps, np.minimum(tx_n, rx_n - a) - tx_reps, index,
+                 MappingProxyType(kernels))
+    for array in (*axis[:4], *kernels.values()):
+        array.setflags(write=False)
+    return axis
 
 
 def _offset_table(green: BlockChannelMatrix):
@@ -338,32 +371,32 @@ def _offset_table(green: BlockChannelMatrix):
 
     Returns the (A_v, A_h, 3, 3) table whose entry (a, b) is the block of
     offset (a + 1 - tx_n_v, b + 1 - tx_n_h), read from the representative
-    pair of :func:`_offsets`, and the (A_v, A_h, 1, 1) pair counts.  Only
+    pair of :func:`_axis`, and the (A_v, A_h, 1, 1) pair counts.  Only
     a table or factors carry a lattice, and neither forms ``matrix``: a
     table-backed matrix returns the stored table, and a factored one forms
     ``L[rx reps] @ R[tx reps]'`` as four products, one per sign quadrant
     of the offsets.  At boresight these keep the bits of the dense read,
     as a product per block did; ``einsum`` does not.
     """
-    (rx_v, rx_h), (tx_v, tx_h) = green.lattice
-    (vr, vt, w_v), (hr, ht, w_h) = _offsets(rx_v, tx_v), _offsets(rx_h, tx_h)
-    counts = (w_v[:, None] * w_h)[:, :, None, None]
+    lattice = green.lattice
+    v, h = lattice.axes
+    counts = (v.counts[:, None] * h.counts)[:, :, None, None]
     if green._table is not None:
         return green._table, counts
     left, right = green.factors
     rank = left.shape[1]
-    left = left.reshape(rx_v, rx_h, 3, rank)
-    right = right.reshape(tx_v, tx_h, 3, rank).conj()
+    left = left.reshape(lattice.v[0], lattice.h[0], 3, rank)
+    right = right.reshape(lattice.v[1], lattice.h[1], 3, rank).conj()
     # Along one axis the offsets a < 0 share RX row 0 and the offsets a >= 0
     # share TX row 0, so each sign quadrant of the table is one product.
-    def halves(i_r, i_t, n0):  # (table part, RX rows, TX rows) of each sign half
+    def halves(axis, n0):  # (table part, RX rows, TX rows) of each sign half
         neg, pos = slice(None, n0), slice(n0, None)
-        return (neg, i_r[neg][:1], i_t[neg]), (pos, i_r[pos], i_t[pos][:1])
+        return ((neg, axis.rx_reps[neg][:1], axis.tx_reps[neg]),
+                (pos, axis.rx_reps[pos], axis.tx_reps[pos][:1]))
 
-    table = np.empty((len(vr), len(hr), 3, 3), dtype=complex)
-    h_halves = halves(hr, ht, tx_h - 1)
-    for t_v, r_v, s_v in halves(vr, vt, tx_v - 1):
-        for t_h, r_h, s_h in h_halves:
+    table = np.empty((len(v.counts), len(h.counts), 3, 3), dtype=complex)
+    for t_v, r_v, s_v in halves(v, lattice.v[1] - 1):
+        for t_h, r_h, s_h in halves(h, lattice.h[1] - 1):
             rx_rows, tx_rows = left[r_v[:, None], r_h], right[s_v[:, None], s_h]
             quadrant = rx_rows.reshape(-1, rank) @ tx_rows.reshape(-1, rank).T
             quadrant = quadrant.reshape(rx_rows.shape[:3] + tx_rows.shape[:3])
@@ -376,56 +409,20 @@ def _offset_table(green: BlockChannelMatrix):
 _MIRROR_SIGNS = ((-1, 1, 1), (1, -1, 1))
 
 
-@lru_cache(maxsize=32)
-def _parity_kernels(rx_n: int, tx_n: int):
-    """Offset kernels of one grid axis in the even/odd bases, keyed by (RX, TX) parity.
-
-    ``K[:, :, a] = B_r E_a B_t'`` with ``E_a`` the 0/1 matrix of the pairs
-    whose table index (:func:`_offset_index`) is a, and ``B`` the
-    orthonormal butterfly of each side: rows (e_k + e_{n-1-k}) / sqrt(2),
-    then the centre e_k of an odd n (the even rows), then
-    (e_k - e_{n-1-k}) / sqrt(2) (the odd rows).  Returns the read-only
-    mapping ``{(p_r, p_t): K[rows of parity p_r, columns of parity p_t]}``
-    of read-only arrays, built once per axis size.
-    """
-    def butterfly(n):
-        eye, half = np.eye(n), n // 2
-        basis = np.sqrt(0.5) * np.vstack([(eye + eye[::-1])[: n - half], (eye - eye[::-1])[:half]])
-        if n % 2:
-            basis[half, half] = 1.0
-        return basis, {1: slice(0, n - half), -1: slice(n - half, n)}
-
-    (b_r, rows), (b_t, cols) = butterfly(rx_n), butterfly(tx_n)
-    offset = np.eye(rx_n + tx_n - 1)[_offset_index(rx_n, tx_n)]
-    kernel = np.einsum("tk,rka->rta", b_t, np.einsum("ri,ika->rka", b_r, offset))
-    kernels = {}
-    for p_r in rows:
-        for p_t in cols:
-            kernels[p_r, p_t] = np.ascontiguousarray(kernel[rows[p_r], cols[p_t]])
-            kernels[p_r, p_t].setflags(write=False)
-    return MappingProxyType(kernels)
-
-
-def _parity_count(n: int, parity: int) -> int:
-    """How many butterfly rows of an n-element axis have ``parity``: the even ones hold the centre."""
-    return n - n // 2 if parity == 1 else n // 2
-
-
 def _lattice_sectors(green: BlockChannelMatrix):
-    """Blocks whose spectra make up that of a mirrored lattice matrix, as ``(block, copies)``.
+    """Blocks whose spectra make up that of a mirrored offset table, as ``(block, copies)``.
 
     Its spectrum is the union of its blocks' spectra, each counted
-    ``copies`` times.  An orthonormal butterfly (:func:`_parity_kernels`)
+    ``copies`` times.  An orthonormal butterfly (:func:`_axis`)
     along each of the four grid axes is a change of basis on each side, so
     it keeps the spectrum.  Afterwards every row and column has an x and a
     y parity: the spatial parity of its element times the polarization's
     sign in ``_MIRROR_SIGNS``.  The mirror symmetry (see
-    ``BlockChannelMatrix.mirror``) leaves only the blocks between rows and
+    ``Lattice.mirror``) leaves only the blocks between rows and
     columns of equal parities, the four parity sectors (Cantoni & Butler,
     Linear Algebra Appl. 13, 1976).  Polarization pair (c, d) of a sector
     is ``K_v T_cd K_h'`` with ``T_cd`` the (A_v, A_h) slice of the stored
-    offset table, which a mirrored matrix always holds.  Empty blocks are
-    skipped.
+    offset table.  Empty blocks are skipped.
 
     When both grids are square, swapping x and y with the polarizations x
     and y is a symmetry too, and in the butterfly basis a permutation: it
@@ -436,9 +433,8 @@ def _lattice_sectors(green: BlockChannelMatrix):
     between the two halves hold only rounding and are dropped.  Otherwise
     the four sectors are the blocks.
     """
-    (rx_v, rx_h), (tx_v, tx_h) = green.lattice
-    k_v, k_h = _parity_kernels(rx_v, tx_v), _parity_kernels(rx_h, tx_h)
-    swap = rx_v == rx_h and tx_v == tx_h
+    k_v, k_h = (axis.kernels for axis in green.lattice.axes)
+    swap = green.lattice.v == green.lattice.h
     for ex in (1, -1):
         for ey in (1, -1):
             if swap and (ex, ey) == (-1, 1):
@@ -451,8 +447,9 @@ def _lattice_sectors(green: BlockChannelMatrix):
             if not swap or ex != ey:
                 yield sector, 2 if swap else 1
                 continue
-            # rows and columns hold x (p, q), y (q, p) and z (p, p) elements
-            rx_pq, tx_pq = ((_parity_count(n, ex), _parity_count(n, -ex)) for n in (rx_v, tx_v))
+            # rows and columns hold x (p, q), y (q, p) and z (p, p) elements, p and q the
+            # counts of parity ex and -ex that lead the shapes of kernels (ex, ex), (-ex, -ex)
+            rx_pq, tx_pq = zip(k_v[ex, ex].shape[:2], k_v[-ex, -ex].shape[:2])
             for sign in (1, -1):
                 half = _swap_half(_swap_half(sector, *rx_pq, sign).T, *tx_pq, sign)
                 if half.size:
@@ -464,21 +461,21 @@ def _gather_sector(green: BlockChannelMatrix, k_v, k_h, parity) -> np.ndarray:
 
     Its rows are (c, i, j) and its columns (d, k, l), and piece (c, d) is
     ``sum_ab K_v[i, k, a] T_cd[a, b] K_h[j, l, b]``, written straight into
-    its slice of the preallocated sector.
+    its slice of the preallocated sector.  Kernel (p, q) of an axis holds
+    its RX rows of parity p and its TX columns of parity q.
     """
-    (rx_v, rx_h), (tx_v, tx_h) = green.lattice
-    rows = [(_parity_count(rx_v, pv), _parity_count(rx_h, ph)) for pv, ph in parity]
-    cols = [(_parity_count(tx_v, pv), _parity_count(tx_h, ph)) for pv, ph in parity]
-    row_edges, col_edges = (np.cumsum([0] + [a * b for a, b in shape]) for shape in (rows, cols))
+    shapes = [(k_v[pv, pv].shape, k_h[ph, ph].shape) for pv, ph in parity]
+    row_edges, col_edges = (np.cumsum([0] + [sv[i] * sh[i] for sv, sh in shapes]) for i in (0, 1))
     sector = np.empty((row_edges[-1], col_edges[-1]), dtype=complex)
-    for c, ((pv, ph), (nr_v, nr_h)) in enumerate(zip(parity, rows)):
-        for d, ((qv, qh), (nt_v, nt_h)) in enumerate(zip(parity, cols)):
+    for c, (pv, ph) in enumerate(parity):
+        for d, (qv, qh) in enumerate(parity):
             kv, kh = k_v[pv, qv], k_h[ph, qh]
             half = kv.reshape(-1, kv.shape[2]) @ green._table[:, :, c, d]
-            piece = (half @ kh.reshape(-1, kh.shape[2]).T).reshape(nr_v, nt_v, nr_h, nt_h)
+            piece = (half @ kh.reshape(-1, kh.shape[2]).T).reshape(*kv.shape[:2], *kh.shape[:2])
+            piece = piece.transpose(0, 2, 1, 3)  # (RX v, RX h, TX v, TX h)
             # a reshape that splits both axes of a slice is a view of the sector
             view = sector[row_edges[c]:row_edges[c + 1], col_edges[d]:col_edges[d + 1]]
-            view.reshape(nr_v, nr_h, nt_v, nt_h)[...] = piece.transpose(0, 2, 1, 3)
+            view.reshape(piece.shape)[...] = piece
     return sector
 
 

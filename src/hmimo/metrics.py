@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericalError
 from .green import BlockChannelMatrix, _offset_table
 
 __all__ = ["nmse"]
@@ -30,7 +31,8 @@ def nmse(candidate: BlockChannelMatrix, reference: BlockChannelMatrix) -> float:
     full sums to rounding (about 1e-15 relative), and a factored matrix
     gives its table from its factors.  Otherwise (a matrix rebuilt with
     ``dataclasses.replace`` carries no lattice) the sums run over every
-    entry, chunk by chunk, so no temporary is larger than a chunk.
+    entry, chunk by chunk, so no temporary is larger than a chunk.  A sum
+    or a ratio that is not finite raises :class:`~hmimo.NumericalError`.
     """
     sizes = [(g.m_count, g.n_count) for g in (candidate, reference)]
     if sizes[0] != sizes[1]:
@@ -47,4 +49,7 @@ def nmse(candidate: BlockChannelMatrix, reference: BlockChannelMatrix) -> float:
         num = np.sum(weight * np.abs(cand - ref) ** 2, dtype=np.longdouble, initial=num)
     if den == 0.0:
         raise ValueError("degenerate reference: zero matrix")
-    return float(num / den)
+    ratio = float(num / den)
+    if not (np.isfinite(num) and np.isfinite(den) and np.isfinite(ratio)):
+        raise NumericalError("NMSE is not finite: an entry is NaN or inf, or its square overflows")
+    return ratio

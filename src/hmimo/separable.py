@@ -242,7 +242,7 @@ def _pscm_factors(ps, qs, link, k0, keep, weights, tag, lattice) -> BlockChannel
     left = np.concatenate(lefts, axis=2)
     right = np.concatenate(rights, axis=2)
     left, right = left.reshape(-1, left.shape[2]), right.reshape(-1, right.shape[2])
-    return _claimed((left, right), tag, lattice, False)
+    return _claimed((left, right), tag, lattice)
 
 
 def _outers(a: np.ndarray, b: np.ndarray) -> np.ndarray:

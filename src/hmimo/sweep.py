@@ -266,21 +266,24 @@ def validate_spec(spec: SweepSpec) -> list[str]:
             v.append("d0 values must not repeat")
         if scale_ok and not bad:
             # the kernels square the distance d0 lambda and k0 d = 2 pi d0, and invert both;
-            # the separable factors hold w2 / d0^2 ~ 1 / (k0 d0 d0)^2 and (q / d0)^2 as well
+            # the separable factors hold (q / d0)^2 as well
             lam = _point_scale(spec)[0]
-            reach = _aperture_reach(spec, lam)
+            extent = _aperture_extent(spec, lam)
             off = []
             for x in d0:
                 d, kd = x * lam, 2.0 * math.pi * x
-                ys = (d, kd) if reach is None or d == 0.0 else (d, kd, kd * d, reach / d)
-                if not all(0.0 < y * y < math.inf and 1.0 / (y * y) < math.inf for y in ys):
+                ys = (d, kd) if extent is None or d == 0.0 else (d, kd, extent[0] / d)
+                if not (all(0.0 < y * y < math.inf and 1.0 / (y * y) < math.inf for y in ys)
+                        and (extent is None or _entry_bound(d, kd, *extent) < math.inf)):
                     off.append(x)
             if off:
                 v.append(f"d0_range_lambda {off[0]!r} at frequency {spec.frequency!r} and "
                          f"spacing_lambda {spec.spacing_lambda!r} gives a squared link distance "
-                         "(d0 lambda)^2 or (k0 d0)^2, a product (k0 d0)^2 d0^2 or "
-                         "(r_max / d0)^2 with r_max the sum of the aperture half-diagonals, or "
-                         "the inverse of one, that is not finite and positive")
+                         "(d0 lambda)^2 or (k0 d0)^2, or (r_max / d0)^2 with r_max the sum of "
+                         "the aperture half-diagonals, or the inverse of one, that is not finite "
+                         "and positive, or channel entries of about (1 / d0) max(1, (k0 d0)^-2) "
+                         "max(1, (r_max / d0)^2) whose squares summed over every entry are not "
+                         "finite")
 
     if spec.experiment == "tx-elements":
         if not (_counts(spec.n_list) and spec.n_list):
@@ -314,8 +317,8 @@ def validate_spec(spec: SweepSpec) -> list[str]:
     return v
 
 
-def _aperture_reach(spec: SweepSpec, lam: float) -> float | None:
-    """The sum of the largest TX and the RX aperture half-diagonals, in meters.
+def _aperture_extent(spec: SweepSpec, lam: float) -> tuple[float, float] | None:
+    """The sum of the largest TX and the RX aperture half-diagonals, in meters, and the most pairs.
 
     None when a grid or ``n_list`` is not valid; those faults are reported apart.
     """
@@ -328,7 +331,20 @@ def _aperture_reach(spec: SweepSpec, lam: float) -> float | None:
     if not all(_counts(grid) and len(grid) == 2 for grid in (*tx_grids, spec.rx_grid)):
         return None
     diagonals = max(math.hypot(*grid) for grid in tx_grids) + math.hypot(*spec.rx_grid)
-    return 0.5 * spec.spacing_lambda * lam * diagonals
+    pairs = max(float(n_h) * n_v for n_h, n_v in tx_grids) * spec.rx_grid[0] * spec.rx_grid[1]
+    return 0.5 * spec.spacing_lambda * lam * diagonals, pairs
+
+
+def _entry_bound(d: float, kd: float, reach: float, pairs: float) -> float:
+    """About the largest channel entry at link distance ``d``, squared and summed over ``pairs``.
+
+    A kernel entry is at most about (1 / d) max(1, (k d)^-2), and an entry
+    of the separable factors or blocks that times max(1, (reach / d)^2),
+    which bounds both; ``nmse`` sums the squares of the 9 entries of every
+    pair.  Inf when the sum, or the bound itself, leaves the float range.
+    """
+    bound = (1.0 / d) * max(1.0, 1.0 / (kd * kd)) * max(1.0, (reach / d) * (reach / d))
+    return bound * bound * (9 * pairs)
 
 
 def _assemble(name, tx, rx, link, k0):

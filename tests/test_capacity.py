@@ -32,7 +32,7 @@ from hmimo import (
     select_p,
 )
 from hmimo.capacity import _QR_FIRST_RATIO
-from hmimo.green import _claimed, _dyad_dense, _lattice_sectors
+from hmimo.green import Lattice, _claimed, _dyad_dense, _lattice_sectors
 
 
 def _cfg(**kw):
@@ -255,7 +255,7 @@ def test_threshold_one_counts_the_same_on_every_route(tx_side, d0_lambda):
     link = LinkGeometry.from_angles(d0_lambda * cfg.wavelength)
     mats = [assemble_ocm(tx, rx, link, cfg.k0), assemble_fscm(tx, rx, link, cfg.k0)]
     mats += [assemble_pscm(tx, rx, link, cfg.k0, v) for v in ("1234", "123", "12")]
-    assert mats[0].mirror
+    assert all(G.lattice.mirror for G in mats)
     assert all(G.factors is not None for G in mats[1:])
     policy = PPolicy.threshold(1.0)
     for G in mats:
@@ -268,11 +268,11 @@ def test_spectrum_only_decomposition_rejects_a_non_finite_mirrored_matrix():
     cfg = _cfg()
     tx = build_planar_surface(3, 2, 0.05)
     G = assemble_ocm(tx, build_planar_surface(2, 2, 0.05), LinkGeometry.from_angles(1.0), cfg.k0)
-    assert G.mirror
+    assert G.lattice.mirror
     for value in (np.nan, np.inf):
         table = G.entries.copy()
         table[1, 2, 1, 1] = value
-        bad = _claimed(table, "OCM", G.lattice, True)
+        bad = _claimed(table, "OCM", G.lattice)
         with pytest.raises(NumericalError, match="NaN or inf"):
             eigenchannel_decompose(bad, cfg, patterns=False)
 
@@ -284,7 +284,7 @@ def test_sector_spectrum_is_padded_to_the_full_length(rx_shape, tx_shape):
     cfg = _cfg()
     G = assemble_ocm(build_planar_surface(*tx_shape, 0.05), build_planar_surface(*rx_shape, 0.05),
                      LinkGeometry.from_angles(0.7), 2 * np.pi)
-    assert G.mirror
+    assert G.lattice.mirror
     length = 3 * min(G.m_count, G.n_count)
     dense = eigenchannel_decompose(G, cfg, PPolicy.fixed(length))
     fast = eigenchannel_decompose(G, cfg, PPolicy.fixed(length), patterns=False)
@@ -294,13 +294,15 @@ def test_sector_spectrum_is_padded_to_the_full_length(rx_shape, tx_shape):
 
 
 def test_mirror_needs_a_lattice():
+    # the mirror flag is a field of the lattice, so it cannot stand without one
     tx = build_planar_surface(3, 2, 0.05)
     rx = build_planar_surface(2, 1, 0.05)
     G = assemble_ocm(tx, rx, LinkGeometry.from_angles(1.0), 2 * np.pi)
-    assert (G.lattice, G.mirror) == (((1, 2), (2, 3)), True)
+    assert G.lattice == Lattice((1, 2), (2, 3), True) and "mirror" not in vars(G)
+    assert G.lattice == ((1, 2), (2, 3), True) and hash(G.lattice) == hash(((1, 2), (2, 3), True))
     # two spacings: no lattice, so no mirror either, though the link is at boresight
     D = assemble_ocm(tx, build_planar_surface(2, 1, 0.04), LinkGeometry.from_angles(1.0), 2 * np.pi)
-    assert D.lattice is None and not D.mirror and D.entries.ndim == 2
+    assert D.lattice is None and D.entries.ndim == 2
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3])
@@ -310,12 +312,12 @@ def test_a_rebuilt_matrix_carries_no_structure_claim(theta):
     link = LinkGeometry.from_angles(0.8, theta=theta)
     mats = [assemble_ocm(tx, rx, link, 2 * np.pi), assemble_fscm(tx, rx, link, 2 * np.pi),
             *(assemble_pscm(tx, rx, link, 2 * np.pi, code) for code in PSCM_CODES.values())]
-    assert all(G.lattice is not None for G in mats) and mats[1].factors is not None
-    assert [G.mirror for G in mats] == [theta == 0.0, False, False, False, False]
+    assert [G.lattice for G in mats] == [Lattice((2, 3), (2, 3), theta == 0.0)] * 5
+    assert mats[1].factors is not None
     for G in mats:
         for rebuilt in (replace(G, entries=2.0 * G.matrix),
                         BlockChannelMatrix(G.matrix, G.variant)):
-            assert rebuilt.factors is None and rebuilt.lattice is None and not rebuilt.mirror
+            assert rebuilt.factors is None and rebuilt.lattice is None
 
 
 @pytest.mark.parametrize("variant", ["OCM", "PSCM"])
@@ -328,7 +330,7 @@ def test_spectrum_of_a_rebuilt_matrix_reads_its_new_entries(variant):
     link = LinkGeometry.from_angles(0.1)
     assemble = assemble_ocm if variant == "OCM" else assemble_pscm
     G = assemble(tx, rx, link, cfg.k0)
-    assert G.mirror if variant == "OCM" else G.factors is not None
+    assert G.lattice.mirror and (G.entries.ndim == 4 if variant == "OCM" else G.factors is not None)
     matrix = G.matrix.copy()
     matrix[:3, :3] *= 10.0
     fast = eigenchannel_decompose(replace(G, entries=matrix), cfg, PPolicy.fixed(1), patterns=False)
@@ -339,9 +341,10 @@ def test_spectrum_of_a_rebuilt_matrix_reads_its_new_entries(variant):
 
 def test_tilted_and_rotated_links_carry_no_mirror():
     tx = build_planar_surface(3, 3, 0.05)
-    for link in (LinkGeometry.from_angles(1.0, theta=0.2),
-                 LinkGeometry.from_angles(1.0, rx_rotation=_rotation(0.3, 0.0, 0.0))):
-        assert not assemble_ocm(tx, tx, link, 2 * np.pi).mirror
+    tilted = LinkGeometry.from_angles(1.0, theta=0.2)
+    assert assemble_ocm(tx, tx, tilted, 2 * np.pi).lattice == Lattice((3, 3), (3, 3), False)
+    rotated = LinkGeometry.from_angles(1.0, rx_rotation=_rotation(0.3, 0.0, 0.0))
+    assert assemble_ocm(tx, tx, rotated, 2 * np.pi).lattice is None
 
 
 def test_factors_must_match_the_block_shape():
@@ -456,10 +459,11 @@ def test_spectrum_only_decomposition_matches_the_dense_svd(
     factored = {G.variant: G.factors is not None for G in mats}
     assert factored == {"OCM": False, "PSCM": boresight, "PSCM123": boresight,
                         "PSCM12": boresight, "FSCM": True}
-    mirrored = theta == 0.0 and rotation is None and rx_spacing == tx_spacing
-    assert [G.mirror for G in mats] == [mirrored, False, False, False, False]
-    if mirrored:
-        assert mats[0].lattice == ((rx.n_v, rx.n_h), (tx.n_v, tx.n_h))
+    lattice = None
+    if rotation is None and rx_spacing == tx_spacing:
+        lattice = Lattice((rx.n_v, tx.n_v), (rx.n_h, tx.n_h), theta == 0.0)
+    assert [G.lattice for G in mats] == [lattice] * 5
+    if lattice is not None and lattice.mirror:
         # the claim rests on the all-pairs dyads, which are exactly mirror
         # symmetric; the held table repeats one representative pair per
         # offset, and the pairs of mirrored offsets agree to rounding only
@@ -509,7 +513,7 @@ def test_qr_first_spectra_keep_p_used_at_every_threshold(tx_side, rx_side, d0_la
     tx = build_planar_surface(tx_side, tx_side, spacing)
     rx = build_planar_surface(rx_side, rx_side, spacing)
     G = assemble_ocm(tx, rx, LinkGeometry.from_angles(d0_lambda * cfg.wavelength), cfg.k0)
-    assert G.mirror
+    assert G.lattice.mirror
     sectors = list(_lattice_sectors(G))
     assert all(max(b.shape) >= _QR_FIRST_RATIO * min(b.shape) for b, _ in sectors)
     scale = np.sqrt(cfg.a_r * cfg.a_t)
@@ -540,7 +544,7 @@ def test_square_grids_take_the_swap_route(monkeypatch, tx_shape, rx_shape, block
     tx = build_planar_surface(*tx_shape, spacing)
     rx = build_planar_surface(*rx_shape, spacing)
     G = assemble_ocm(tx, rx, LinkGeometry.from_angles(1.5 * cfg.wavelength), cfg.k0)
-    assert G.mirror
+    assert G.lattice.mirror and (G.lattice.v == G.lattice.h) == (blocks == 5)
     seen, block_svd = [], capacity_module._block_svd
 
     def spy(block, vectors):
@@ -555,6 +559,35 @@ def test_square_grids_take_the_swap_route(monkeypatch, tx_shape, rx_shape, block
     assert np.max(np.abs(fast.gains - dense)) <= 1e-12 * dense[0]
 
 
+@pytest.mark.parametrize("assemble", [assemble_fscm, assemble_pscm])
+def test_a_mirrored_factor_pair_is_decomposed_as_one_block(monkeypatch, assemble):
+    # factored boresight variants carry the mirrored lattice as OCM does, but
+    # hold no table: their spectrum comes from the one factor pair, no sector
+    capacity_module = importlib.import_module("hmimo.capacity")
+    cfg = _cfg()
+    spacing = 0.01 * cfg.wavelength
+    tx, rx = build_planar_surface(9, 9, spacing), build_planar_surface(5, 5, spacing)
+    G = assemble(tx, rx, LinkGeometry.from_angles(1.5 * cfg.wavelength), cfg.k0)
+    assert G.lattice.mirror and G.factors is not None
+    seen, block_svd = [], capacity_module._block_svd
+
+    def spy(block, vectors):
+        seen.append(block)
+        return block_svd(block, vectors)
+
+    def no_sectors(green):
+        raise AssertionError("a factor pair has no parity sectors")
+
+    monkeypatch.setattr(capacity_module, "_block_svd", spy)
+    monkeypatch.setattr(capacity_module, "_lattice_sectors", no_sectors)
+    fast = eigenchannel_decompose(G, cfg, patterns=False)
+    monkeypatch.undo()
+    # the pair, then the core R_L R_R' it reduces to
+    assert len(seen) == 2 and seen[0] is G.factors and not isinstance(seen[1], tuple)
+    dense = np.sqrt(cfg.a_r * cfg.a_t) * np.linalg.svd(G.matrix, compute_uv=False)
+    assert np.max(np.abs(fast.gains - dense)) <= 1e-12 * dense[0]
+
+
 def test_swap_route_matches_the_dense_svd_at_every_built_in_distance():
     # 17 x 17 TX against 9 x 9 RX at the 17 distances of sweep-distance
     cfg = _cfg()
@@ -563,7 +596,7 @@ def test_swap_route_matches_the_dense_svd_at_every_built_in_distance():
     rx = build_planar_surface(9, 9, spacing)
     for d0_lambda in 0.25 * np.arange(1, 18):
         G = assemble_ocm(tx, rx, LinkGeometry.from_angles(d0_lambda * cfg.wavelength), cfg.k0)
-        assert G.mirror
+        assert G.lattice.mirror
         fast = eigenchannel_decompose(G, cfg, patterns=False)
         dense = np.sqrt(cfg.a_r * cfg.a_t) * np.linalg.svd(G.matrix, compute_uv=False)
         assert np.max(np.abs(fast.gains - dense)) <= 1e-12 * dense[0], d0_lambda
@@ -607,7 +640,7 @@ def test_qr_first_rule_holds_in_both_orientations(monkeypatch, tx_shape, rx_shap
     rx = build_planar_surface(*rx_shape, 0.05)
     link = LinkGeometry.from_angles(0.9, 0.3, 1.1, rx_rotation=_rotation(0.0, 0.0, 0.3))
     G = assemble_ocm(tx, rx, link, 2 * np.pi)
-    assert G.factors is None and not G.mirror
+    assert G.factors is None and G.lattice is None
     rows, cols = G.matrix.shape
     rank = min(rows, cols)
     qr_first = max(rows, cols) >= _QR_FIRST_RATIO * min(rows, cols)

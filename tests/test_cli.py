@@ -10,7 +10,7 @@ import pytest
 from hmimo import BlockChannelMatrix, DegenerateGeometryError, default_spec
 from hmimo import sweep as sweep_module
 from hmimo.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
-from hmimo.green import _claimed
+from hmimo.green import _claimed, _grid_lattice
 
 DESK_POINT = {
     "experiment": "single-point",
@@ -239,6 +239,16 @@ _AREA_POINT = dict(_TINY_POINT, tx_grid=[2, 2], rx_grid=[2, 2], d0_range_lambda=
     # each square is fine, but the separable factors' w2 / d0^2 = 3 / ((k0 d0)^2 d0^2) is not
     pytest.param("point", dict(_TINY_POINT, spacing_lambda=0.05, frequency=1e4,
                                d0_range_lambda=[1e-100]), [], id="aperture-far-above-d0"),
+    # the factors' largest entry, about (1 / d0) (k0 d0)^-2 (r_max / d0)^2, overflows
+    pytest.param("point", dict(_TINY_POINT, spacing_lambda=0.05, frequency=3e-69,
+                               d0_range_lambda=[1.6e-101]), [], id="factor-entry-overflow"),
+    # each factor is finite, but the squares of the ~2e159 kernel entries nmse sums are not
+    pytest.param("point", dict(_TINY_POINT, spacing_lambda=1e-72, frequency=4.8e-43,
+                               d0_range_lambda=[1.6e-71]), [], id="kernel-entry-square-overflow"),
+    # kernel entries stay small, but the separable blocks hold w2 (q - p)(q - p)' / d0^2,
+    # about (r_max / d0)^2 ~ 1e155, whose squares nmse sums (it wrote inf before)
+    pytest.param("point", dict(_TINY_POINT, spacing_lambda=1e76, frequency=3e8,
+                               d0_range_lambda=[0.1]), [], id="separable-entry-square-overflow"),
     pytest.param("point", [_TINY_POINT], [], id="root-list"),
 ])
 def test_bad_config_values_fail_before_any_work(monkeypatch, tmp_path, capsys, command, config,
@@ -379,7 +389,9 @@ def test_non_finite_mirrored_channel_is_a_numerical_failure(monkeypatch, point_c
     def poisoned(tx, rx, link, k0):
         table = np.ones((rx.n_v + tx.n_v - 1, rx.n_h + tx.n_h - 1, 3, 3), dtype=complex)
         table[1, 0, 2, 2] = np.nan
-        return _claimed(table, "OCM", ((rx.n_v, rx.n_h), (tx.n_v, tx.n_h)), True)
+        lattice = _grid_lattice(tx, rx, link)
+        assert lattice.mirror
+        return _claimed(table, "OCM", lattice)
 
     monkeypatch.setattr(sweep_module, "assemble_ocm", poisoned)
     assert main(["point", "--config", point_config, "--variants", "OCM"]) == EXIT_NUMERICAL

@@ -21,13 +21,13 @@ from hmimo import (
     global_rx_positions,
     green_dyadic,
     green_dyadic_far,
+    nmse,
     omega_pair,
     pair_displacement,
     pairwise_offsets,
     rayleigh_distance,
 )
-from hmimo.green import (_dyad_dense, _offset_index, _offset_table, _offsets, _pair_offsets,
-                         _parity_kernels)
+from hmimo.green import Lattice, _axis, _dyad_dense, _offset_table
 
 WAVELENGTH = 299792458.0 / 2.4e9
 K0 = 2 * np.pi / WAVELENGTH
@@ -218,7 +218,7 @@ def test_structure_claims_are_checked_against_the_block_shape():
     factored = BlockChannelMatrix((left, right), "OCM")
     assert (factored.m_count, factored.n_count) == (2, 3) and "matrix" not in vars(factored)
     assert factored.factors[0] is left and factored.factors[1] is right
-    assert factored.lattice is None and not factored.mirror
+    assert factored.lattice is None
     for bad in ((left, right[:, :1]), (left[:, 0], right[:, 0]), (left[None], right),
                 (left[:4], right), (left, right[:7])):
         with pytest.raises(ValueError, match="factors"):
@@ -254,7 +254,7 @@ def _representative_blocks(matrix, lattice):
     Along one axis offset a = i_r - i_t, from 1 - tx_n to rx_n - 1, is
     first met at RX index max(a, 0) and TX index max(-a, 0).
     """
-    (rx_v, rx_h), (tx_v, tx_h) = lattice
+    (rx_v, tx_v), (rx_h, tx_h) = lattice.v, lattice.h
     view = matrix.reshape(rx_v, rx_h, 3, tx_v, tx_h, 3)
     axes = []
     for rx_n, tx_n in ((rx_v, tx_v), (rx_h, tx_h)):
@@ -283,7 +283,7 @@ def test_lattice_reference_holds_the_table_of_the_all_pairs_route(tx_shape, rx_s
     rx = build_planar_surface(*rx_shape, spacing)
     link = LinkGeometry.from_angles(d0_lambda * WAVELENGTH, theta=theta, phi=phi)
     G = assemble_ocm(tx, rx, link, K0)
-    assert G.lattice == ((rx.n_v, rx.n_h), (tx.n_v, tx.n_h)) and G.mirror == (theta == 0.0)
+    assert G.lattice == Lattice((rx.n_v, tx.n_v), (rx.n_h, tx.n_h), theta == 0.0)
     table, counts = _offset_table(G)
     assert table is G.entries and "matrix" not in vars(G)
     dense = _dyad_dense(*_all_pairs(tx, rx, link), link, K0)
@@ -295,7 +295,7 @@ def test_lattice_reference_holds_the_table_of_the_all_pairs_route(tx_shape, rx_s
         # kernel at the projected distance dvec'kappa
         for code in PSCM_CODES.values():
             S = assemble_pscm(tx, rx, link, K0, code)
-            assert S.lattice == G.lattice and not S.mirror and S.entries.ndim == 4
+            assert S.lattice == G.lattice and S.entries.ndim == 4
             dvec = _all_pairs(tx, rx, link)[0]
             dense = _dyad_dense(dvec, dvec @ link.kappa, link, K0, len(code))
             assert np.array_equal(_offset_table(S)[0], _representative_blocks(dense, S.lattice)[0])
@@ -318,15 +318,24 @@ def test_lattice_reference_holds_the_table_of_the_all_pairs_route(tx_shape, rx_s
 @pytest.mark.parametrize("rx_n", range(1, 8))
 def test_one_offset_map_along_an_axis(rx_n, tx_n):
     # the pair-to-offset index and the representative pairs and counts of
-    # _offsets state one map: each representative pair sits at its own
-    # table index, and each index holds as many pairs as _offsets counts
-    index = _offset_index(rx_n, tx_n)
-    i_r, i_t, counts = _offsets(rx_n, tx_n)
+    # _axis state one map: each representative pair sits at its own table
+    # index, and each index holds as many pairs as the axis counts
+    axis = _axis(rx_n, tx_n)
+    index, i_r, i_t, counts = axis.index, axis.rx_reps, axis.tx_reps, axis.counts
+    np.testing.assert_array_equal(index, np.subtract.outer(np.arange(rx_n), np.arange(tx_n))
+                                  + tx_n - 1)
     np.testing.assert_array_equal(index[i_r, i_t], np.arange(rx_n + tx_n - 1))
     np.testing.assert_array_equal(np.bincount(index.ravel(), minlength=counts.size), counts)
-    a, b = _pair_offsets(((rx_n, tx_n), (tx_n, rx_n)))
-    np.testing.assert_array_equal(a[:, 0, :, 0], index)
-    np.testing.assert_array_equal(b[0, :, 0, :], _offset_index(tx_n, rx_n))
+    assert _axis(rx_n, tx_n) is axis
+    for array in (index, i_r, i_t, counts):
+        assert not array.flags.writeable
+    # a lattice spreads a per-offset array to every pair: RX (v_r, h_r) and
+    # TX (v_t, h_t) read entry (v_r - v_t + tx_n_v - 1, h_r - h_t + tx_n_h - 1)
+    lattice = Lattice((rx_n, tx_n), (tx_n, rx_n), False)
+    per_offset = np.arange((rx_n + tx_n - 1) ** 2).reshape(rx_n + tx_n - 1, -1)
+    spread = lattice.spread(per_offset).reshape(rx_n, tx_n, tx_n, rx_n)
+    v_r, h_r, v_t, h_t = np.indices(spread.shape)
+    np.testing.assert_array_equal(spread, per_offset[v_r - v_t + tx_n - 1, h_r - h_t + rx_n - 1])
 
 
 def _butterfly(n):
@@ -348,24 +357,26 @@ def test_parity_kernels_are_the_butterflies_around_each_offset_matrix(rx_n, tx_n
                      for a in range(1 - tx_n, rx_n)], axis=-1)
     rows = {1: slice(0, even_r), -1: slice(even_r, rx_n)}
     cols = {1: slice(0, even_t), -1: slice(even_t, tx_n)}
-    kernels = _parity_kernels(rx_n, tx_n)
+    kernels = _axis(rx_n, tx_n).kernels
     assert sorted(kernels) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
     for (p_r, p_t), kernel in kernels.items():
         expected = want[rows[p_r], cols[p_t]]
-        assert kernel.shape == expected.shape
+        assert kernel.shape == expected.shape and not kernel.flags.writeable
         np.testing.assert_allclose(kernel, expected, rtol=0, atol=1e-15)
+    with pytest.raises(TypeError):
+        kernels[1, 1] = want
 
 
 def test_a_table_is_held_only_with_its_own_lattice():
     tx, rx = build_planar_surface(3, 2, 0.01), build_planar_surface(2, 3, 0.01)
     G = assemble_ocm(tx, rx, LinkGeometry.from_angles(0.05), K0)
-    assert G.entries.shape == (4, 4, 3, 3) and G.lattice == ((3, 2), (2, 3)) and G.mirror
+    assert G.entries.shape == (4, 4, 3, 3) and G.lattice == Lattice((3, 2), (2, 3), True)
     with pytest.raises(ValueError, match="without its lattice"):
         replace(G)
     with pytest.raises(ValueError, match="without its lattice"):
         BlockChannelMatrix(G.entries, "OCM")
     rebuilt = replace(G, entries=G.matrix)
-    assert rebuilt.lattice is None and not rebuilt.mirror and rebuilt.matrix is G.matrix
+    assert rebuilt.lattice is None and rebuilt.matrix is G.matrix
 
 
 def test_far_point_form_ladder_converges():
@@ -386,3 +397,21 @@ def test_far_point_form_ladder_converges():
                 worst = max(worst, np.linalg.norm(block - far) / np.linalg.norm(far))
         ratios.append(worst)
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+def test_every_variant_carries_the_lattice_of_its_link(theta):
+    # at boresight and on a tilted unrotated link the five variants hold equal
+    # lattices, mirrored or not alike, so nmse reads only their tables
+    spacing = 0.01 * WAVELENGTH
+    tx, rx = build_planar_surface(9, 7, spacing), build_planar_surface(5, 6, spacing)
+    link = LinkGeometry.from_angles(1.5 * WAVELENGTH, theta=theta, phi=0.4)
+    ref = assemble_ocm(tx, rx, link, K0)
+    mats = [assemble_fscm(tx, rx, link, K0)]
+    mats += [assemble_pscm(tx, rx, link, K0, code) for code in PSCM_CODES.values()]
+    assert ref.lattice == Lattice((6, 7), (5, 9), theta == 0.0) and ref.entries.ndim == 4
+    assert [G.lattice for G in mats] == [ref.lattice] * 4
+    assert sum(G.factors is not None for G in mats) == (4 if theta == 0.0 else 1)
+    for G in mats:
+        assert 0.0 < nmse(G, ref) < 1.0
+    assert all("matrix" not in vars(G) for G in (ref, *mats))

@@ -5,13 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from hmimo import (
     LinkGeometry,
+    NumericalError,
     assemble_fscm,
     assemble_ocm,
     assemble_pscm,
     build_planar_surface,
     nmse,
 )
-from hmimo.green import _claimed
+from hmimo.green import Lattice, _claimed
 
 
 def _pair(d0=0.8):
@@ -91,6 +92,26 @@ def test_nmse_rejects_zero_reference():
         nmse(cand, zero)
 
 
+def test_nmse_never_returns_a_value_that_is_not_finite():
+    # a NaN or inf in a candidate table, or in dense entries, made the sums NaN;
+    # entries whose squares overflow made the reference sum inf
+    tx, rx = build_planar_surface(3, 3, 0.05), build_planar_surface(2, 2, 0.05)
+    ref = assemble_ocm(tx, rx, LinkGeometry.from_angles(0.8, theta=0.2), 2 * np.pi)
+    for value in (np.nan, np.inf):
+        table = ref.entries.copy()
+        table[1, 2, 0, 0] = value
+        with pytest.raises(NumericalError, match="not finite"):
+            nmse(_claimed(table, "OCM", ref.lattice), ref)
+        dense = ref.matrix.copy()
+        dense[4, 7] = value
+        with pytest.raises(NumericalError, match="not finite"):
+            nmse(replace(ref, entries=dense), replace(ref, entries=ref.matrix))
+    huge = _claimed(ref.entries * 1e160, "OCM", ref.lattice)
+    with pytest.raises(NumericalError, match="not finite"), np.errstate(over="ignore"):
+        nmse(huge, huge)
+    assert nmse(ref, ref) == 0.0
+
+
 def _rotation(a, b, c):
     ca, sa, cb, sb, cc, sc = np.cos(a), np.sin(a), np.cos(b), np.sin(b), np.cos(c), np.sin(c)
     rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
@@ -147,7 +168,7 @@ def test_lattice_nmse_matches_the_full_sums(tx_shape, rx_shape, tx_spacing, rx_s
         assemble_fscm(tx, rx, link, k0),
     ]
     holds = rotation is None and rx.spacing == tx.spacing
-    lattice = ((rx.n_v, rx.n_h), (tx.n_v, tx.n_h)) if holds else None
+    lattice = Lattice((rx.n_v, tx.n_v), (rx.n_h, tx.n_h), theta == 0.0) if holds else None
     assert [G.lattice for G in mats] == [lattice] * 5
     if not holds:
         return
@@ -169,10 +190,10 @@ def test_lattice_nmse_weights_every_offset_by_its_pair_count():
     tx = build_planar_surface(4, 3, 0.05)
     rx = build_planar_surface(2, 5, 0.05)
     ref = assemble_ocm(tx, rx, LinkGeometry.from_angles(0.8, theta=0.2, phi=1.0), 2 * np.pi)
-    assert ref.lattice == ((5, 2), (3, 4))
+    assert ref.lattice == Lattice((5, 3), (2, 4), False)
     rep_m, rep_n = _representatives(rx, tx)
     blocks = _blocks(ref)
-    (rx_v, rx_h), (tx_v, tx_h) = ref.lattice
+    (rx_v, tx_v), (rx_h, tx_h) = ref.lattice.v, ref.lattice.h
     for m, n in [(0, 0), (9, 0), (0, 11), (4, 6), (7, 3)]:
         same = (rep_m == rep_m[m, n]) & (rep_n == rep_n[m, n])
         want = 0.25 * np.sum(np.abs(blocks[same]) ** 2) / np.sum(np.abs(blocks) ** 2)
@@ -180,7 +201,7 @@ def test_lattice_nmse_weights_every_offset_by_its_pair_count():
         (v_r, h_r), (v_t, h_t) = divmod(m, rx_h), divmod(n, tx_h)
         table = ref.entries.copy()
         table[v_r - v_t + tx_v - 1, h_r - h_t + tx_h - 1] *= 1.5
-        bumped = _claimed(table, "OCM", ref.lattice, False)
+        bumped = _claimed(table, "OCM", ref.lattice)
         assert nmse(bumped, ref) == pytest.approx(want, rel=1e-13)
 
 

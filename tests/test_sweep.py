@@ -349,7 +349,7 @@ def test_nmse_against_a_tilted_lattice_reference_forms_no_dense_reference():
     link = LinkGeometry.from_angles(0.1, theta=0.3, phi=0.7)
     k0 = PhysicalConfig(frequency=2.4e9, a_t=1.0, a_r=1.0).k0
     ref = assemble_ocm(tx, rx, link, k0)
-    assert ref.lattice is not None and not ref.mirror
+    assert ref.lattice is not None and not ref.lattice.mirror
     for code in PSCM_CODES.values():
         assert 0.0 < nmse(assemble_pscm(tx, rx, link, k0, code), ref) < 1.0
     assert "matrix" not in vars(ref)

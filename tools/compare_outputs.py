@@ -31,6 +31,12 @@ the trees, and in each tree requires max |G v - sigma u| / sigma_1 and
 the largest entry of P'P - I over both pattern matrices P to be at most
 ``PATTERNS_BOUND``.
 
+Then, in this tree alone, it holds every spectrum-only route against the
+dense SVD: for each variant of the points of ``DENSE_POINTS`` the gains of
+the spectrum-only decomposition must lie within ``DENSE_BOUND`` sigma_1 of
+the zero-padded ``np.linalg.svd(G.matrix, compute_uv=False)``, with the
+same ``p_used`` at the 120 thresholds.
+
 By default every output, NMSE, ``p_used`` and gain must be bit-equal.
 With ``--tolerance`` the CLI outputs and the library results are compared
 value by value instead, for a change that moves bits on purpose.  Per
@@ -38,7 +44,7 @@ quantity it reports how many values are bit-equal and the largest
 deviation, and it fails only past the bounds of ``TOLERANCE``: x, d0,
 d_R, NMSE and every ``p_used`` bit-equal; capacity and singular-value
 cells within 1e-12 of their magnitude; library gains within 1e-12
-sigma_1.  The patterns check is the same in both modes.
+sigma_1.  The patterns and dense checks are the same in both modes.
 
 Output bytes depend on the BLAS thread count, so both trees run under the
 same environment.  The whole check takes under a minute on two cores.
@@ -113,6 +119,17 @@ PATTERNS_POINTS = (
 # Largest pattern residual |G v - sigma u| / sigma_1 and orthonormality error allowed.
 PATTERNS_BOUND = 1e-13
 
+# (point, OCM only) pairs checked against a dense SVD of G.matrix: the library
+# points off the two sweeps with every variant, and three 33^2/11^2 sweep points
+# with OCM alone (a dense SVD there takes about a second on two cores).
+DENSE_POINTS = (
+    *((point, False) for point in LIBRARY_POINTS[2 * len(_BUILT_IN):]),
+    *((((33, 33), (11, 11), d0, 0.0, 0.0, None), True) for d0 in (0.25, 1.5, 4.25)),
+)
+
+# Largest deviation of a spectrum-only route's gains from the dense SVD, over sigma_1.
+DENSE_BOUND = 1e-12
+
 # Defines cfg and variants(point), the OCM reference and all five variants of a point.
 SETUP_SCRIPT = """
 import hashlib, json, math, sys
@@ -159,6 +176,21 @@ for index, point in enumerate(json.loads(sys.argv[1])):
             digest = hashlib.sha256(eigs.gains.tobytes() + u.tobytes() + v.tobytes())
             print(index, G.variant, policy, eigs.p_used, digest.hexdigest()[:16],
                   repr(residual), repr(ortho))
+"""
+
+
+# Prints one JSON list [variant, deviation over sigma_1, thresholds whose p_used differs]
+# per checked variant of each (point, OCM only) pair in argv[1], in order.
+DENSE_SCRIPT = SETUP_SCRIPT + """
+for point, ocm_only in json.loads(sys.argv[1]):
+    for G in variants(point)[1][: 1 if ocm_only else 5]:
+        fast = eigenchannel_decompose(G, cfg, PPolicy.threshold(1e-6), patterns=False).gains
+        values = np.linalg.svd(G.matrix, compute_uv=False)
+        dense = np.zeros_like(fast)
+        dense[: values.size] = values
+        ladder = [PPolicy.threshold(10 ** (-k / 10)) for k in range(120)]
+        differ = sum(select_p(fast, p) != select_p(dense, p) for p in ladder)
+        print(json.dumps([G.variant, float(np.abs(fast - dense).max() / dense[0]), differ]))
 """
 
 
@@ -344,6 +376,26 @@ def compare_patterns(other: Path) -> int:
     return misses
 
 
+def check_dense() -> int:
+    """Print how many spectrum-only routes of this tree match the dense SVD; return the misses."""
+    code, out, err = run(HERE_TREE, ["-c", DENSE_SCRIPT, json.dumps(DENSE_POINTS)])
+    if code:
+        raise SystemExit(f"dense points failed in {HERE_TREE}:\n{err.decode(errors='replace')}")
+    results = [json.loads(line) for line in out.decode().splitlines()]
+    points = [point for point, ocm_only in DENSE_POINTS for _ in range(1 if ocm_only else 5)]
+    misses = 0
+    for point, (variant, deviation, differ) in zip(points, results, strict=True):
+        if deviation > DENSE_BOUND or differ:
+            misses += 1
+            print(f"dense point {point} {variant}: gains {deviation:.3g} sigma_1 from the dense "
+                  f"SVD, p_used differs at {differ} of 120 thresholds")
+    worst = max(deviation for _, deviation, _ in results)
+    print(f"dense check: {len(results) - misses} of {len(results)} spectrum-only routes within "
+          f"{DENSE_BOUND:g} sigma_1 of the dense SVD with equal p_used at 120 thresholds, "
+          f"largest deviation {worst:.2g}")
+    return misses
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other_tree", type=Path, help="root of the other source checkout")
@@ -357,6 +409,7 @@ def main(argv=None) -> int:
     differ = compare_commands(other, tally)
     differ += compare_library(other, tally)
     differ += compare_patterns(other)
+    differ += check_dense()
     if tally is not None:
         print("tolerance mode, per quantity:")
         differ += tally.report()
