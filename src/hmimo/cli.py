@@ -64,15 +64,15 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--snr-db", type=float, metavar="F", help="transmit SNR in dB")
 
-    sweep_d = sub.add_parser("sweep-distance", help="NMSE/capacity over a d0 grid")
-    add_common(sweep_d)
-    sweep_d.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="concurrent sweep-point workers (default 1)")
-
-    sweep_n = sub.add_parser("sweep-elements", help="NMSE/capacity over TX element counts")
-    add_common(sweep_n)
-    sweep_n.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="concurrent sweep-point workers (default 1)")
+    for name, text in (("sweep-distance", "NMSE/capacity over a d0 grid"),
+                       ("sweep-elements", "NMSE/capacity over TX element counts")):
+        sweep = sub.add_parser(name, help=text)
+        add_common(sweep)
+        sweep.add_argument(
+            "--workers", type=int, default=1, metavar="N",
+            help="accepted for existing command lines (N >= 1, default 1); points run one "
+                 "at a time whatever N is, since each point already keeps every core busy "
+                 "through the BLAS threads")
 
     point = sub.add_parser("point", help="single (geometry, d0) evaluation")
     add_common(point)
@@ -121,9 +121,9 @@ def main(argv=None) -> int:
         if spec.output_path and os.path.isdir(spec.output_path):
             raise IsADirectoryError(f"output path {spec.output_path!r} is a directory")
         if args.command == "sweep-distance":
-            rows = run_distance_sweep(spec, workers=args.workers)
+            rows = run_distance_sweep(spec)
         elif args.command == "sweep-elements":
-            rows = run_element_sweep(spec, workers=args.workers)
+            rows = run_element_sweep(spec)
         else:
             rows = [run_single_point(spec, dump_singular_values=args.dump_singular_values)]
         write_rows(rows, spec)

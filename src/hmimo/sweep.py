@@ -7,9 +7,9 @@ sweep every (N x N TX grid, d0) pair, a single point its one distance.
 Each point assembles the requested model variants at the point's
 geometry, scores every non-OCM variant against the OCM reference by
 NMSE, and computes the uniform-power eigenchannel capacity of every
-variant.  Rows come back in deterministic x-order regardless of the
-worker count, and the CSV/JSON writers format values reproducibly so
-identical specs yield byte-identical files.
+variant.  Points run one at a time in x-order, and the CSV/JSON
+writers format values reproducibly so identical specs yield
+byte-identical files.
 
 CSV column order: ``x_value, d_R_lambda, d0_lambda``, then one block per
 variant in alphabetical order (``capacity_<variant>`` and, for non-OCM
@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -207,15 +206,15 @@ def load_spec(path: str, experiment: str | None = None) -> SweepSpec:
             raise ConfigError([f"config file is not UTF-8 text: {exc}"]) from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of more digits than int() reads
         raise ConfigError([f"config file is not valid JSON: {exc}"]) from exc
     return spec_from_json_dict(data, experiment=experiment)
 
 
 def _counts(value) -> bool:
-    """Whether a config value is a tuple of integers >= 1; bools do not count."""
+    """Whether a config value is a tuple of integers >= 1 that fit a float; bools do not count."""
     return isinstance(value, tuple) and all(
-        isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in value)
+        isinstance(n, int) and _is_real(n) and n >= 1 for n in value)
 
 
 def validate_spec(spec: SweepSpec) -> list[str]:
@@ -226,7 +225,7 @@ def validate_spec(spec: SweepSpec) -> list[str]:
     for name in ("tx_grid", "rx_grid"):
         grid = getattr(spec, name)
         if not (_counts(grid) and len(grid) == 2):
-            v.append(f"{name} must be a pair of integers >= 1, got {grid!r}")
+            v.append(f"{name} must be a pair of integers >= 1 that fit a float, got {grid!r}")
     scale_ok = True
     for name in ("spacing_lambda", "frequency"):
         value = getattr(spec, name)
@@ -287,7 +286,8 @@ def validate_spec(spec: SweepSpec) -> list[str]:
 
     if spec.experiment == "tx-elements":
         if not (_counts(spec.n_list) and spec.n_list):
-            v.append(f"n_list must be a non-empty list of integers >= 1, got {spec.n_list!r}")
+            v.append("n_list must be a non-empty list of integers >= 1 that fit a float, "
+                     f"got {spec.n_list!r}")
         elif len(set(spec.n_list)) != len(spec.n_list):
             v.append("n_list must not repeat")
 
@@ -411,13 +411,14 @@ def _evaluate_point(spec: SweepSpec, tx_grid, d0_lambda: float, x_value, dump_k:
     )
 
 
-def _run(spec: SweepSpec, experiment: str, workers: int = 1, dump_k: int = 0):
-    """Validate the spec, then evaluate its points in ascending order.
+def _run(spec: SweepSpec, experiment: str, dump_k: int = 0):
+    """Validate the spec, then evaluate its points one at a time in ascending order.
 
     Element sweeps visit ((n, n), d0) for every n and d0 with x value n^2;
-    the other experiments visit (tx_grid, d0) with x value d0.  With
-    ``workers`` above 1 the points run on a thread pool; rows keep the
-    point order either way.
+    the other experiments visit (tx_grid, d0) with x value d0.  A point
+    already keeps every core busy through the BLAS threads, so points do
+    not run concurrently; the first failing point ends the run, and no
+    later point is evaluated.
     """
     if spec.experiment != experiment:
         raise ConfigError([f"spec experiment {spec.experiment!r} does not match {experiment!r}"])
@@ -429,20 +430,17 @@ def _run(spec: SweepSpec, experiment: str, workers: int = 1, dump_k: int = 0):
         points = [((n, n), d0, n * n) for n in sorted(spec.n_list) for d0 in d0s]
     else:
         points = [(spec.tx_grid, d0, d0) for d0 in d0s]
-    if workers <= 1:
-        return [_evaluate_point(spec, *point, dump_k) for point in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda point: _evaluate_point(spec, *point, dump_k), points))
+    return [_evaluate_point(spec, *point, dump_k) for point in points]
 
 
-def run_distance_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepResultRow]:
-    """One row per distance, ascending in d0."""
-    return _run(spec, "distance", workers)
+def run_distance_sweep(spec: SweepSpec) -> list[SweepResultRow]:
+    """One row per distance, ascending in d0, evaluated one point at a time."""
+    return _run(spec, "distance")
 
 
-def run_element_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepResultRow]:
-    """One row per (N, d0) pair, ordered by N then d0."""
-    return _run(spec, "tx-elements", workers)
+def run_element_sweep(spec: SweepSpec) -> list[SweepResultRow]:
+    """One row per (N, d0) pair, ordered by N then d0, evaluated one point at a time."""
+    return _run(spec, "tx-elements")
 
 
 def run_single_point(spec: SweepSpec, dump_singular_values: int = 0) -> SweepResultRow:

@@ -138,7 +138,7 @@ def test_element_sweep_subcommand(tmp_path):
                                             ("sweep-elements", "run_element_sweep")])
 @pytest.mark.parametrize("workers", ["0", "-4"])
 def test_workers_below_one_fail_validation(monkeypatch, capsys, command, runner, workers):
-    def must_not_run(spec, workers=1):
+    def must_not_run(spec):
         raise AssertionError("the sweep ran despite an invalid worker count")
 
     monkeypatch.setattr(f"hmimo.cli.{runner}", must_not_run)
@@ -250,6 +250,14 @@ _AREA_POINT = dict(_TINY_POINT, tx_grid=[2, 2], rx_grid=[2, 2], d0_range_lambda=
     pytest.param("point", dict(_TINY_POINT, spacing_lambda=1e76, frequency=3e8,
                                d0_range_lambda=[0.1]), [], id="separable-entry-square-overflow"),
     pytest.param("point", [_TINY_POINT], [], id="root-list"),
+    # counts beyond the float range, which the aperture extent would take as floats
+    pytest.param("point", dict(_TINY_POINT, tx_grid=[10**400, 1]), [], id="tx-grid-huge"),
+    pytest.param("point", dict(_TINY_POINT, rx_grid=[1, 10**400]), [], id="rx-grid-huge"),
+    pytest.param("sweep-elements", dict(_TINY_ELEMENTS, n_list=[2, 10**400]), [],
+                 id="n-list-huge"),
+    # an integer of more digits than int() reads
+    pytest.param("point", b'{"experiment": "single-point", "tx_grid": [1%s, 1]}' % (b"0" * 5000),
+                 [], id="tx-grid-too-long"),
 ])
 def test_bad_config_values_fail_before_any_work(monkeypatch, tmp_path, capsys, command, config,
                                                 flags):
@@ -366,7 +374,7 @@ def test_unwritable_output_is_an_io_error(point_config):
 def test_degenerate_geometry_exit_code(monkeypatch, tmp_path):
     config = _distance_config(tmp_path)
 
-    def explode(spec, workers=1):
+    def explode(spec):
         raise DegenerateGeometryError("projection factor is not positive")
 
     monkeypatch.setattr("hmimo.cli.run_distance_sweep", explode)

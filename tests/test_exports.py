@@ -2,6 +2,10 @@
 
 import dataclasses
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import hmimo
 
@@ -35,3 +39,12 @@ def test_array_holding_dataclasses_compare_by_identity():
             # annotations are strings under `from __future__ import annotations`
             if any("ndarray" in str(f.type) for f in dataclasses.fields(obj)):
                 assert not obj.__dataclass_params__.eq, f"{name} needs eq=False"
+
+
+def test_importing_the_package_and_the_cli_loads_no_thread_pool():
+    # a fresh process's import time is part of every run's setup cost
+    src = str(Path(hmimo.__file__).resolve().parent.parent)
+    code = "import sys, hmimo, hmimo.cli; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"

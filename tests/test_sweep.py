@@ -191,13 +191,7 @@ def test_separable_models_close_ranks_with_distance(desk_distance_rows):
     assert last < first
 
 
-def test_workers_do_not_change_the_rows(desk_distance_rows):
-    spec, rows = desk_distance_rows
-    threaded = run_distance_sweep(spec, workers=4)
-    assert rows_to_csv(threaded, spec.variants) == rows_to_csv(rows, spec.variants)
-
-
-def test_a_failed_point_cancels_the_points_not_yet_started(monkeypatch):
+def test_a_failed_point_stops_the_sweep(monkeypatch):
     spec = spec_from_json_dict({"experiment": "distance", "tx_grid": [3, 3], "rx_grid": [2, 2],
                                 "spacing_lambda": 0.05,
                                 "d0_range_lambda": {"start": 0.5, "stop": 100.0, "step": 0.5}})
@@ -212,9 +206,9 @@ def test_a_failed_point_cancels_the_points_not_yet_started(monkeypatch):
 
     monkeypatch.setattr(sweep_module, "_evaluate_point", failing_first)
     with pytest.raises(NumericalError):
-        run_distance_sweep(spec, workers=2)
-    # of the 200 points, only those already running when the failure is seen may finish
-    assert len(calls) < 100
+        run_distance_sweep(spec)
+    # points run in order, so none of the 199 after the failed one is evaluated
+    assert calls == [0.5]
 
 
 def test_element_sweep_ordering_and_trends():
