@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from numpy.linalg import LinAlgError
 
@@ -21,12 +20,11 @@ from .errors import ConfigError, DegenerateGeometryError, NumericalError
 from .green import MODEL_VARIANTS
 from .sweep import (
     SweepSpec,
-    default_spec,
-    load_spec,
+    _read_config,
     run_distance_sweep,
     run_element_sweep,
     run_single_point,
-    validate_spec,
+    spec_from_json_dict,
     write_rows,
 )
 
@@ -53,16 +51,17 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", metavar="PATH", help="JSON sweep config file")
         p.add_argument("--output", dest="output_path", metavar="PATH",
-                       help="output file (default: stdout)")
+                       help="output file, overrides output_path (default: stdout)")
         p.add_argument("--format", dest="output_format", choices=("csv", "json"),
-                       help="output format")
+                       help="output format, overrides output_format")
         p.add_argument(
             "--variants",
             type=lambda text: tuple(v.strip() for v in text.split(",") if v.strip()),
             metavar="LIST",
-            help=f"comma-separated subset of {','.join(MODEL_VARIANTS)}",
+            help=f"comma-separated subset of {','.join(MODEL_VARIANTS)}, overrides variants",
         )
-        p.add_argument("--snr-db", type=float, metavar="F", help="transmit SNR in dB")
+        p.add_argument("--snr-db", type=float, metavar="F",
+                       help="transmit SNR in dB, overrides snr_db")
 
     for name, text in (("sweep-distance", "NMSE/capacity over a d0 grid"),
                        ("sweep-elements", "NMSE/capacity over TX element counts")):
@@ -92,21 +91,16 @@ def _spec_from_args(args) -> SweepSpec:
     if flag_violations:
         raise ConfigError(flag_violations)
     experiment = _EXPERIMENT_OF[args.command]
-    if args.config:
-        spec = load_spec(args.config, experiment=experiment)
-        if spec.experiment != experiment:
-            raise ConfigError(
-                [f"config experiment {spec.experiment!r} does not match subcommand "
-                 f"{args.command!r}"]
-            )
-    else:
-        spec = default_spec(experiment)
-    # each override flag's dest is the SweepSpec field it sets
-    fields = ("output_path", "output_format", "snr_db", "variants")
-    spec = replace(spec, **{f: getattr(args, f) for f in fields if getattr(args, f) is not None})
-    violations = validate_spec(spec)
-    if violations:
-        raise ConfigError(violations)
+    data = _read_config(args.config) if args.config else {}
+    if isinstance(data, dict):  # spec_from_json_dict reports any other root
+        # each override flag's dest is the SweepSpec key it sets
+        fields = ("output_path", "output_format", "snr_db", "variants")
+        data.update((f, getattr(args, f)) for f in fields if getattr(args, f) is not None)
+    spec = spec_from_json_dict(data, experiment)
+    if spec.experiment != experiment:
+        raise ConfigError(
+            [f"config experiment {spec.experiment!r} does not match subcommand {args.command!r}"]
+        )
     return spec
 
 

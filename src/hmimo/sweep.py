@@ -197,18 +197,22 @@ def spec_to_json_dict(spec: SweepSpec) -> dict:
     return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
 
 
-def load_spec(path: str, experiment: str | None = None) -> SweepSpec:
-    """Read and validate a JSON config file."""
+def _read_config(path: str):
+    """The JSON value a config file holds, not yet checked against the schema."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ConfigError([f"config file is not UTF-8 text: {exc}"]) from exc
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer of more digits than int() reads
         raise ConfigError([f"config file is not valid JSON: {exc}"]) from exc
-    return spec_from_json_dict(data, experiment=experiment)
+
+
+def load_spec(path: str, experiment: str | None = None) -> SweepSpec:
+    """Read and validate a JSON config file."""
+    return spec_from_json_dict(_read_config(path), experiment=experiment)
 
 
 def _counts(value) -> bool:
@@ -222,10 +226,22 @@ def validate_spec(spec: SweepSpec) -> list[str]:
     v: list[str] = []
     if spec.experiment not in EXPERIMENTS:
         v.append(f"experiment must be one of {EXPERIMENTS}, got {spec.experiment!r}")
+    grid_ok = {}
     for name in ("tx_grid", "rx_grid"):
         grid = getattr(spec, name)
-        if not (_counts(grid) and len(grid) == 2):
+        grid_ok[name] = _counts(grid) and len(grid) == 2
+        if not grid_ok[name]:
             v.append(f"{name} must be a pair of integers >= 1 that fit a float, got {grid!r}")
+    # the largest TX grid a point builds, None when it is not valid
+    tx_max = spec.tx_grid if grid_ok["tx_grid"] else None
+    if spec.experiment == "tx-elements":
+        n_ok = _counts(spec.n_list) and spec.n_list
+        if not n_ok:
+            v.append("n_list must be a non-empty list of integers >= 1 that fit a float, "
+                     f"got {spec.n_list!r}")
+        elif len(set(spec.n_list)) != len(spec.n_list):
+            v.append("n_list must not repeat")
+        tx_max = (max(spec.n_list),) * 2 if n_ok else None
     scale_ok = True
     for name in ("spacing_lambda", "frequency"):
         value = getattr(spec, name)
@@ -238,7 +254,7 @@ def validate_spec(spec: SweepSpec) -> list[str]:
         except ValueError as exc:
             v.append(str(exc))
             scale_ok = False
-    area = _point_scale(spec)[2] if scale_ok else None
+    lam, _, area = _point_scale(spec) if scale_ok else (None, None, None)
     # a_r * a_t = area^2 scales every gain, so it must not underflow or overflow either
     if scale_ok and not 0.0 < area * area < math.inf:
         v.append(f"spacing_lambda {spec.spacing_lambda!r} at frequency {spec.frequency!r} "
@@ -266,8 +282,8 @@ def validate_spec(spec: SweepSpec) -> list[str]:
         if scale_ok and not bad:
             # the kernels square the distance d0 lambda and k0 d = 2 pi d0, and invert both;
             # the separable factors hold (q / d0)^2 as well
-            lam = _point_scale(spec)[0]
-            extent = _aperture_extent(spec, lam)
+            extent = (_aperture_extent(spec, lam, tx_max)
+                      if tx_max is not None and grid_ok["rx_grid"] else None)
             off = []
             for x in d0:
                 d, kd = x * lam, 2.0 * math.pi * x
@@ -283,13 +299,6 @@ def validate_spec(spec: SweepSpec) -> list[str]:
                          "and positive, or channel entries of about (1 / d0) max(1, (k0 d0)^-2) "
                          "max(1, (r_max / d0)^2) whose squares summed over every entry are not "
                          "finite")
-
-    if spec.experiment == "tx-elements":
-        if not (_counts(spec.n_list) and spec.n_list):
-            v.append("n_list must be a non-empty list of integers >= 1 that fit a float, "
-                     f"got {spec.n_list!r}")
-        elif len(set(spec.n_list)) != len(spec.n_list):
-            v.append("n_list must not repeat")
 
     if not (isinstance(spec.variants, (list, tuple)) and spec.variants
             and all(isinstance(x, str) for x in spec.variants)):
@@ -317,21 +326,13 @@ def validate_spec(spec: SweepSpec) -> list[str]:
     return v
 
 
-def _aperture_extent(spec: SweepSpec, lam: float) -> tuple[float, float] | None:
-    """The sum of the largest TX and the RX aperture half-diagonals, in meters, and the most pairs.
+def _aperture_extent(spec: SweepSpec, lam: float, tx_grid) -> tuple[float, float]:
+    """The sum of the TX and the RX aperture half-diagonals, in meters, and the element pairs.
 
-    None when a grid or ``n_list`` is not valid; those faults are reported apart.
+    ``tx_grid`` is the largest TX grid a point of the spec builds, so both bound every point.
     """
-    if spec.experiment == "tx-elements":
-        if not (_counts(spec.n_list) and spec.n_list):
-            return None
-        tx_grids = [(n, n) for n in spec.n_list]
-    else:
-        tx_grids = [spec.tx_grid]
-    if not all(_counts(grid) and len(grid) == 2 for grid in (*tx_grids, spec.rx_grid)):
-        return None
-    diagonals = max(math.hypot(*grid) for grid in tx_grids) + math.hypot(*spec.rx_grid)
-    pairs = max(float(n_h) * n_v for n_h, n_v in tx_grids) * spec.rx_grid[0] * spec.rx_grid[1]
+    diagonals = math.hypot(*tx_grid) + math.hypot(*spec.rx_grid)
+    pairs = float(tx_grid[0]) * tx_grid[1] * spec.rx_grid[0] * spec.rx_grid[1]
     return 0.5 * spec.spacing_lambda * lam * diagonals, pairs
 
 
@@ -462,7 +463,7 @@ def _columns(rows, variants):
         k = max(sv_counts)
         for name in order:
             cols.extend(f"sv{j}_{name}" for j in range(1, k + 1))
-    return cols, order
+    return cols
 
 
 def _row_cells(row: SweepResultRow, cols):
@@ -483,7 +484,7 @@ def _row_cells(row: SweepResultRow, cols):
 
 def rows_to_csv(rows: list[SweepResultRow], variants) -> str:
     """Deterministic CSV text for a list of result rows (header mandatory)."""
-    cols, _ = _columns(rows, variants)
+    cols = _columns(rows, variants)
     lines = [",".join(cols)]
     lines.extend(",".join(_row_cells(row, cols)) for row in rows)
     return "\n".join(lines) + "\n"

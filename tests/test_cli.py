@@ -249,6 +249,10 @@ _AREA_POINT = dict(_TINY_POINT, tx_grid=[2, 2], rx_grid=[2, 2], d0_range_lambda=
     # about (r_max / d0)^2 ~ 1e155, whose squares nmse sums (it wrote inf before)
     pytest.param("point", dict(_TINY_POINT, spacing_lambda=1e76, frequency=3e8,
                                d0_range_lambda=[0.1]), [], id="separable-entry-square-overflow"),
+    # n = 2 alone validates; the range rule must bound the largest TX grid, 1000 x 1000
+    pytest.param("sweep-elements", dict(_TINY_ELEMENTS, rx_grid=[2, 2], n_list=[2, 1000],
+                                        spacing_lambda=1e71, frequency=3e8,
+                                        d0_range_lambda=[0.1]), [], id="largest-n-entry-overflow"),
     pytest.param("point", [_TINY_POINT], [], id="root-list"),
     # counts beyond the float range, which the aperture extent would take as floats
     pytest.param("point", dict(_TINY_POINT, tx_grid=[10**400, 1]), [], id="tx-grid-huge"),
@@ -291,6 +295,34 @@ def test_a_run_without_config_takes_the_default_spec_and_the_flags(monkeypatch, 
     want = replace(default_spec(experiment), variants=("OCM", "FSCM"), snr_db=3.0,
                    output_format="json")
     assert seen == [want]
+
+
+_GRIDS_POINT = {"experiment": "single-point", "tx_grid": [3, 3], "rx_grid": [2, 2]}
+
+
+def test_faults_in_the_file_and_the_flags_come_back_together(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr("hmimo.cli.run_single_point", _must_not_run)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(_GRIDS_POINT, spacing_lambda=-1.0)), encoding="utf-8")
+    flags = ["--snr-db", "nan", "--variants", "PSCM"]
+    assert main(["point", "--config", str(path), *flags]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "spacing_lambda" in err and "snr_db" in err and "OCM must be included" in err
+    # the flag range checks still run first and alone
+    assert main(["point", "--config", str(path), *flags, "--dump-singular-values", "-1"]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--dump-singular-values" in err and "spacing_lambda" not in err
+
+
+def test_a_flag_replaces_the_file_value_before_the_check(monkeypatch, tmp_path):
+    seen = []
+    monkeypatch.setattr("hmimo.cli.run_single_point", lambda spec, **kwargs: seen.append(spec))
+    monkeypatch.setattr("hmimo.cli.write_rows", lambda rows, spec: None)
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(dict(_GRIDS_POINT, snr_db="x")), encoding="utf-8")
+    assert main(["point", "--config", str(path), "--snr-db", "3", "--variants", "OCM"]) == EXIT_OK
+    assert [(spec.snr_db, spec.variants) for spec in seen] == [(3.0, ("OCM",))]
 
 
 def test_huge_distance_count_fails_before_the_grid_is_built(monkeypatch, tmp_path, capsys):
