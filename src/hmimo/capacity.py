@@ -9,8 +9,10 @@ in the capacity expression, so the SVD always runs on the raw matrix.
 from __future__ import annotations
 
 import math
+import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Integral, Real
 
 import numpy as np
@@ -176,8 +178,9 @@ def select_p(singular_values: np.ndarray, policy: PPolicy) -> int:
 # is reduced to its QR triangle before the SVD.  Measured on the built-in
 # mirror sectors (OpenBLAS, 2 cores), values only: 1.5x faster at 176 x 341,
 # 2.5-4x at 176 x 1281 and 21 x 1281, but 1.1x slower at 176 x 225 and
-# 176 x 133; random 169 x 253 blocks gain 1.2x.  With vectors, on the
-# 243 x 867 tilted-link matrices: about 50 ms against 95 ms.
+# 176 x 133; random 169 x 253 blocks gain 1.2x.  With vectors the rule
+# serves factor cores and the dense blocks the sketch refuses, such as the
+# 243 x 867 tilted-link OCM: about 45-55 ms there against 95 ms without it.
 _QR_FIRST_RATIO = 1.5
 
 
@@ -221,6 +224,57 @@ def _block_svd(block, vectors: bool):
     return (q, *np.linalg.svd(r), None)
 
 
+# Columns of the sketch, and its residual level tau (relative to sigma_1).  On
+# the 243 x 867 tilted-link matrices (17^2/9^2 with a rotated RX; OpenBLAS,
+# 2 cores) the separable variants have rank 9-27 at 1e-15 sigma_1, and
+# k = 32 leaves a residual of 1e-15 to 4e-15 sigma_1 in 8-12 ms, against
+# 35-55 ms for _block_svd(., True); OCM there (rank 42-80) is refused
+# before B is formed.  k does not grow: at k = 64 the sketch of an OCM
+# matrix costs as much as its dense route.
+_SKETCH_COLUMNS = 32
+_SKETCH_TAU = 1e-14
+
+
+@lru_cache(maxsize=8)
+def _test_matrix(n: int, k: int) -> np.ndarray:
+    """A read-only n x k standard Gaussian matrix, the same in every process."""
+    gauss = random.Random(0).gauss
+    omega = np.fromiter((gauss(0.0, 1.0) for _ in range(n * k)), float, n * k)
+    omega = omega.reshape(n, k)
+    omega.setflags(write=False)
+    return omega
+
+
+def _sketch_svd(block: np.ndarray, level: float):
+    """Certified SVD of a low-rank dense block, or None when it is refused.
+
+    A randomized range finder (Halko, Martinsson & Tropp, SIAM Rev. 53,
+    2011, arXiv:0909.4061): Y = block Omega with the fixed k-column
+    Gaussian Omega of :func:`_test_matrix`, Q R = Y, B = Q' block =
+    u diag(s) vh.  It returns ``(Q, u, s, vh, None)``, as
+    :func:`_block_svd` does, only if the explicit residual
+    ||block - Q B||_F is at most ``level * s[0]``: then every singular
+    value of the block past the k found is at most that, and so is the
+    error of each one found (HMT section 4.3).  |R_kk| / |R_11| estimates
+    the residual of the first k - 1 columns over ||block||_F >= sigma_1;
+    above ``level`` the rank is k or more, and the block is refused before
+    B is formed.
+    """
+    k = _SKETCH_COLUMNS
+    if k >= min(block.shape):
+        return None
+    q, r = np.linalg.qr(block @ _test_matrix(block.shape[1], k))
+    if abs(r[-1, -1]) > level * abs(r[0, 0]):
+        return None
+    b = q.conj().T @ block
+    u, s, vh = np.linalg.svd(b, full_matrices=False)
+    residual = q @ b
+    residual -= block
+    if np.linalg.norm(residual) > level * s[0]:
+        return None
+    return q, u, s, vh, None
+
+
 def eigenchannel_decompose(
     green: BlockChannelMatrix,
     cfg: PhysicalConfig,
@@ -245,8 +299,14 @@ def eigenchannel_decompose(
             spectrum-only routes never form ``matrix``.  Without patterns
             the blocks' singular values are sorted once; with them only
             the ``p_used`` kept singular vectors are lifted by the QR
-            bases.  A policy that keeps more channels than the factors'
-            r falls back to the dense matrix.  The spectrum is padded
+            bases.  With patterns a held dense array first tries the
+            certified sketch of :func:`_sketch_svd`, at the level tau =
+            1e-14, lowered to eps - 1e-12 for ``threshold(eps)`` when
+            that is smaller; its values past the k it finds are zeros in
+            ``gains``, each at most tau sigma_1 from the true value, and a
+            refused sketch falls back to :func:`_block_svd`.  A policy
+            that keeps more channels than the factors' r or the sketch's
+            k falls back to the dense matrix.  The spectrum is padded
             with zeros to min(3M, 3N).
 
     Returns:
@@ -269,15 +329,24 @@ def eigenchannel_decompose(
     else:
         blocks = [(green.factors or green.matrix, 1)]
     if patterns:
-        left, u, values, vh, right = _block_svd(blocks[0][0], True)
+        sketch = None
+        if green.factors is None and green._table is None:
+            cut = policy.value - _TIE if policy.kind == "threshold" else _SKETCH_TAU
+            sketch = _sketch_svd(green.entries, min(_SKETCH_TAU, cut))
+        left, u, values, vh, right = sketch or _block_svd(blocks[0][0], True)
     else:
         values = np.concatenate([np.tile(_block_svd(b, False), copies) for b, copies in blocks])
     s = np.zeros(3 * min(green.m_count, green.n_count))
     s[: values.size] = np.sort(values)[::-1]
     p_used = select_p(s, policy)
     if patterns and p_used > values.size:
-        # the factors' bases end after r vectors: decompose the entries instead
-        return eigenchannel_decompose(replace(green, entries=green.matrix), cfg, policy)
+        # the bases of the factors or of a sketch end too soon: decompose the
+        # dense entries, which a product of finite factors may overflow
+        if not np.isfinite(green.matrix).all():
+            raise NumericalError("channel matrix holds NaN or inf entries")
+        left, u, values, vh, right = _block_svd(green.matrix, True)
+        s[:] = np.sort(values)[::-1]
+        p_used = select_p(s, policy)
     gains = np.sqrt(cfg.a_r * cfg.a_t) * s
     gains.setflags(write=False)
     tx_patterns = rx_patterns = None

@@ -31,7 +31,7 @@ from hmimo import (
     pairwise_offsets,
     select_p,
 )
-from hmimo.capacity import _QR_FIRST_RATIO
+from hmimo.capacity import _QR_FIRST_RATIO, _SKETCH_COLUMNS
 from hmimo.green import Lattice, _claimed, _dyad_dense, _lattice_sectors
 
 
@@ -664,6 +664,74 @@ def test_qr_first_rule_holds_in_both_orientations(monkeypatch, tx_shape, rx_shap
     right = np.sqrt(cfg.a_t) * full.tx_patterns
     recon = (left * full.gains / np.sqrt(cfg.a_r * cfg.a_t)) @ right.conj().T
     assert np.linalg.norm(recon - G.matrix) <= 1e-12 * np.linalg.norm(G.matrix)
+
+
+def _tilted_link_matrix(variant, d0_lambda):
+    """A variant on the seed-0 tilted-link geometry: 17 x 17 TX, 9 x 9 RX turned about x."""
+    cfg = _cfg()
+    spacing = 0.01 * cfg.wavelength
+    tx = build_planar_surface(17, 17, spacing)
+    rx = build_planar_surface(9, 9, spacing)
+    link = LinkGeometry.from_angles(d0_lambda * cfg.wavelength, 0.3188843703050096,
+                                    4.7623679680665845,
+                                    rx_rotation=_rotation(0.0, 0.0, 0.284114316166169))
+    if variant == "OCM":
+        return assemble_ocm(tx, rx, link, cfg.k0)
+    return assemble_pscm(tx, rx, link, cfg.k0, PSCM_CODES[variant])
+
+
+@pytest.mark.parametrize("variant,d0_lambda,policy,dense_svds", [
+    # OCM's rank passes k: refused on |R_kk| before B is formed
+    pytest.param("OCM", 0.25, PPolicy.threshold(1e-6), 1, id="ocm-rank-past-k"),
+    pytest.param("PSCM", 0.75, PPolicy.threshold(1e-6), 0, id="pscm-certified"),
+    # certified, but the policy keeps more than k channels
+    pytest.param("PSCM12", 2.0, PPolicy.fixed(_SKETCH_COLUMNS + 8), 1, id="fixed-past-k"),
+    # a cut of 1e-12 sigma_1 stays above tau, which certifies the sketch
+    pytest.param("PSCM12", 2.0, PPolicy.threshold(2e-12), 0, id="cut-above-tau"),
+    # a cut of 1e-15 sigma_1 is below tau and below the residual, about 1.4e-15
+    pytest.param("PSCM12", 2.0, PPolicy.threshold(1.001e-12), 1, id="cut-below-tau"),
+])
+def test_sketch_route_matches_the_dense_svd(monkeypatch, variant, d0_lambda, policy, dense_svds):
+    capacity_module = importlib.import_module("hmimo.capacity")
+    cfg = _cfg()
+    G = _tilted_link_matrix(variant, d0_lambda)
+    assert G.factors is None and G.lattice is None and G.matrix.shape == (243, 867)
+    seen, block_svd = [], capacity_module._block_svd
+
+    def spy(block, vectors):
+        seen.append(block)
+        return block_svd(block, vectors)
+
+    monkeypatch.setattr(capacity_module, "_block_svd", spy)
+    eigs = eigenchannel_decompose(G, cfg, policy)
+    monkeypatch.undo()
+    assert len(seen) == dense_svds and all(block is G.matrix for block in seen)
+    dense = np.sqrt(cfg.a_r * cfg.a_t) * np.linalg.svd(G.matrix, compute_uv=False)
+    p_used = select_p(dense, policy)
+    assert eigs.p_used == p_used
+    assert np.max(np.abs(eigs.gains - dense)) <= 1e-12 * dense[0]
+    left = np.sqrt(cfg.a_r) * eigs.rx_patterns
+    right = np.sqrt(cfg.a_t) * eigs.tx_patterns
+    for basis in (left, right):
+        assert basis.shape[1] == p_used
+        assert np.max(np.abs(basis.conj().T @ basis - np.eye(p_used))) <= 1e-12
+    sigma = eigs.gains[:p_used] / np.sqrt(cfg.a_r * cfg.a_t)
+    assert np.max(np.abs(G.matrix @ right - left * sigma)) <= 1e-12 * sigma[0]
+
+
+def test_sketch_route_repeats_bit_for_bit():
+    # the test matrix is drawn again after the cache is cleared
+    capacity_module = importlib.import_module("hmimo.capacity")
+    cfg = _cfg()
+    G = _tilted_link_matrix("PSCM123", 3.0)
+    first = eigenchannel_decompose(G, cfg)
+    capacity_module._test_matrix.cache_clear()
+    second = eigenchannel_decompose(G, cfg)
+    assert first.p_used == second.p_used
+    for name in ("gains", "tx_patterns", "rx_patterns"):
+        np.testing.assert_array_equal(getattr(first, name), getattr(second, name))
+    # values past the k the sketch finds are reported as zeros
+    assert not first.gains[_SKETCH_COLUMNS:].any()
 
 
 def test_matrices_compare_by_identity_and_hash():

@@ -315,6 +315,15 @@ def test_faults_in_the_file_and_the_flags_come_back_together(monkeypatch, tmp_pa
     assert "--dump-singular-values" in err and "spacing_lambda" not in err
 
 
+def test_an_experiment_mismatch_comes_back_with_the_other_faults(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr("hmimo.cli.run_distance_sweep", _must_not_run)
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(_GRIDS_POINT), encoding="utf-8")
+    assert main(["sweep-distance", "--config", str(path), "--snr-db", "nan"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'single-point' does not match subcommand 'sweep-distance'" in err and "snr_db" in err
+
+
 def test_a_flag_replaces_the_file_value_before_the_check(monkeypatch, tmp_path):
     seen = []
     monkeypatch.setattr("hmimo.cli.run_single_point", lambda spec, **kwargs: seen.append(spec))

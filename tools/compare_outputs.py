@@ -24,7 +24,8 @@ that decomposition's full ``gains``, and its ``p_used`` at the 120
 thresholds 10^(-k/10), k = 0..119.
 
 Last it decomposes every variant of the points of ``PATTERNS_POINTS``
-with patterns, under ``threshold(1e-6)`` and ``fixed(5)``, in one fresh
+with patterns, under ``threshold(1e-6)``, ``fixed(5)`` and ``fixed(40)``
+(more channels than the sketch of a dense matrix finds), in one fresh
 process per tree: the seeded tilted links of the ``tilted-link``
 benchmark workload, a boresight lattice link and a tilted lattice link.
 It compares ``p_used`` and a digest of the gains and of both pattern
@@ -175,7 +176,7 @@ for point in json.loads(sys.argv[1]):
 PATTERNS_SCRIPT = SETUP_SCRIPT + """
 for index, point in enumerate(json.loads(sys.argv[1])):
     for G in variants(point)[1]:
-        for policy in ("threshold(1e-6)", "fixed(5)"):
+        for policy in ("threshold(1e-6)", "fixed(5)", "fixed(40)"):
             eigs = eigenchannel_decompose(G, cfg, PPolicy.parse(policy))
             u, v, s = eigs.rx_patterns, eigs.tx_patterns, eigs.gains[: eigs.p_used]
             residual = float(np.abs(G.matrix @ v - u * s).max() / eigs.gains[0])
