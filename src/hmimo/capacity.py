@@ -178,9 +178,9 @@ def select_p(singular_values: np.ndarray, policy: PPolicy) -> int:
 # is reduced to its QR triangle before the SVD.  Measured on the built-in
 # mirror sectors (OpenBLAS, 2 cores), values only: 1.5x faster at 176 x 341,
 # 2.5-4x at 176 x 1281 and 21 x 1281, but 1.1x slower at 176 x 225 and
-# 176 x 133; random 169 x 253 blocks gain 1.2x.  With vectors the rule
-# serves factor cores and the dense blocks the sketch refuses, such as the
-# 243 x 867 tilted-link OCM: about 45-55 ms there against 95 ms without it.
+# 176 x 133; random 169 x 253 blocks gain 1.2x.  With vectors it serves the
+# factor cores, the sketch's wide B (32 x 867 on the tilted link: 3 ms saved)
+# and the 243 x 867 tilted-link OCM the sketch refuses (45-55 ms against 95).
 _QR_FIRST_RATIO = 1.5
 
 
@@ -227,10 +227,10 @@ def _block_svd(block, vectors: bool):
 # Columns of the sketch, and its residual level tau (relative to sigma_1).  On
 # the 243 x 867 tilted-link matrices (17^2/9^2 with a rotated RX; OpenBLAS,
 # 2 cores) the separable variants have rank 9-27 at 1e-15 sigma_1, and
-# k = 32 leaves a residual of 1e-15 to 4e-15 sigma_1 in 8-12 ms, against
-# 35-55 ms for _block_svd(., True); OCM there (rank 42-80) is refused
-# before B is formed.  k does not grow: at k = 64 the sketch of an OCM
-# matrix costs as much as its dense route.
+# k = 32 leaves a residual of 1e-15 to 4e-15 sigma_1 in 3.1-4.1 ms, against
+# 35-55 ms for _block_svd(., True); OCM there (rank 42-80) is refused on
+# its residual, after B is formed.  k does not grow: at k = 64 the sketch
+# of an OCM matrix costs as much as its dense route.
 _SKETCH_COLUMNS = 32
 _SKETCH_TAU = 1e-14
 
@@ -250,29 +250,27 @@ def _sketch_svd(block: np.ndarray, level: float):
 
     A randomized range finder (Halko, Martinsson & Tropp, SIAM Rev. 53,
     2011, arXiv:0909.4061): Y = block Omega with the fixed k-column
-    Gaussian Omega of :func:`_test_matrix`, Q R = Y, B = Q' block =
-    u diag(s) vh.  It returns ``(Q, u, s, vh, None)``, as
-    :func:`_block_svd` does, only if the explicit residual
-    ||block - Q B||_F is at most ``level * s[0]``: then every singular
-    value of the block past the k found is at most that, and so is the
-    error of each one found (HMT section 4.3).  |R_kk| / |R_11| estimates
-    the residual of the first k - 1 columns over ||block||_F >= sigma_1;
-    above ``level`` the rank is k or more, and the block is refused before
-    B is formed.
+    Gaussian Omega of :func:`_test_matrix`, Q R = Y, and the SVD
+    B = Q' block = u diag(s) vh right of :func:`_block_svd`, under its
+    QR-first rule like every other block.  The one test is the
+    explicit residual: it returns ``(Q, u, s, vh, right)``, as
+    :func:`_block_svd` does, only if ||block - Q B||_F is at most
+    ``level * s[0]``, and then every singular value of the block past
+    the k found is at most that, and so is the error of each one found
+    (HMT section 4.3).  A refusal comes after B and the residual are
+    formed.
     """
     k = _SKETCH_COLUMNS
     if k >= min(block.shape):
         return None
-    q, r = np.linalg.qr(block @ _test_matrix(block.shape[1], k))
-    if abs(r[-1, -1]) > level * abs(r[0, 0]):
-        return None
+    q, _ = np.linalg.qr(block @ _test_matrix(block.shape[1], k))
     b = q.conj().T @ block
-    u, s, vh = np.linalg.svd(b, full_matrices=False)
+    _, u, s, vh, right = _block_svd(b, True)
     residual = q @ b
     residual -= block
     if np.linalg.norm(residual) > level * s[0]:
         return None
-    return q, u, s, vh, None
+    return q, u, s, vh, right
 
 
 def eigenchannel_decompose(
@@ -300,14 +298,15 @@ def eigenchannel_decompose(
             the blocks' singular values are sorted once; with them only
             the ``p_used`` kept singular vectors are lifted by the QR
             bases.  With patterns a held dense array first tries the
-            certified sketch of :func:`_sketch_svd`, at the level tau =
-            1e-14, lowered to eps - 1e-12 for ``threshold(eps)`` when
-            that is smaller; its values past the k it finds are zeros in
+            certified sketch of :func:`_sketch_svd` (its B takes the QR
+            rule of :func:`_block_svd`), whose one test is its residual
+            at tau = 1e-14 sigma_1, or eps - 1e-12 for ``threshold(eps)``
+            when smaller; its values past the k it finds are zeros in
             ``gains``, each at most tau sigma_1 from the true value, and a
-            refused sketch falls back to :func:`_block_svd`.  A policy
-            that keeps more channels than the factors' r or the sketch's
-            k falls back to the dense matrix.  The spectrum is padded
-            with zeros to min(3M, 3N).
+            sketch refused on its residual, formed after B, falls back to
+            :func:`_block_svd`.  A policy that keeps more channels than the
+            factors' r or the sketch's k falls back to the dense matrix.
+            The spectrum is padded with zeros to min(3M, 3N).
 
     Returns:
         EigenchannelSet with the full gain spectrum and, when ``patterns``

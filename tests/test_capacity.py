@@ -646,7 +646,13 @@ def test_qr_first_rule_holds_in_both_orientations(monkeypatch, tx_shape, rx_shap
     qr_first = max(rows, cols) >= _QR_FIRST_RATIO * min(rows, cols)
     assert qr_first == (max(rows, cols) / min(rows, cols) >= 1.5)
     want = np.sqrt(cfg.a_r * cfg.a_t) * np.linalg.svd(G.matrix, compute_uv=False)
-    # the SVD runs on the square QR triangle, or on the block itself below the ratio
+    # the SVD runs on the square QR triangle, or on the block itself below the ratio;
+    # with patterns, past k on both sides, the sketch's k-row B comes first, by the same rule
+    dense = (rank, rank) if qr_first else (rows, cols)
+    sketch = []
+    if rank > _SKETCH_COLUMNS:
+        b_qr_first = cols >= _QR_FIRST_RATIO * _SKETCH_COLUMNS
+        sketch = [(_SKETCH_COLUMNS, _SKETCH_COLUMNS if b_qr_first else cols)]
     seen, svd = [], np.linalg.svd
 
     def spy(a, *args, **kwargs):
@@ -657,7 +663,7 @@ def test_qr_first_rule_holds_in_both_orientations(monkeypatch, tx_shape, rx_shap
     fast = eigenchannel_decompose(G, cfg, PPolicy.fixed(rank), patterns=False)
     full = eigenchannel_decompose(G, cfg, PPolicy.fixed(rank))
     monkeypatch.undo()
-    assert seen == 2 * [(rank, rank) if qr_first else (rows, cols)]
+    assert seen == [dense, *sketch, dense]
     for eigs in (fast, full):
         assert np.max(np.abs(eigs.gains - want)) <= 1e-12 * want[0]
     left = np.sqrt(cfg.a_r) * full.rx_patterns
@@ -666,35 +672,46 @@ def test_qr_first_rule_holds_in_both_orientations(monkeypatch, tx_shape, rx_shap
     assert np.linalg.norm(recon - G.matrix) <= 1e-12 * np.linalg.norm(G.matrix)
 
 
-def _tilted_link_matrix(variant, d0_lambda):
-    """A variant on the seed-0 tilted-link geometry: 17 x 17 TX, 9 x 9 RX turned about x."""
+# (theta, phi, RX turn about x) of the tilted-link workload at seeds 0 and 2
+_SEED_0_TILT = (0.3188843703050096, 4.7623679680665845, 0.284114316166169)
+_SEED_2_TILT = (0.34120685437784987, 5.955375740432253, 0.21131027354536175)
+
+
+def _tilted_link_matrix(variant, d0_lambda, tilt=_SEED_0_TILT):
+    """A variant on a tilted-link geometry: 17 x 17 TX, 9 x 9 RX turned about x."""
     cfg = _cfg()
     spacing = 0.01 * cfg.wavelength
     tx = build_planar_surface(17, 17, spacing)
     rx = build_planar_surface(9, 9, spacing)
-    link = LinkGeometry.from_angles(d0_lambda * cfg.wavelength, 0.3188843703050096,
-                                    4.7623679680665845,
-                                    rx_rotation=_rotation(0.0, 0.0, 0.284114316166169))
+    theta, phi, turn = tilt
+    link = LinkGeometry.from_angles(d0_lambda * cfg.wavelength, theta, phi,
+                                    rx_rotation=_rotation(0.0, 0.0, turn))
     if variant == "OCM":
         return assemble_ocm(tx, rx, link, cfg.k0)
     return assemble_pscm(tx, rx, link, cfg.k0, PSCM_CODES[variant])
 
 
-@pytest.mark.parametrize("variant,d0_lambda,policy,dense_svds", [
-    # OCM's rank passes k: refused on |R_kk| before B is formed
-    pytest.param("OCM", 0.25, PPolicy.threshold(1e-6), 1, id="ocm-rank-past-k"),
-    pytest.param("PSCM", 0.75, PPolicy.threshold(1e-6), 0, id="pscm-certified"),
+@pytest.mark.parametrize("variant,d0_lambda,tilt,policy,dense_svds", [
+    # OCM's rank passes k: refused on its residual
+    pytest.param("OCM", 0.25, _SEED_0_TILT, PPolicy.threshold(1e-6), 1, id="ocm-rank-past-k"),
+    pytest.param("PSCM", 0.75, _SEED_0_TILT, PPolicy.threshold(1e-6), 0, id="pscm-certified"),
     # certified, but the policy keeps more than k channels
-    pytest.param("PSCM12", 2.0, PPolicy.fixed(_SKETCH_COLUMNS + 8), 1, id="fixed-past-k"),
+    pytest.param("PSCM12", 2.0, _SEED_0_TILT, PPolicy.fixed(_SKETCH_COLUMNS + 8), 1,
+                 id="fixed-past-k"),
     # a cut of 1e-12 sigma_1 stays above tau, which certifies the sketch
-    pytest.param("PSCM12", 2.0, PPolicy.threshold(2e-12), 0, id="cut-above-tau"),
+    pytest.param("PSCM12", 2.0, _SEED_0_TILT, PPolicy.threshold(2e-12), 0, id="cut-above-tau"),
     # a cut of 1e-15 sigma_1 is below tau and below the residual, about 1.4e-15
-    pytest.param("PSCM12", 2.0, PPolicy.threshold(1.001e-12), 1, id="cut-below-tau"),
+    pytest.param("PSCM12", 2.0, _SEED_0_TILT, PPolicy.threshold(1.001e-12), 1,
+                 id="cut-below-tau"),
+    # |R_kk| / |R_11| reads 1.5e-13, above tau, but the residual is 6.9e-15 sigma_1
+    pytest.param("PSCM123", 0.25, _SEED_2_TILT, PPolicy.threshold(1e-6), 0,
+                 id="residual-passes-past-the-rank-estimate"),
 ])
-def test_sketch_route_matches_the_dense_svd(monkeypatch, variant, d0_lambda, policy, dense_svds):
+def test_sketch_route_matches_the_dense_svd(monkeypatch, variant, d0_lambda, tilt, policy,
+                                            dense_svds):
     capacity_module = importlib.import_module("hmimo.capacity")
     cfg = _cfg()
-    G = _tilted_link_matrix(variant, d0_lambda)
+    G = _tilted_link_matrix(variant, d0_lambda, tilt)
     assert G.factors is None and G.lattice is None and G.matrix.shape == (243, 867)
     seen, block_svd = [], capacity_module._block_svd
 
@@ -705,7 +722,9 @@ def test_sketch_route_matches_the_dense_svd(monkeypatch, variant, d0_lambda, pol
     monkeypatch.setattr(capacity_module, "_block_svd", spy)
     eigs = eigenchannel_decompose(G, cfg, policy)
     monkeypatch.undo()
-    assert len(seen) == dense_svds and all(block is G.matrix for block in seen)
+    # every attempt decomposes its 32 x 867 B through _block_svd too
+    assert sum(block is G.matrix for block in seen) == dense_svds
+    assert [block.shape for block in seen if block is not G.matrix] == [(_SKETCH_COLUMNS, 867)]
     dense = np.sqrt(cfg.a_r * cfg.a_t) * np.linalg.svd(G.matrix, compute_uv=False)
     p_used = select_p(dense, policy)
     assert eigs.p_used == p_used

@@ -114,11 +114,15 @@ TOLERANCE = {
     "patterns gains (relative to sigma_1)": 1e-12,
 }
 
-# The seeded tilted links of the tilted-link workload (seed 0), then a
-# boresight lattice link and a tilted lattice link, as in LIBRARY_POINTS.
+# The seeded tilted links of the tilted-link workload (seed 0, and seed 2 at
+# 0.25 wavelength, where PSCM123 is certified although |R_kk| / |R_11| of its
+# sketch exceeds tau), then a boresight lattice link and a tilted lattice link,
+# as in LIBRARY_POINTS.
 _TILT = (0.3188843703050096, 4.7623679680665845, 0.284114316166169)
+_TILT_SEED_2 = (0.34120685437784987, 5.955375740432253, 0.21131027354536175)
 PATTERNS_POINTS = (
     *(((17, 17), (9, 9), d0, *_TILT) for d0 in (0.75, 2.0, 3.0, 3.75)),
+    ((17, 17), (9, 9), 0.25, *_TILT_SEED_2),
     ((9, 9), (5, 5), 1.5, 0.0, 0.0, None),
     ((9, 7), (5, 6), 0.6, 0.3, 0.4, None),
 )
