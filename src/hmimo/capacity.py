@@ -192,6 +192,9 @@ def _block_svd(block, vectors: bool):
     L = Q_L R_L and R = Q_R R_R, and an array at least 1.5 times as long
     one way as the other to the triangle R of its tall orientation
     T = Q R, since LAPACK's SVD is much slower on a wide block itself.
+    The one array passed to the SVD, that triangle or the block, must be
+    finite (NumericalError): on inf LAPACK stalls or never returns, and a
+    core or a sketch's B formed from finite entries can overflow.
     Without ``vectors`` this returns the singular values.  With them it
     returns ``(left, u, s, vh, right)`` with ``block = left u diag(s) vh
     right``: ``left`` is Q_L or the Q of a tall array, ``right`` Q_R' or
@@ -209,19 +212,20 @@ def _block_svd(block, vectors: bool):
         vh = vh if right is None else vh @ right
         return q_l, u, s, vh, q_r.conj().T
     rows, cols = block.shape
-    wide = rows < cols
-    qr_first = max(rows, cols) >= _QR_FIRST_RATIO * min(rows, cols)
+    left = right = None
+    if max(rows, cols) >= _QR_FIRST_RATIO * min(rows, cols):
+        if not vectors:
+            block = np.linalg.qr(block.T if rows < cols else block, mode="r")
+        elif rows < cols:  # block' = Q R, so block = R' Q'
+            q, r = np.linalg.qr(block.T)
+            block, right = r.T, q.T
+        else:
+            left, block = np.linalg.qr(block)
+    if not np.isfinite(block).all():
+        raise NumericalError("SVD input holds NaN or inf entries: the channel overflows")
     if not vectors:
-        if qr_first:
-            block = np.linalg.qr(block.T if wide else block, mode="r")
         return np.linalg.svd(block, compute_uv=False)
-    if not qr_first:
-        return (None, *np.linalg.svd(block, full_matrices=False), None)
-    if wide:  # block' = Q R, so block = R' Q'
-        q, r = np.linalg.qr(block.T)
-        return (None, *np.linalg.svd(r.T), q.T)
-    q, r = np.linalg.qr(block)
-    return (q, *np.linalg.svd(r), None)
+    return (left, *np.linalg.svd(block, full_matrices=False), right)
 
 
 # Columns of the sketch, and its residual level tau (relative to sigma_1).  On
@@ -292,21 +296,20 @@ def eigenchannel_decompose(
             one sector whose values count twice; otherwise the one block
             of the held factor pair (mirrored or not), or ``matrix``
             formed from the held form if need be.  :func:`_block_svd`
-            reduces each by QR.  The NaN/inf check reads the held form (the
-            factors, the offset table or the dense array), so the
-            spectrum-only routes never form ``matrix``.  Without patterns
-            the blocks' singular values are sorted once; with them only
-            the ``p_used`` kept singular vectors are lifted by the QR
-            bases.  With patterns a held dense array first tries the
-            certified sketch of :func:`_sketch_svd` (its B takes the QR
-            rule of :func:`_block_svd`), whose one test is its residual
-            at tau = 1e-14 sigma_1, or eps - 1e-12 for ``threshold(eps)``
-            when smaller; its values past the k it finds are zeros in
-            ``gains``, each at most tau sigma_1 from the true value, and a
-            sketch refused on its residual, formed after B, falls back to
-            :func:`_block_svd`.  A policy that keeps more channels than the
-            factors' r or the sketch's k falls back to the dense matrix.
-            The spectrum is padded with zeros to min(3M, 3N).
+            reduces each by QR.  Without patterns the blocks' singular
+            values are sorted once; with them only the ``p_used`` kept
+            singular vectors are lifted by the QR bases.  With patterns
+            every matrix without factors (a dense array or an offset
+            table) first tries the certified sketch of :func:`_sketch_svd`
+            (its B takes the QR rule of :func:`_block_svd`), whose one
+            test is its residual at tau = 1e-14 sigma_1, or eps - 1e-12
+            for ``threshold(eps)`` when smaller; its values past the k it
+            finds are zeros in ``gains``, each at most tau sigma_1 from the
+            true value, and a sketch refused on its residual, formed after
+            B, falls back to :func:`_block_svd`.  A policy that keeps more
+            channels than the factors' r or the sketch's k falls back to
+            the dense matrix.  The spectrum is padded with zeros to
+            min(3M, 3N).
 
     Returns:
         EigenchannelSet with the full gain spectrum and, when ``patterns``
@@ -314,12 +317,13 @@ def eigenchannel_decompose(
         satisfy (sqrt(a) * patterns)' (sqrt(a) * patterns) = I.
 
     Raises:
-        NumericalError: the matrix or its spectrum is not finite.
+        NumericalError: the held form holds NaN or inf (checked first, so
+            spectrum-only routes never form ``matrix``), a block formed from
+            finite entries overflows before its SVD, or the spectrum is not finite.
     """
     if green.m_count == 0 or green.n_count == 0:
         raise ValueError("empty channel matrix")
-    # On inf entries LAPACK's full SVD does not return and the values-only
-    # one stalls before giving NaN, so reject them before any QR or SVD runs.
+    # reject a non-finite held form here, before a QR runs slowly on it
     held = "matrix holds" if green.factors is None else "factors hold"
     if not all(np.isfinite(a).all() for a in green.factors or [green.entries]):
         raise NumericalError(f"channel {held} NaN or inf entries")
@@ -328,10 +332,8 @@ def eigenchannel_decompose(
     else:
         blocks = [(green.factors or green.matrix, 1)]
     if patterns:
-        sketch = None
-        if green.factors is None and green._table is None:
-            cut = policy.value - _TIE if policy.kind == "threshold" else _SKETCH_TAU
-            sketch = _sketch_svd(green.entries, min(_SKETCH_TAU, cut))
+        cut = policy.value - _TIE if policy.kind == "threshold" else _SKETCH_TAU
+        sketch = _sketch_svd(green.matrix, min(_SKETCH_TAU, cut)) if green.factors is None else None
         left, u, values, vh, right = sketch or _block_svd(blocks[0][0], True)
     else:
         values = np.concatenate([np.tile(_block_svd(b, False), copies) for b, copies in blocks])
@@ -339,10 +341,7 @@ def eigenchannel_decompose(
     s[: values.size] = np.sort(values)[::-1]
     p_used = select_p(s, policy)
     if patterns and p_used > values.size:
-        # the bases of the factors or of a sketch end too soon: decompose the
-        # dense entries, which a product of finite factors may overflow
-        if not np.isfinite(green.matrix).all():
-            raise NumericalError("channel matrix holds NaN or inf entries")
+        # the bases of the factors or of a sketch end too soon: decompose the dense entries
         left, u, values, vh, right = _block_svd(green.matrix, True)
         s[:] = np.sort(values)[::-1]
         p_used = select_p(s, policy)

@@ -33,6 +33,7 @@ from hmimo import (
 )
 from hmimo.capacity import _QR_FIRST_RATIO, _SKETCH_COLUMNS
 from hmimo.green import Lattice, _claimed, _dyad_dense, _lattice_sectors
+from _helpers import _rotation
 
 
 def _cfg(**kw):
@@ -399,12 +400,16 @@ def test_spectrum_only_decomposition_rejects_non_finite_factors():
                                        patterns=False)
 
 
-def _rotation(a, b, c):
-    ca, sa, cb, sb, cc, sc = np.cos(a), np.sin(a), np.cos(b), np.sin(b), np.cos(c), np.sin(c)
-    rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-    ry = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, cc, -sc], [0.0, sc, cc]])
-    return rz @ ry @ rx
+def test_decomposition_rejects_a_core_that_finite_factors_overflow():
+    # at d0 = 1e-307 the FSCM factors are finite (max |L| about 8e305), but
+    # their R-SVD core R_L R_R' is not, and it must never reach LAPACK
+    cfg = _cfg()
+    surface = build_planar_surface(17, 17, 0.01 * cfg.wavelength)
+    G = assemble_fscm(surface, surface, LinkGeometry.from_angles(1e-307), cfg.k0)
+    assert all(np.isfinite(f).all() for f in G.factors)
+    for patterns in (False, True):
+        with pytest.raises(NumericalError, match="NaN or inf"), np.errstate(all="ignore"):
+            eigenchannel_decompose(G, cfg, patterns=patterns)
 
 
 def _mirror_maps(layout):
@@ -678,14 +683,17 @@ _SEED_2_TILT = (0.34120685437784987, 5.955375740432253, 0.21131027354536175)
 
 
 def _tilted_link_matrix(variant, d0_lambda, tilt=_SEED_0_TILT):
-    """A variant on a tilted-link geometry: 17 x 17 TX, 9 x 9 RX turned about x."""
+    """A variant on a tilted-link geometry: 17 x 17 TX, 9 x 9 RX.
+
+    The RX is turned about x by the third angle of ``tilt``, or not at all when it is None.
+    """
     cfg = _cfg()
     spacing = 0.01 * cfg.wavelength
     tx = build_planar_surface(17, 17, spacing)
     rx = build_planar_surface(9, 9, spacing)
     theta, phi, turn = tilt
     link = LinkGeometry.from_angles(d0_lambda * cfg.wavelength, theta, phi,
-                                    rx_rotation=_rotation(0.0, 0.0, turn))
+                                    rx_rotation=None if turn is None else _rotation(0.0, 0.0, turn))
     if variant == "OCM":
         return assemble_ocm(tx, rx, link, cfg.k0)
     return assemble_pscm(tx, rx, link, cfg.k0, PSCM_CODES[variant])
@@ -706,13 +714,16 @@ def _tilted_link_matrix(variant, d0_lambda, tilt=_SEED_0_TILT):
     # |R_kk| / |R_11| reads 1.5e-13, above tau, but the residual is 6.9e-15 sigma_1
     pytest.param("PSCM123", 0.25, _SEED_2_TILT, PPolicy.threshold(1e-6), 0,
                  id="residual-passes-past-the-rank-estimate"),
+    # an unrotated RX keeps the offset table, which tries the sketch like a dense array
+    pytest.param("PSCM", 1.0, (0.25, 0.0, None), PPolicy.threshold(1e-6), 0,
+                 id="offset-table-certified"),
 ])
 def test_sketch_route_matches_the_dense_svd(monkeypatch, variant, d0_lambda, tilt, policy,
                                             dense_svds):
     capacity_module = importlib.import_module("hmimo.capacity")
     cfg = _cfg()
     G = _tilted_link_matrix(variant, d0_lambda, tilt)
-    assert G.factors is None and G.lattice is None and G.matrix.shape == (243, 867)
+    assert G.factors is None and G.matrix.shape == (243, 867)
     seen, block_svd = [], capacity_module._block_svd
 
     def spy(block, vectors):

@@ -28,13 +28,10 @@ from hmimo import (
     rayleigh_distance,
 )
 from hmimo.green import Lattice, _axis, _dyad_dense, _offset_table
+from _helpers import _SIDES, _SPACINGS, _THETAS, _TURNS, _cmat, _turned
 
 WAVELENGTH = 299792458.0 / 2.4e9
 K0 = 2 * np.pi / WAVELENGTH
-
-
-def _cmat(entry):
-    return np.array(entry["re"]) + 1j * np.array(entry["im"])
 
 
 def test_axial_dyad_structure():
@@ -140,27 +137,6 @@ def test_only_the_projector_form_reproduces_the_exact_limit():
     exact = green_dyadic(d, k0)
     transverse = green_dyadic_far(d, k0)
     assert np.linalg.norm(transverse - exact) / np.linalg.norm(exact) < 1e-2
-
-
-# Pair geometries for the property test: grid sides 1-7, element spacings,
-# boresight or tilted links, and RX surfaces either parallel to the TX one
-# or turned by (tilt about x, spin about z).
-_SIDES = st.tuples(st.integers(1, 7), st.integers(1, 7))
-_SPACINGS = st.floats(0.01, 0.06)
-_THETAS = st.just(0.0) | st.floats(0.1, 0.4)
-_TURNS = st.none() | st.tuples(st.floats(0.1, 0.5), st.floats(0.0, 2 * np.pi))
-
-
-def _turned(turn):
-    """RX rotation: a tilt about x by turn[0], then a spin about z by turn[1]."""
-    if turn is None:
-        return None
-    tilt, spin = turn
-    c, s = np.cos(tilt), np.sin(tilt)
-    about_x = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-    c, s = np.cos(spin), np.sin(spin)
-    about_z = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return about_z @ about_x
 
 
 @given(tx_sides=_SIDES, rx_sides=_SIDES, tx_spacing=_SPACINGS, rx_spacing=_SPACINGS,

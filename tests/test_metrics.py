@@ -13,6 +13,7 @@ from hmimo import (
     nmse,
 )
 from hmimo.green import Lattice, _claimed
+from _helpers import _rotation
 
 
 def _pair(d0=0.8):
@@ -110,14 +111,6 @@ def test_nmse_never_returns_a_value_that_is_not_finite():
     with pytest.raises(NumericalError, match="not finite"), np.errstate(over="ignore"):
         nmse(huge, huge)
     assert nmse(ref, ref) == 0.0
-
-
-def _rotation(a, b, c):
-    ca, sa, cb, sb, cc, sc = np.cos(a), np.sin(a), np.cos(b), np.sin(b), np.cos(c), np.sin(c)
-    rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-    ry = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, cc, -sc], [0.0, sc, cc]])
-    return rz @ ry @ rx
 
 
 def _blocks(G):

@@ -21,10 +21,7 @@ from hmimo import (
     pscm_pair,
     wavevector,
 )
-
-
-def _cmat(entry):
-    return np.array(entry["re"]) + 1j * np.array(entry["im"])
+from _helpers import _SIDES, _SPACINGS, _THETAS, _TURNS, _cmat, _turned
 
 
 def test_omega_at_unit_argument():
@@ -163,27 +160,6 @@ def test_array_response_has_unit_modulus_phases():
     np.testing.assert_allclose(np.abs(theta), 1.0, atol=1e-14)
     expect = np.exp(1j * 2 * np.pi * (s.positions @ kappa))
     np.testing.assert_allclose(theta, expect, atol=1e-14)
-
-
-# Pair geometries for the property tests: grid sides 1-7, element spacings,
-# boresight or tilted links, and RX surfaces either parallel to the TX one
-# or turned by (tilt about x, spin about z).
-_SIDES = st.tuples(st.integers(1, 7), st.integers(1, 7))
-_SPACINGS = st.floats(0.01, 0.06)
-_THETAS = st.just(0.0) | st.floats(0.1, 0.4)
-_TURNS = st.none() | st.tuples(st.floats(0.1, 0.5), st.floats(0.0, 2 * np.pi))
-
-
-def _turned(turn):
-    """RX rotation: a tilt about x by turn[0], then a spin about z by turn[1]."""
-    if turn is None:
-        return None
-    tilt, spin = turn
-    c, s = np.cos(tilt), np.sin(tilt)
-    about_x = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-    c, s = np.cos(spin), np.sin(spin)
-    about_z = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return about_z @ about_x
 
 
 @pytest.mark.parametrize("variant,tag", [("12", "PSCM12"), ("123", "PSCM123"), ("1234", "PSCM")])

@@ -25,9 +25,9 @@ thresholds 10^(-k/10), k = 0..119.
 
 Last it decomposes every variant of the points of ``PATTERNS_POINTS``
 with patterns, under ``threshold(1e-6)``, ``fixed(5)`` and ``fixed(40)``
-(more channels than the sketch of a dense matrix finds), in one fresh
+(more channels than a sketch finds), in one fresh
 process per tree: the seeded tilted links of the ``tilted-link``
-benchmark workload, a boresight lattice link and a tilted lattice link.
+benchmark workload, a boresight lattice link and two tilted lattice links.
 It compares ``p_used`` and a digest of the gains and of both pattern
 matrices between the trees, and in each tree requires
 max |G v - sigma u| / sigma_1 and the largest entry of P'P - I over both
@@ -117,7 +117,8 @@ TOLERANCE = {
 # The seeded tilted links of the tilted-link workload (seed 0, and seed 2 at
 # 0.25 wavelength, where PSCM123 is certified although |R_kk| / |R_11| of its
 # sketch exceeds tau), then a boresight lattice link and a tilted lattice link,
-# as in LIBRARY_POINTS.
+# as in LIBRARY_POINTS, and the tilted-link grids with an unrotated RX, whose
+# offset tables try the sketch like a dense array.
 _TILT = (0.3188843703050096, 4.7623679680665845, 0.284114316166169)
 _TILT_SEED_2 = (0.34120685437784987, 5.955375740432253, 0.21131027354536175)
 PATTERNS_POINTS = (
@@ -125,6 +126,7 @@ PATTERNS_POINTS = (
     ((17, 17), (9, 9), 0.25, *_TILT_SEED_2),
     ((9, 9), (5, 5), 1.5, 0.0, 0.0, None),
     ((9, 7), (5, 6), 0.6, 0.3, 0.4, None),
+    ((17, 17), (9, 9), 1.0, 0.25, 0.0, None),
 )
 
 # Largest pattern residual |G v - sigma u| / sigma_1 and orthonormality error allowed.
