@@ -256,18 +256,21 @@ def _sketch_svd(block: np.ndarray, level: float):
     2011, arXiv:0909.4061): Y = block Omega with the fixed k-column
     Gaussian Omega of :func:`_test_matrix`, Q R = Y, and the SVD
     B = Q' block = u diag(s) vh right of :func:`_block_svd`, under its
-    QR-first rule like every other block.  The one test is the
+    QR-first rule like every other block.  The test is the
     explicit residual: it returns ``(Q, u, s, vh, right)``, as
     :func:`_block_svd` does, only if ||block - Q B||_F is at most
     ``level * s[0]``, and then every singular value of the block past
     the k found is at most that, and so is the error of each one found
     (HMT section 4.3).  A refusal comes after B and the residual are
-    formed.
+    formed, or at once when Q is not finite: the columns of Y can
+    overflow where the block's do not.
     """
     k = _SKETCH_COLUMNS
     if k >= min(block.shape):
         return None
     q, _ = np.linalg.qr(block @ _test_matrix(block.shape[1], k))
+    if not np.isfinite(q).all():
+        return None
     b = q.conj().T @ block
     _, u, s, vh, right = _block_svd(b, True)
     residual = q @ b
@@ -306,10 +309,10 @@ def eigenchannel_decompose(
             for ``threshold(eps)`` when smaller; its values past the k it
             finds are zeros in ``gains``, each at most tau sigma_1 from the
             true value, and a sketch refused on its residual, formed after
-            B, falls back to :func:`_block_svd`.  A policy that keeps more
-            channels than the factors' r or the sketch's k falls back to
-            the dense matrix.  The spectrum is padded with zeros to
-            min(3M, 3N).
+            B, or on a Q that is not finite falls back to
+            :func:`_block_svd`.  A policy that keeps more channels than the
+            factors' r or the sketch's k falls back to the dense matrix.
+            The spectrum is padded with zeros to min(3M, 3N).
 
     Returns:
         EigenchannelSet with the full gain spectrum and, when ``patterns``

@@ -412,6 +412,33 @@ def test_decomposition_rejects_a_core_that_finite_factors_overflow():
             eigenchannel_decompose(G, cfg, patterns=patterns)
 
 
+def _assert_patterns_hold(G, eigs, cfg):
+    """The p_used kept pattern pairs are orthonormal and solve G v = sigma u, within 1e-12."""
+    left = np.sqrt(cfg.a_r) * eigs.rx_patterns
+    right = np.sqrt(cfg.a_t) * eigs.tx_patterns
+    for basis in (left, right):
+        assert basis.shape[1] == eigs.p_used
+        assert np.max(np.abs(basis.conj().T @ basis - np.eye(eigs.p_used))) <= 1e-12
+    sigma = eigs.gains[: eigs.p_used] / np.sqrt(cfg.a_r * cfg.a_t)
+    assert np.max(np.abs(G.matrix @ right - left * sigma)) <= 1e-12 * sigma[0]
+
+
+def test_a_sketch_whose_range_basis_overflows_is_refused():
+    # Y = G Omega of this finite G is finite, but the QR of Y overflows into
+    # its Q; the sketch is refused and the dense route decomposes G
+    cfg = _cfg()
+    rng = np.random.default_rng(0)
+    a = 1e306 * (rng.standard_normal((243, 867)) + 1j * rng.standard_normal((243, 867)))
+    G = BlockChannelMatrix(a, "OCM")
+    with np.errstate(all="ignore"):
+        eigs = eigenchannel_decompose(G, cfg)
+    values = eigenchannel_decompose(G, cfg, patterns=False)
+    assert np.isfinite(eigs.gains).all()
+    assert eigs.p_used == values.p_used
+    assert np.max(np.abs(eigs.gains - values.gains)) <= 1e-12 * values.gains[0]
+    _assert_patterns_hold(G, eigs, cfg)
+
+
 def _mirror_maps(layout):
     """Flat element indices of a layout with its i index and its j index reversed."""
     j, i = np.divmod(np.arange(layout.count), layout.n_h)
@@ -740,13 +767,7 @@ def test_sketch_route_matches_the_dense_svd(monkeypatch, variant, d0_lambda, til
     p_used = select_p(dense, policy)
     assert eigs.p_used == p_used
     assert np.max(np.abs(eigs.gains - dense)) <= 1e-12 * dense[0]
-    left = np.sqrt(cfg.a_r) * eigs.rx_patterns
-    right = np.sqrt(cfg.a_t) * eigs.tx_patterns
-    for basis in (left, right):
-        assert basis.shape[1] == p_used
-        assert np.max(np.abs(basis.conj().T @ basis - np.eye(p_used))) <= 1e-12
-    sigma = eigs.gains[:p_used] / np.sqrt(cfg.a_r * cfg.a_t)
-    assert np.max(np.abs(G.matrix @ right - left * sigma)) <= 1e-12 * sigma[0]
+    _assert_patterns_hold(G, eigs, cfg)
 
 
 def test_sketch_route_repeats_bit_for_bit():
