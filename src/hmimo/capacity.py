@@ -265,10 +265,7 @@ def _sketch_svd(block: np.ndarray, level: float):
     formed, or at once when Q is not finite: the columns of Y can
     overflow where the block's do not.
     """
-    k = _SKETCH_COLUMNS
-    if k >= min(block.shape):
-        return None
-    q, _ = np.linalg.qr(block @ _test_matrix(block.shape[1], k))
+    q, _ = np.linalg.qr(block @ _test_matrix(block.shape[1], _SKETCH_COLUMNS))
     if not np.isfinite(q).all():
         return None
     b = q.conj().T @ block
@@ -288,31 +285,30 @@ def eigenchannel_decompose(
 ) -> EigenchannelSet:
     """Decompose a raw channel matrix into its eigenchannels.
 
+    The route is picked once, from the held form, the policy and
+    ``patterns``, before any SVD runs:
+
+    - without patterns, the parity sectors of an offset table on a
+      mirrored lattice (:func:`~hmimo.green._lattice_sectors`), else the
+      held factor pair, else ``matrix``; their values are sorted once;
+    - with patterns, ``matrix`` when a ``fixed(P)`` count passes the
+      values the route can find (the factors' r, or the sketch's k =
+      32), else the factor pair, else the certified sketch of
+      :func:`_sketch_svd` when k < min(3M, 3N), else ``matrix``.  Only
+      the sketch's refusal, on a Q that is not finite or on its residual
+      at tau = 1e-14 sigma_1 (or eps - 1e-12 for ``threshold(eps)`` when
+      smaller), still sends it to ``matrix``.  Only the ``p_used`` kept
+      vectors are lifted.
+
+    A threshold cut is positive, so it never keeps the zeros that stand
+    for the values a route does not find; the spectrum is padded with
+    zeros to min(3M, 3N).
+
     Args:
         green: block channel matrix of raw dyad values.
         cfg: physical configuration supplying the element areas.
         policy: eigenchannel count policy.
-        patterns: also return the transmit/receive patterns.  The blocks
-            are, without patterns for an offset table on a mirrored
-            lattice, those of :func:`~hmimo.green._lattice_sectors`: the
-            four parity sectors, or on square grids their swap halves and
-            one sector whose values count twice; otherwise the one block
-            of the held factor pair (mirrored or not), or ``matrix``
-            formed from the held form if need be.  :func:`_block_svd`
-            reduces each by QR.  Without patterns the blocks' singular
-            values are sorted once; with them only the ``p_used`` kept
-            singular vectors are lifted by the QR bases.  With patterns
-            every matrix without factors (a dense array or an offset
-            table) first tries the certified sketch of :func:`_sketch_svd`
-            (its B takes the QR rule of :func:`_block_svd`), whose one
-            test is its residual at tau = 1e-14 sigma_1, or eps - 1e-12
-            for ``threshold(eps)`` when smaller; its values past the k it
-            finds are zeros in ``gains``, each at most tau sigma_1 from the
-            true value, and a sketch refused on its residual, formed after
-            B, or on a Q that is not finite falls back to
-            :func:`_block_svd`.  A policy that keeps more channels than the
-            factors' r or the sketch's k falls back to the dense matrix.
-            The spectrum is padded with zeros to min(3M, 3N).
+        patterns: also return the transmit/receive patterns.
 
     Returns:
         EigenchannelSet with the full gain spectrum and, when ``patterns``
@@ -330,24 +326,21 @@ def eigenchannel_decompose(
     held = "matrix holds" if green.factors is None else "factors hold"
     if not all(np.isfinite(a).all() for a in green.factors or [green.entries]):
         raise NumericalError(f"channel {held} NaN or inf entries")
-    if green._table is not None and green.lattice.mirror and not patterns:
-        blocks = _lattice_sectors(green)
-    else:
-        blocks = [(green.factors or green.matrix, 1)]
-    if patterns:
-        cut = policy.value - _TIE if policy.kind == "threshold" else _SKETCH_TAU
-        sketch = _sketch_svd(green.matrix, min(_SKETCH_TAU, cut)) if green.factors is None else None
-        left, u, values, vh, right = sketch or _block_svd(blocks[0][0], True)
-    else:
-        values = np.concatenate([np.tile(_block_svd(b, False), copies) for b, copies in blocks])
     s = np.zeros(3 * min(green.m_count, green.n_count))
+    found = green.factors[0].shape[1] if green.factors else _SKETCH_COLUMNS
+    past = policy.kind == "fixed" and found < min(policy.value, s.size)
+    if not patterns:
+        blocks = (_lattice_sectors(green) if green._table is not None and green.lattice.mirror
+                  else [(green.factors or green.matrix, 1)])
+        values = np.concatenate([np.tile(_block_svd(b, False), copies) for b, copies in blocks])
+    elif green.factors and not past:
+        left, u, values, vh, right = _block_svd(green.factors, True)
+    else:
+        cut = policy.value - _TIE if policy.kind == "threshold" else _SKETCH_TAU
+        sketch = not past and found < s.size and _sketch_svd(green.matrix, min(_SKETCH_TAU, cut))
+        left, u, values, vh, right = sketch or _block_svd(green.matrix, True)
     s[: values.size] = np.sort(values)[::-1]
     p_used = select_p(s, policy)
-    if patterns and p_used > values.size:
-        # the bases of the factors or of a sketch end too soon: decompose the dense entries
-        left, u, values, vh, right = _block_svd(green.matrix, True)
-        s[:] = np.sort(values)[::-1]
-        p_used = select_p(s, policy)
     gains = np.sqrt(cfg.a_r * cfg.a_t) * s
     gains.setflags(write=False)
     tx_patterns = rx_patterns = None

@@ -90,23 +90,12 @@ def _spec_from_args(args) -> SweepSpec:
         )
     if flag_violations:
         raise ConfigError(flag_violations)
-    experiment = _EXPERIMENT_OF[args.command]
     data = _read_config(args.config) if args.config else {}
-    violations = []
     if isinstance(data, dict):  # spec_from_json_dict reports any other root
         # each override flag's dest is the SweepSpec key it sets
         fields = ("output_path", "output_format", "snr_db", "variants")
         data.update((f, getattr(args, f)) for f in fields if getattr(args, f) is not None)
-        if data.get("experiment", experiment) != experiment:
-            violations.append(f"config experiment {data['experiment']!r} does not match "
-                              f"subcommand {args.command!r}")
-    try:
-        spec = spec_from_json_dict(data, experiment)
-    except ConfigError as exc:
-        violations += exc.violations
-    if violations:
-        raise ConfigError(violations)
-    return spec
+    return spec_from_json_dict(data, _EXPERIMENT_OF[args.command])
 
 
 def main(argv=None) -> int:

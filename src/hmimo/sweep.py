@@ -128,11 +128,15 @@ def _d0_points(value, violations: list[str]) -> tuple | None:
     A {start, stop, step} object gives ``start + i * step`` for every i
     whose value stays within ``stop + 1e-9 * step``; its point count is
     checked against the cap before any point is built.  A faulty range
-    gives None, with its faults in ``violations``.  A list gives its
-    entries, a lone value itself.
+    gives None, with its faults in ``violations``, and so does any form
+    but a range or a list.  A list gives its entries.
     """
+    if isinstance(value, (list, tuple)):
+        return tuple(_as_float(v) for v in value)
     if not isinstance(value, dict):
-        return tuple(_as_float(v) for v in (value if isinstance(value, (list, tuple)) else [value]))
+        violations.append("d0_range_lambda must be a {start, stop, step} range or a list of "
+                          f"distances, got {value!r}")
+        return None
     if set(value) != {"start", "stop", "step"}:
         violations.append(f"d0 range keys must be start, stop and step, got {list(value)}")
         return None
@@ -159,7 +163,8 @@ def spec_from_json_dict(data: dict, experiment: str | None = None) -> SweepSpec:
     """Build a spec from a JSON object, rejecting unknown keys.
 
     ``experiment`` supplies the experiment kind when the object omits it
-    (e.g. when the CLI subcommand already determines it).  A missing
+    (e.g. when the CLI subcommand already determines it), and an object
+    that names another kind is reported with its other faults.  A missing
     ``d0_range_lambda`` takes the experiment's built-in distances; a range
     object is expanded here (:func:`_d0_points`).
     """
@@ -170,16 +175,19 @@ def spec_from_json_dict(data: dict, experiment: str | None = None) -> SweepSpec:
     if unknown:
         raise ConfigError([f"unknown config key {k!r}" for k in unknown])
     merged = dict(data)
+    violations = []
     if "experiment" not in merged:
         if experiment is None:
             raise ConfigError(["config is missing the 'experiment' key"])
         merged["experiment"] = experiment
+    elif experiment is not None and merged["experiment"] != experiment:
+        violations.append(f"config experiment {merged['experiment']!r} does not match "
+                          f"{experiment!r}")
     d0 = merged.get("d0_range_lambda")
     if d0 is None:
         d0 = _DEFAULT_D0[merged["experiment"]] if merged["experiment"] in EXPERIMENTS else ()
-    violations = []
     points = _d0_points(d0, violations)
-    # a faulty range stands alone: the rest is checked with one stand-in distance
+    # a faulty range or form stands alone: the rest is checked with one stand-in distance
     merged["d0_range_lambda"] = (1.0,) if points is None else points
     for key in ("tx_grid", "rx_grid", "n_list", "variants"):
         if key in merged and isinstance(merged[key], list):

@@ -679,7 +679,9 @@ def test_qr_first_rule_holds_in_both_orientations(monkeypatch, tx_shape, rx_shap
     assert qr_first == (max(rows, cols) / min(rows, cols) >= 1.5)
     want = np.sqrt(cfg.a_r * cfg.a_t) * np.linalg.svd(G.matrix, compute_uv=False)
     # the SVD runs on the square QR triangle, or on the block itself below the ratio;
-    # with patterns, past k on both sides, the sketch's k-row B comes first, by the same rule
+    # fixed(rank) with patterns passes k whenever the sketch could run, so it takes the
+    # dense route too; under a threshold, past k on both sides, the sketch's k-row B
+    # comes first, by the same rule, and its refusal hands over to the dense route
     dense = (rank, rank) if qr_first else (rows, cols)
     sketch = []
     if rank > _SKETCH_COLUMNS:
@@ -694,9 +696,10 @@ def test_qr_first_rule_holds_in_both_orientations(monkeypatch, tx_shape, rx_shap
     monkeypatch.setattr(np.linalg, "svd", spy)
     fast = eigenchannel_decompose(G, cfg, PPolicy.fixed(rank), patterns=False)
     full = eigenchannel_decompose(G, cfg, PPolicy.fixed(rank))
+    cut = eigenchannel_decompose(G, cfg, PPolicy.threshold(1e-6))
     monkeypatch.undo()
-    assert seen == [dense, *sketch, dense]
-    for eigs in (fast, full):
+    assert seen == [dense, dense, *sketch, dense]
+    for eigs in (fast, full, cut):
         assert np.max(np.abs(eigs.gains - want)) <= 1e-12 * want[0]
     left = np.sqrt(cfg.a_r) * full.rx_patterns
     right = np.sqrt(cfg.a_t) * full.tx_patterns
@@ -726,27 +729,28 @@ def _tilted_link_matrix(variant, d0_lambda, tilt=_SEED_0_TILT):
     return assemble_pscm(tx, rx, link, cfg.k0, PSCM_CODES[variant])
 
 
-@pytest.mark.parametrize("variant,d0_lambda,tilt,policy,dense_svds", [
+# each route as the blocks _block_svd sees: "B" for the sketch's 32 x 867 B, "G" for G.matrix
+@pytest.mark.parametrize("variant,d0_lambda,tilt,policy,route", [
     # OCM's rank passes k: refused on its residual
-    pytest.param("OCM", 0.25, _SEED_0_TILT, PPolicy.threshold(1e-6), 1, id="ocm-rank-past-k"),
-    pytest.param("PSCM", 0.75, _SEED_0_TILT, PPolicy.threshold(1e-6), 0, id="pscm-certified"),
-    # certified, but the policy keeps more than k channels
-    pytest.param("PSCM12", 2.0, _SEED_0_TILT, PPolicy.fixed(_SKETCH_COLUMNS + 8), 1,
+    pytest.param("OCM", 0.25, _SEED_0_TILT, PPolicy.threshold(1e-6), "BG", id="ocm-rank-past-k"),
+    pytest.param("PSCM", 0.75, _SEED_0_TILT, PPolicy.threshold(1e-6), "B", id="pscm-certified"),
+    # the policy keeps more than k channels: the dense route alone, no sketch
+    pytest.param("PSCM12", 2.0, _SEED_0_TILT, PPolicy.fixed(_SKETCH_COLUMNS + 8), "G",
                  id="fixed-past-k"),
     # a cut of 1e-12 sigma_1 stays above tau, which certifies the sketch
-    pytest.param("PSCM12", 2.0, _SEED_0_TILT, PPolicy.threshold(2e-12), 0, id="cut-above-tau"),
+    pytest.param("PSCM12", 2.0, _SEED_0_TILT, PPolicy.threshold(2e-12), "B", id="cut-above-tau"),
     # a cut of 1e-15 sigma_1 is below tau and below the residual, about 1.4e-15
-    pytest.param("PSCM12", 2.0, _SEED_0_TILT, PPolicy.threshold(1.001e-12), 1,
+    pytest.param("PSCM12", 2.0, _SEED_0_TILT, PPolicy.threshold(1.001e-12), "BG",
                  id="cut-below-tau"),
     # |R_kk| / |R_11| reads 1.5e-13, above tau, but the residual is 6.9e-15 sigma_1
-    pytest.param("PSCM123", 0.25, _SEED_2_TILT, PPolicy.threshold(1e-6), 0,
+    pytest.param("PSCM123", 0.25, _SEED_2_TILT, PPolicy.threshold(1e-6), "B",
                  id="residual-passes-past-the-rank-estimate"),
     # an unrotated RX keeps the offset table, which tries the sketch like a dense array
-    pytest.param("PSCM", 1.0, (0.25, 0.0, None), PPolicy.threshold(1e-6), 0,
+    pytest.param("PSCM", 1.0, (0.25, 0.0, None), PPolicy.threshold(1e-6), "B",
                  id="offset-table-certified"),
 ])
 def test_sketch_route_matches_the_dense_svd(monkeypatch, variant, d0_lambda, tilt, policy,
-                                            dense_svds):
+                                            route):
     capacity_module = importlib.import_module("hmimo.capacity")
     cfg = _cfg()
     G = _tilted_link_matrix(variant, d0_lambda, tilt)
@@ -760,12 +764,55 @@ def test_sketch_route_matches_the_dense_svd(monkeypatch, variant, d0_lambda, til
     monkeypatch.setattr(capacity_module, "_block_svd", spy)
     eigs = eigenchannel_decompose(G, cfg, policy)
     monkeypatch.undo()
-    # every attempt decomposes its 32 x 867 B through _block_svd too
-    assert sum(block is G.matrix for block in seen) == dense_svds
-    assert [block.shape for block in seen if block is not G.matrix] == [(_SKETCH_COLUMNS, 867)]
+    # every attempt decomposes its B through _block_svd too
+    assert "".join("G" if block is G.matrix else "B" for block in seen) == route
+    assert all(block.shape == (_SKETCH_COLUMNS, 867) for block in seen if block is not G.matrix)
     dense = np.sqrt(cfg.a_r * cfg.a_t) * np.linalg.svd(G.matrix, compute_uv=False)
     p_used = select_p(dense, policy)
     assert eigs.p_used == p_used
+    assert np.max(np.abs(eigs.gains - dense)) <= 1e-12 * dense[0]
+    _assert_patterns_hold(G, eigs, cfg)
+
+
+def test_a_fixed_count_past_k_never_forms_a_sketch(monkeypatch):
+    capacity_module = importlib.import_module("hmimo.capacity")
+    cfg = _cfg()
+    G = _tilted_link_matrix("PSCM12", 2.0)
+    policy = PPolicy.fixed(_SKETCH_COLUMNS + 1)
+
+    def no_sketch(block, level):
+        raise AssertionError("the sketch ran for a count it cannot hold")
+
+    monkeypatch.setattr(capacity_module, "_sketch_svd", no_sketch)
+    eigs = eigenchannel_decompose(G, cfg, policy)
+    monkeypatch.undo()
+    dense = np.sqrt(cfg.a_r * cfg.a_t) * np.linalg.svd(G.matrix, compute_uv=False)
+    assert eigs.p_used == _SKETCH_COLUMNS + 1
+    assert np.max(np.abs(eigs.gains - dense)) <= 1e-12 * dense[0]
+    _assert_patterns_hold(G, eigs, cfg)
+
+
+@pytest.mark.parametrize("assemble", [assemble_fscm, assemble_pscm])
+def test_a_fixed_count_past_the_factor_width_decomposes_only_the_matrix(monkeypatch, assemble):
+    capacity_module = importlib.import_module("hmimo.capacity")
+    cfg = _cfg()
+    spacing = 0.01 * cfg.wavelength
+    tx, rx = build_planar_surface(9, 9, spacing), build_planar_surface(5, 5, spacing)
+    G = assemble(tx, rx, LinkGeometry.from_angles(1.5 * cfg.wavelength), cfg.k0)
+    width = G.factors[0].shape[1]
+    assert width < 3 * rx.count
+    seen, block_svd = [], capacity_module._block_svd
+
+    def spy(block, vectors):
+        seen.append(block)
+        return block_svd(block, vectors)
+
+    monkeypatch.setattr(capacity_module, "_block_svd", spy)
+    eigs = eigenchannel_decompose(G, cfg, PPolicy.fixed(width + 1))
+    monkeypatch.undo()
+    assert len(seen) == 1 and seen[0] is G.matrix
+    dense = np.sqrt(cfg.a_r * cfg.a_t) * np.linalg.svd(G.matrix, compute_uv=False)
+    assert eigs.p_used == width + 1
     assert np.max(np.abs(eigs.gains - dense)) <= 1e-12 * dense[0]
     _assert_patterns_hold(G, eigs, cfg)
 

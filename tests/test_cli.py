@@ -189,6 +189,7 @@ _AREA_POINT = dict(_TINY_POINT, tx_grid=[2, 2], rx_grid=[2, 2], d0_range_lambda=
     pytest.param("point", dict(_TINY_POINT, d0_range_lambda=[np.inf]), [], id="d0-inf"),
     pytest.param("point", dict(_TINY_POINT, d0_range_lambda=[None]), [], id="d0-null"),
     pytest.param("point", dict(_TINY_POINT, d0_range_lambda=[True]), [], id="d0-bool"),
+    pytest.param("point", dict(_TINY_POINT, d0_range_lambda=1.5), [], id="d0-lone-number"),
     pytest.param("point", dict(_TINY_POINT, spacing_lambda=np.inf), [], id="spacing-inf"),
     pytest.param("point", dict(_TINY_POINT, frequency=True), [], id="frequency-bool"),
     pytest.param("point", _TINY_POINT, ["--snr-db", "nan"], id="snr-nan"),
@@ -321,7 +322,7 @@ def test_an_experiment_mismatch_comes_back_with_the_other_faults(monkeypatch, tm
     path.write_text(json.dumps(_GRIDS_POINT), encoding="utf-8")
     assert main(["sweep-distance", "--config", str(path), "--snr-db", "nan"]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "'single-point' does not match subcommand 'sweep-distance'" in err and "snr_db" in err
+    assert "'single-point' does not match 'distance'" in err and "snr_db" in err
 
 
 def test_a_flag_replaces_the_file_value_before_the_check(monkeypatch, tmp_path):

@@ -2,7 +2,9 @@
 
 import dataclasses
 import importlib
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +28,15 @@ def test_every_public_name_is_the_object_of_its_module():
 def test_the_package_capacity_name_is_the_function():
     assert hmimo.capacity is importlib.import_module("hmimo.capacity").capacity
     assert callable(hmimo.capacity)
+
+
+def test_the_readme_quick_start_runs_as_written(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"## Library quick start\n\n```python\n(.*?)```", readme, flags=re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["NMSE", "capacity [bit/s/Hz]"]
+    assert all(0 < float(line.split(":")[1]) < math.inf for line in lines)
 
 
 def test_array_holding_dataclasses_compare_by_identity():

@@ -366,6 +366,7 @@ def test_distance_count_is_capped_at_a_million_points():
     ({"start": 1.0, "stop": 2.0, "step": 0.0}, "step must be positive"),
     ({"start": 2.0, "stop": 1.0, "step": 0.5}, "stop must be >= start"),
     ({"start": 0.25, "stop": -1e300, "step": 1e-300}, "stop must be >= start"),
+    (1.5, "must be a {start, stop, step} range or a list of distances"),
 ])
 def test_a_range_fault_is_the_only_violation(d0, message):
     for experiment in EXPERIMENTS:
@@ -422,6 +423,22 @@ def test_a_config_without_experiment_takes_the_given_one(tmp_path):
     assert spec == spec_from_json_dict(dict(payload, experiment="single-point"))
     with pytest.raises(ConfigError, match="missing the 'experiment' key"):
         spec_from_json_dict({})
+
+
+def test_a_config_naming_another_experiment_is_reported_with_its_other_faults(tmp_path):
+    payload = {"experiment": "single-point", "tx_grid": [3, 3], "rx_grid": [2, 2]}
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    for load in (lambda: spec_from_json_dict(payload, experiment="distance"),
+                 lambda: load_spec(str(path), "distance")):
+        with pytest.raises(ConfigError) as err:
+            load()
+        assert err.value.violations == ["config experiment 'single-point' does not match "
+                                        "'distance'"]
+    with pytest.raises(ConfigError) as err:
+        spec_from_json_dict(dict(payload, snr_db="x"), experiment="distance")
+    assert len(err.value.violations) == 2 and "snr_db" in err.value.violations[1]
+    assert load_spec(str(path), "single-point") == spec_from_json_dict(payload)
 
 
 @pytest.mark.parametrize("n_list", [[], [0], [2.0], [True]])
