@@ -3,9 +3,9 @@
 Three subcommands mirror the three experiments: ``sweep-distance``,
 ``sweep-elements`` and ``point``.  Each accepts an optional JSON config
 file plus flag overrides and exits with 0 on success, 2 on config
-validation failure, 3 on degenerate geometry, 4 on I/O failure and 5 on
-numerical failure (a channel matrix or spectrum that is not finite, or an
-SVD that does not converge).
+validation failure or a configuration too large to run, 3 on degenerate
+geometry, 4 on I/O failure and 5 on numerical failure (a channel matrix or
+spectrum that is not finite, or an SVD that does not converge).
 """
 
 from __future__ import annotations
@@ -117,6 +117,9 @@ def main(argv=None) -> int:
         write_rows(rows, spec)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"configuration too large to run: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DegenerateGeometryError as exc:
         print(f"degenerate geometry: {exc}", file=sys.stderr)

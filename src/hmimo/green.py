@@ -149,8 +149,7 @@ def green_dyadic(d_vec: np.ndarray, k0: float) -> np.ndarray:
     """
     dist, u = _distance_and_direction(d_vec, k0)
     kd = k0 * dist
-    c1 = 1.0 + 1j / kd - 1.0 / kd**2
-    c2 = 3.0 / kd**2 - 3j / kd - 1.0
+    c1, c2 = _weights(kd)
     return (-1j / (4.0 * np.pi * dist)) * np.exp(1j * kd) * (c1 * _EYE3 + c2 * np.outer(u, u))
 
 

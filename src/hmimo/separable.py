@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, _require_positive
 from .geometry import LinkGeometry, SurfaceLayout, global_rx_positions
-from .green import (PSCM_CODES, BlockChannelMatrix, _claimed, _displacements, _dyad_dense,
-                    _first_pair, _grid_lattice, _held, _weights)
+from .green import (_EYE3, PSCM_CODES, BlockChannelMatrix, _claimed, _displacements,
+                    _dyad_dense, _first_pair, _grid_lattice, _held, _weights)
 
 __all__ = [
     "OmegaPair",
@@ -50,8 +50,6 @@ __all__ = [
     "assemble_pscm",
     "assemble_fscm",
 ]
-
-_EYE3 = np.eye(3)
 
 
 def _variant_tag(variant: str) -> str:

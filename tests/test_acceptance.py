@@ -109,8 +109,8 @@ def distance_pass(benchmark_surfaces, benchmark_cfg):
     for d0_lambda in GRID:
         ref = _assemble("OCM", tx, rx, d0_lambda)
         sep = _assemble("PSCM", tx, rx, d0_lambda)
-        eig_ref = eigenchannel_decompose(ref, benchmark_cfg, fixed_two)
-        eig_sep = eigenchannel_decompose(sep, benchmark_cfg, fixed_two)
+        eig_ref = eigenchannel_decompose(ref, benchmark_cfg, fixed_two, patterns=False)
+        eig_sep = eigenchannel_decompose(sep, benchmark_cfg, fixed_two, patterns=False)
         if d0_lambda >= 0.5:
             agreement[d0_lambda] = (
                 capacity(eig_ref, benchmark_cfg),
@@ -118,15 +118,18 @@ def distance_pass(benchmark_surfaces, benchmark_cfg):
             )
         if d0_lambda in (0.25, 4.25):
             caps_default[(d0_lambda, "OCM")] = capacity(
-                eigenchannel_decompose(ref, benchmark_cfg, default_policy), benchmark_cfg
+                eigenchannel_decompose(ref, benchmark_cfg, default_policy, patterns=False),
+                benchmark_cfg,
             )
             caps_default[(d0_lambda, "PSCM")] = capacity(
-                eigenchannel_decompose(sep, benchmark_cfg, default_policy), benchmark_cfg
+                eigenchannel_decompose(sep, benchmark_cfg, default_policy, patterns=False),
+                benchmark_cfg,
             )
             for tag in ("PSCM123", "PSCM12", "FSCM"):
                 extra = _assemble(tag, tx, rx, d0_lambda)
                 caps_default[(d0_lambda, tag)] = capacity(
-                    eigenchannel_decompose(extra, benchmark_cfg, default_policy), benchmark_cfg
+                    eigenchannel_decompose(extra, benchmark_cfg, default_policy, patterns=False),
+                    benchmark_cfg,
                 )
                 del extra
         if d0_lambda == 4.25:
@@ -150,7 +153,8 @@ def elements_pass(benchmark_cfg):
         for d0_lambda in (0.75, 2.5):
             ref = _assemble("OCM", tx, rx, d0_lambda)
             cap_map[(side * side, d0_lambda)] = capacity(
-                eigenchannel_decompose(ref, benchmark_cfg, default_policy), benchmark_cfg
+                eigenchannel_decompose(ref, benchmark_cfg, default_policy, patterns=False),
+                benchmark_cfg,
             )
             for tag in ("PSCM", "PSCM123", "PSCM12", "FSCM"):
                 cand = _assemble(tag, tx, rx, d0_lambda)

@@ -350,6 +350,21 @@ def test_huge_distance_count_fails_before_the_grid_is_built(monkeypatch, tmp_pat
     assert "1000000000000001 points" in capsys.readouterr().err
 
 
+def test_a_point_too_large_to_allocate_exits_as_a_config_error(monkeypatch, point_config, tmp_path,
+                                                              capsys):
+    # stands in for a grid such as 100000 x 100000, which passes validation but
+    # asks numpy for tens of GiB; the real config is not run
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(sweep_module, "build_planar_surface", too_large)
+    out = tmp_path / "rows.csv"
+    assert main(["point", "--config", point_config, "--output", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "configuration too large to run: Unable to allocate 74.5 GiB for an array\n"
+    assert not out.exists()
+
+
 def test_missing_output_directory_fails_before_any_point(monkeypatch, tmp_path):
     monkeypatch.setattr("hmimo.cli.run_distance_sweep", _must_not_run)
     out = tmp_path / "missing" / "rows.csv"

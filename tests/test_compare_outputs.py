@@ -1,11 +1,13 @@
-"""Verdicts of the output gate ``tools/compare_outputs.py`` on synthetic value pairs.
+"""Verdicts of the output gate ``tools/compare_outputs.py`` on synthetic value pairs,
+and its parse of synthetic process output.
 
-The tool is loaded by path; no tree or subprocess is run.
+The tool is loaded by path and its ``run`` replaced; no tree or subprocess is run.
 """
 
 import importlib.util
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -105,3 +107,32 @@ def test_csv_and_json_cells_parse_to_the_same_columns(tool):
                           json.dumps([{"singular_values": {"OCM": [9.2, 0.7]}}]).encode())
     assert {tool._cell_quantity(column) for column, _ in dump} == {"CLI singular-value cells"}
     assert tool._cell_quantity("sv1_OCM") == "CLI singular-value cells"
+
+
+def test_library_points_run_in_one_process_per_tree_and_come_back_in_order(tool, monkeypatch,
+                                                                           tmp_path):
+    calls = []
+
+    def one_line_per_variant(tree, command):
+        calls.append(tree)
+        lines = [json.dumps([f"variant {variant}", point, dense])
+                 for point, dense in json.loads(command[-1]) for variant in range(5)]
+        return 0, "\n".join(lines).encode(), b""
+
+    monkeypatch.setattr(tool, "run", one_line_per_variant)
+    for tree in (tool.HERE_TREE, tmp_path):
+        results = tool.library_results(tree)
+        assert len(results) == len(tool.LIBRARY_POINTS)
+        for point, rows in zip(tool.LIBRARY_POINTS, results):
+            # only this tree is held against the dense SVD
+            dense = tool.DENSE_VARIANTS.get(point, 0) if tree == tool.HERE_TREE else 0
+            assert rows == [[f"variant {variant}", json.loads(json.dumps(point)), dense]
+                            for variant in range(5)]
+    assert calls == [tool.HERE_TREE, tmp_path]
+
+
+def test_a_failed_library_process_names_its_tree(tool, monkeypatch, tmp_path):
+    monkeypatch.setattr(tool, "run", lambda tree, command: (1, b"", b"Traceback: boom"))
+    with pytest.raises(SystemExit, match=f"library points failed in {re.escape(str(tmp_path))}"
+                                         ":\nTraceback: boom"):
+        tool.library_results(tmp_path)

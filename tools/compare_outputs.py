@@ -14,11 +14,11 @@ bytes, columns and rows, and numeric cells:
   worker count; the flag stays on existing command lines)
 
 Then it runs the library points of ``LIBRARY_POINTS`` in one fresh
-``python3 -c`` process per grid shape and tree: all 17 built-in distances
-at the two boresight shapes of the benchmark, whose OCM spectrum comes
-from the parity sectors, more boresight lattice links, and links the
-default commands do not reach (tilted lattice links, and one with a
-rotated RX surface).  Per variant it compares its NMSE against OCM, its
+``python3 -c`` process per tree: all 17 built-in distances at the two
+boresight shapes of the benchmark, whose OCM spectrum comes from the
+parity sectors, more boresight lattice links, and links the default
+commands do not reach (tilted lattice links, and one with a rotated RX
+surface).  Per variant it compares its NMSE against OCM, its
 ``p_used`` at ``threshold(1e-6)`` from the spectrum-only decomposition,
 that decomposition's full ``gains`` and their count, and its ``p_used``
 at the 120 thresholds 10^(-k/10), k = 0..119.  In this tree alone the
@@ -50,7 +50,7 @@ error must be at most 1e-13, and the dense check holds gains within
 1e-12 sigma_1 with equal ``p_used``.
 
 Output bytes depend on the BLAS thread count, so both trees run under the
-same environment.  The whole check takes about 25 s on two cores.
+same environment.  The whole check takes 23-25 s on two cores.
 
 Usage: python3 tools/compare_outputs.py [--tolerance] OTHER_TREE
 
@@ -322,23 +322,15 @@ def compare_commands(other: Path, tally: Tally):
 def library_results(tree: Path) -> list[list]:
     """``[variant, nmse, p_used, gains, ladder, dense]`` per variant of every library point.
 
-    The points of one grid shape run in one process; ``dense`` is None
-    outside ``DENSE_VARIANTS`` and in any tree but this one.
+    All points run in one process, five rows per point in ``LIBRARY_POINTS``
+    order; ``dense`` is None outside ``DENSE_VARIANTS`` and in any tree but this one.
     """
-    shapes = {}
-    for point in LIBRARY_POINTS:
-        shapes.setdefault(point[:2], []).append(point)
-    results = {}
-    for group in shapes.values():
-        dense = [DENSE_VARIANTS.get(point, 0) if tree == HERE_TREE else 0 for point in group]
-        code, out, err = run(tree, ["-c", POINT_SCRIPT, json.dumps(list(zip(group, dense)))])
-        if code:
-            raise SystemExit(f"library points {group} failed in {tree}:\n"
-                             f"{err.decode(errors='replace')}")
-        lines = [json.loads(line) for line in out.decode().splitlines()]
-        for index, point in enumerate(group):
-            results[point] = lines[5 * index: 5 * index + 5]
-    return [results[point] for point in LIBRARY_POINTS]
+    dense = [DENSE_VARIANTS.get(point, 0) if tree == HERE_TREE else 0 for point in LIBRARY_POINTS]
+    code, out, err = run(tree, ["-c", POINT_SCRIPT, json.dumps(list(zip(LIBRARY_POINTS, dense)))])
+    if code:
+        raise SystemExit(f"library points failed in {tree}:\n{err.decode(errors='replace')}")
+    lines = [json.loads(line) for line in out.decode().splitlines()]
+    return [lines[5 * index: 5 * index + 5] for index in range(len(LIBRARY_POINTS))]
 
 
 def compare_library(other: Path, tally: Tally):
